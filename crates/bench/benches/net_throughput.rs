@@ -6,16 +6,13 @@
 //! serves them through a `TcpServer` over a `QueryEngine`, and
 //! measures end-to-end queries/sec through real loopback sockets —
 //! frame encode, TCP round trip, boundary validation, engine answer,
-//! frame decode — under the three axes that matter for a serving
+//! frame decode — under the two axes that matter for a serving
 //! transport:
 //!
-//! * **server mode**: the readiness-multiplexed default vs the
-//!   thread-per-connection reference (`ServerMode`), every row tagged
-//!   with which one it ran against;
 //! * **concurrency**: 1, 16 and 64 concurrent client connections,
 //!   plus an *idle-crowd* row — the busy measurement repeated with 256
 //!   idle connections parked on the same server, which prices what a
-//!   mostly-idle connection costs each backend;
+//!   mostly-idle connection costs;
 //! * **codec × pipelining**: JSON v1 frames, binary v2 frames, binary
 //!   v2 with all of a connection's frames written in one burst.
 //!
@@ -34,7 +31,7 @@ use std::time::Instant;
 use dpgrid_bench::{bench_dataset, bench_rng};
 use dpgrid_core::{AdaptiveGrid, AgConfig, Release, UgConfig, UniformGrid};
 use dpgrid_geo::Rect;
-use dpgrid_net::{ServerMode, TcpClient, TcpServer};
+use dpgrid_net::{TcpClient, TcpServer};
 use dpgrid_serve::{Catalog, QueryEngine, QueryRequest};
 use rand::Rng;
 
@@ -176,7 +173,6 @@ fn measure_ns(
 
 struct Row {
     label: String,
-    server: &'static str,
     conns: usize,
     idle_conns: usize,
     protocol: u32,
@@ -200,67 +196,59 @@ fn bench_net_throughput(c: &mut Criterion) {
 
     let mut rows = Vec::new();
     let mut group = c.benchmark_group("net_throughput");
-    for (server_tag, mode) in [
-        ("mux", ServerMode::Multiplexed),
-        ("threaded", ServerMode::Threaded),
-    ] {
-        let server =
-            TcpServer::bind_with_mode(Arc::clone(&engine), "127.0.0.1:0", mode).expect("bind");
-        let addr = server.local_addr();
+    let server = TcpServer::bind(Arc::clone(&engine), "127.0.0.1:0").expect("bind");
+    let addr = server.local_addr();
 
-        // Warmup: compile every surface once so all rows measure warm.
-        pass_ns(addr, &keys, &rects, 1, V1);
+    // Warmup: compile every surface once so all rows measure warm.
+    pass_ns(addr, &keys, &rects, 1, V1);
 
-        let mut measure = |conns: usize, idle_conns: usize, variant: Variant, group: &mut _| {
-            // Record what a client under this cap actually negotiates —
-            // the row is honest even against a downgrading server.
-            let protocol = TcpClient::connect_with_protocol(addr, variant.max_protocol)
-                .expect("connect")
-                .protocol_version()
-                .unwrap_or(1);
-            let idle_tag = if idle_conns > 0 {
-                format!("_idle{idle_conns}")
-            } else {
-                String::new()
-            };
-            let label = format!("{server_tag}_{}_c{conns}{idle_tag}", variant.tag);
-            let ns = measure_ns(addr, &keys, &rects, conns, variant);
-            let group: &mut criterion::BenchmarkGroup<'_> = group;
-            group.bench_function(&label, |b| {
-                b.iter(|| pass_ns(addr, &keys, &rects, conns, variant));
-            });
-            let rects_per_pass = (conns * FRAMES_PER_CONN * RECTS_PER_REQUEST) as f64;
-            rows.push(Row {
-                label,
-                server: server_tag,
-                conns,
-                idle_conns,
-                protocol,
-                pipelined: variant.pipelined,
-                qps: rects_per_pass / (ns / 1e9),
-                elapsed_ms: ns / 1e6,
-            });
+    let mut measure = |conns: usize, idle_conns: usize, variant: Variant| {
+        // Record what a client under this cap actually negotiates —
+        // the row is honest even against a downgrading server.
+        let protocol = TcpClient::connect_with_protocol(addr, variant.max_protocol)
+            .expect("connect")
+            .protocol_version()
+            .unwrap_or(1);
+        let idle_tag = if idle_conns > 0 {
+            format!("_idle{idle_conns}")
+        } else {
+            String::new()
         };
+        // The `mux_` prefix keeps labels comparable with earlier files.
+        let label = format!("mux_{}_c{conns}{idle_tag}", variant.tag);
+        let ns = measure_ns(addr, &keys, &rects, conns, variant);
+        group.bench_function(&label, |b| {
+            b.iter(|| pass_ns(addr, &keys, &rects, conns, variant));
+        });
+        let rects_per_pass = (conns * FRAMES_PER_CONN * RECTS_PER_REQUEST) as f64;
+        rows.push(Row {
+            label,
+            conns,
+            idle_conns,
+            protocol,
+            pipelined: variant.pipelined,
+            qps: rects_per_pass / (ns / 1e9),
+            elapsed_ms: ns / 1e6,
+        });
+    };
 
-        for (conns, variants) in LADDER {
-            for &variant in variants {
-                measure(conns, 0, variant, &mut group);
-            }
+    for (conns, variants) in LADDER {
+        for &variant in variants {
+            measure(conns, 0, variant);
         }
-
-        // Idle crowd: the c16 pipelined measurement with 256 idle
-        // connections parked on the same server. The delta against the
-        // plain c16 row is the per-tick price of an idle connection —
-        // a registration for the multiplexed backend, a parked polling
-        // thread for the threaded one.
-        let idle: Vec<TcpStream> = (0..IDLE_CROWD)
-            .map(|_| TcpStream::connect(addr).expect("idle connect"))
-            .collect();
-        measure(16, idle.len(), V2_PIPE, &mut group);
-        drop(idle);
-
-        server.shutdown();
     }
+
+    // Idle crowd: the c16 pipelined measurement with 256 idle
+    // connections parked on the same server. The delta against the
+    // plain c16 row is the per-tick price of an idle connection's
+    // poller registration.
+    let idle: Vec<TcpStream> = (0..IDLE_CROWD)
+        .map(|_| TcpStream::connect(addr).expect("idle connect"))
+        .collect();
+    measure(16, idle.len(), V2_PIPE);
+    drop(idle);
+
+    server.shutdown();
     group.finish();
 
     let c1 = rows.first().map(|r| r.qps).unwrap_or(f64::NAN);
@@ -299,11 +287,10 @@ fn write_json(rows: &[Row], releases: usize, parallelism: usize, c1: f64) {
     );
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"label\": \"{}\", \"server\": \"{}\", \"conns\": {}, \"idle_conns\": {}, \
+            "    {{\"label\": \"{}\", \"conns\": {}, \"idle_conns\": {}, \
              \"protocol\": {}, \"pipelined\": {}, \
              \"elapsed_ms\": {:.2}, \"qps\": {:.0}, \"speedup_vs_mux_v1_c1\": {:.2}}}{}\n",
             r.label,
-            r.server,
             r.conns,
             r.idle_conns,
             r.protocol,

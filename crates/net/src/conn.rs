@@ -3,22 +3,26 @@
 //!
 //! One [`MuxConn`] owns everything a connection is: its socket, the
 //! codec it has negotiated (every connection starts in JSON v1 and
-//! may upgrade to binary v2 via `Hello`, exactly like the threaded
-//! server), a reassembly buffer for partially-read frames, and a
-//! bounded outbound queue of encoded responses. It never blocks: the
-//! run loop calls [`MuxConn::on_ready`] with the socket's readiness
-//! and gets back what the connection wants to wait for next.
+//! may upgrade to binary v2 via `Hello`), a reassembly buffer for
+//! partially-read frames, and a bounded outbound queue of encoded
+//! responses. It never blocks: the run loop calls
+//! [`MuxConn::on_ready`] with the socket's readiness and gets back
+//! what the connection wants to wait for next.
 //!
-//! # Wire-behavior parity
+//! # Wire behavior
 //!
-//! This state machine reproduces the threaded server's connection
-//! semantics bit for bit — the acceptance suites pin them:
+//! The contract, pinned by the unit tests below and the acceptance
+//! suites, holds however a peer's bytes are split across reads:
 //!
 //! * JSON frames that are not UTF-8, or do not parse, are answered
 //!   with a typed `MalformedRequest` and the connection survives;
 //!   blank lines are tolerated as keep-alives.
-//! * A frame growing past [`wire::MAX_FRAME_BYTES`] without a newline
-//!   is answered typed and the connection closes.
+//! * A JSON line may be at most [`wire::MAX_FRAME_BYTES`]
+//!   (16 777 216) bytes long, its newline included. A connection
+//!   whose next newline is not within that many bytes is answered
+//!   `MalformedRequest` ("frame exceeds 16777216 bytes") under id 0
+//!   and closes; bytes past the cap are never searched, so the
+//!   reassembly buffer stays bounded.
 //! * A binary header that loses byte framing (bad magic, foreign
 //!   version, over-cap length prefix) is answered typed under id 0
 //!   and the connection closes — without ever buffering the claimed
@@ -308,16 +312,18 @@ impl MuxConn {
             }
             match self.codec {
                 Codec::Json => {
-                    let Some(nl) = self.in_buf[self.scan_from..]
+                    // Only the first MAX_FRAME_BYTES bytes may hold the
+                    // newline: one read can carry a line across the cap.
+                    let capped = self.in_buf.len().min(MAX_FRAME_BYTES);
+                    let Some(nl) = self.in_buf[self.scan_from..capped]
                         .iter()
                         .position(|&b| b == b'\n')
                         .map(|i| self.scan_from + i)
                     else {
-                        self.scan_from = self.in_buf.len();
+                        self.scan_from = capped;
                         if self.in_buf.len() >= MAX_FRAME_BYTES {
                             // A newline-free stream must not grow this
-                            // buffer unboundedly — same cap, same
-                            // message, same close as the threaded path.
+                            // buffer unboundedly.
                             self.reject_and_close(
                                 wire::WireResponse::error(
                                     0,
@@ -426,8 +432,7 @@ impl MuxConn {
     }
 
     /// The peer will send nothing more: answer any frame cut short by
-    /// the close (parity with the threaded server), then close after
-    /// the flush.
+    /// the close, then close after the flush.
     fn finish_eof<S: QueryService + ?Sized>(
         &mut self,
         service: &S,
@@ -535,5 +540,124 @@ impl MuxConn {
         self.closing = true;
         // Closing overrides backpressure: drain and go.
         self.paused = false;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::{BufRead, BufReader};
+    use std::net::TcpListener;
+    use std::sync::atomic::Ordering;
+    use std::time::{Duration, Instant};
+
+    use dpgrid_serve::{Catalog, QueryEngine};
+
+    /// A server-side connection and its client over loopback.
+    fn loopback_pair() -> (MuxConn, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        client
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let (server, _) = listener.accept().unwrap();
+        server.set_nonblocking(true).unwrap();
+        (MuxConn::new(server), client)
+    }
+
+    fn ping_line() -> Vec<u8> {
+        let mut line = wire::WireRequest::new(1, wire::RequestBody::Ping)
+            .encode()
+            .into_bytes();
+        line.push(b'\n');
+        line
+    }
+
+    fn answered(counters: &TransportCounters) -> bool {
+        counters.responses.load(Ordering::Relaxed) > 0
+    }
+
+    /// Runs readiness passes, as the run loop would, until `done`
+    /// holds or the connection closes. Returns whether it closed.
+    fn pump_until(
+        conn: &mut MuxConn,
+        counters: &TransportCounters,
+        done: impl Fn(&MuxConn) -> bool,
+    ) -> bool {
+        let engine = QueryEngine::new(Catalog::new());
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            if conn.on_ready(&engine, counters) == ConnState::Closed {
+                return true;
+            }
+            if done(conn) {
+                return false;
+            }
+            assert!(Instant::now() < deadline, "connection stopped progressing");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// Writes `bytes` from the client while the connection reads them,
+    /// until `done` holds or the connection closes.
+    fn feed(
+        conn: &mut MuxConn,
+        client: &TcpStream,
+        counters: &TransportCounters,
+        bytes: &[u8],
+        done: impl Fn(&MuxConn) -> bool,
+    ) -> bool {
+        std::thread::scope(|scope| {
+            let mut writer = client.try_clone().unwrap();
+            scope.spawn(move || writer.write_all(bytes).unwrap());
+            pump_until(conn, counters, done)
+        })
+    }
+
+    fn read_response(client: &TcpStream) -> wire::WireResponse {
+        let mut line = String::new();
+        BufReader::new(client).read_line(&mut line).unwrap();
+        wire::WireResponse::decode(line.trim_end()).unwrap()
+    }
+
+    #[test]
+    fn newline_arriving_past_the_json_cap_is_rejected() {
+        let (mut conn, client) = loopback_pair();
+        let counters = TransportCounters::default();
+        let padding = vec![b' '; MAX_FRAME_BYTES - 10];
+        let closed = feed(&mut conn, &client, &counters, &padding, |c| {
+            c.in_buf.len() == padding.len()
+        });
+        assert!(!closed, "a line under the cap must stay open");
+
+        // One write carries the line's newline across the cap.
+        (&client).write_all(&ping_line()).unwrap();
+        let closed = pump_until(&mut conn, &counters, |_| answered(&counters));
+        match read_response(&client).body {
+            wire::ResponseBody::Error(e) => {
+                assert_eq!(e.code, wire::ErrorCode::MalformedRequest);
+                assert_eq!(e.message, format!("frame exceeds {MAX_FRAME_BYTES} bytes"));
+            }
+            other => panic!("expected the frame-cap reject, got {other:?}"),
+        }
+        assert!(closed, "an over-cap line closes the connection");
+        drop(conn);
+        let mut rest = Vec::new();
+        assert_eq!((&client).read_to_end(&mut rest).unwrap(), 0);
+    }
+
+    #[test]
+    fn json_line_of_exactly_the_cap_is_served() {
+        let (mut conn, client) = loopback_pair();
+        let counters = TransportCounters::default();
+        let ping = ping_line();
+        let mut line = vec![b' '; MAX_FRAME_BYTES - ping.len()];
+        line.extend_from_slice(&ping);
+        assert_eq!(line.len(), MAX_FRAME_BYTES);
+        let closed = feed(&mut conn, &client, &counters, &line, |_| {
+            answered(&counters)
+        });
+        assert!(!closed);
+        assert_eq!(read_response(&client).body, wire::ResponseBody::Pong);
     }
 }

@@ -1,10 +1,9 @@
-//! Server-side transport counters, shared by both server modes.
+//! Server-side transport counters.
 //!
-//! Counting lives here so the threaded and multiplexed servers report
-//! through one vocabulary: a [`TransportCounters`] cell the transport
-//! increments, snapshotted into the wire-visible
-//! [`dpgrid_serve::TransportStats`], and an [`Instrumented`] service
-//! wrapper that splices the snapshot into every `Stats` response —
+//! A [`TransportCounters`] cell, one per server, is incremented by the
+//! run loop and the connection state machines and snapshotted into the
+//! wire-visible [`dpgrid_serve::TransportStats`]. The [`Instrumented`]
+//! service wrapper splices that snapshot into every `Stats` response —
 //! additively, so a tier that aggregates engines *and* fronts them
 //! with servers sums both layers.
 
@@ -45,9 +44,8 @@ impl TransportCounters {
     }
 
     /// Counts a dispatched response that acknowledged a `Report`
-    /// batch — called at every dispatch site (both codecs, both server
-    /// modes) so the write path is visible in `Stats` wherever it
-    /// entered.
+    /// batch — called at every dispatch site (both codecs) so the
+    /// write path is visible in `Stats` wherever it entered.
     pub fn count_report_ack(&self, response: &dpgrid_serve::wire::WireResponse) {
         if let dpgrid_serve::wire::ResponseBody::Report(ack) = &response.body {
             self.add(&self.reports_accepted, ack.accepted);

@@ -2,21 +2,20 @@
 //!
 //! This crate is the network layer over
 //! [`dpgrid_serve::QueryService`]: a std-only TCP server
-//! ([`TcpServer`] — readiness-multiplexed by default, with a
-//! thread-per-connection mode, graceful shutdown either way), a
-//! blocking client ([`TcpClient`], with one-shot reconnection and
-//! request pipelining), a reconnecting connection pool
-//! ([`TcpClientPool`]), the remote leg of the sharded serving tier
-//! ([`RemoteShard`]) and the write-path fan-out for LDP report
-//! ingestion ([`ReportRouter`]) — all speaking the versioned wire
-//! protocol
-//! defined in [`dpgrid_serve::wire`], negotiating its binary v2 codec
-//! per connection and falling back to JSON v1 against old peers. It
-//! deliberately uses no async runtime and no external networking
-//! dependencies — everything is `std::net` + `std::thread` plus a thin
-//! readiness shim over the platform's `epoll`/`poll(2)`, consistent
-//! with the workspace's vendored-stubs constraint, and the protocol
-//! layer is shared so an async transport can later reuse it unchanged.
+//! ([`TcpServer`] — a small pool of readiness-multiplexed event loops
+//! with graceful shutdown), a blocking client ([`TcpClient`], with
+//! one-shot reconnection and request pipelining), a reconnecting
+//! connection pool ([`TcpClientPool`]), the remote leg of the sharded
+//! serving tier ([`RemoteShard`]) and the write-path fan-out for LDP
+//! report ingestion ([`ReportRouter`]) — all speaking the versioned
+//! wire protocol defined in [`dpgrid_serve::wire`], negotiating its
+//! binary v2 codec per connection and falling back to JSON v1 against
+//! old peers. It deliberately uses no async runtime and no external
+//! networking dependencies — everything is `std::net` + `std::thread`
+//! plus a thin readiness shim over the platform's `epoll`/`poll(2)`,
+//! consistent with the workspace's vendored-stubs constraint, and the
+//! protocol layer is shared so an async transport can later reuse it
+//! unchanged.
 //!
 //! # Transport architecture
 //!
@@ -29,19 +28,19 @@
 //!   `epoll(7)` on Linux, portable `poll(2)` elsewhere — selected at
 //!   runtime, level-triggered in both cases. The poller knows nothing
 //!   about connections, protocols, or threads.
-//! * **Run loop** ([`mux`] module): ownership and scheduling. A small
-//!   shared-nothing worker pool — each worker owns one poller, one
-//!   slab of connections, and one wake pipe; worker 0 also owns the
+//! * **Run loop** (the private `mux` module, home of [`TcpServer`]):
+//!   ownership and scheduling. A small shared-nothing worker pool —
+//!   each worker owns one poller, one slab of connections, and one
+//!   wake pipe; worker 0 also owns the
 //!   (nonblocking) listener and hands accepted sockets round-robin to
 //!   its peers through an injection queue plus a wake byte. No
 //!   connection is ever touched by two threads, so connection state
 //!   needs no locks. The run loop knows nothing about frame formats.
 //! * **Dispatch** (the private `conn` module): one nonblocking state
-//!   machine per
-//!   connection — handshake (JSON until a `Hello` negotiates v2),
-//!   partial-frame reassembly for both codecs, protocol dispatch
-//!   through the same `dpgrid_serve::wire` entry points the threaded
-//!   transport uses, and a write queue drained with vectored writes.
+//!   machine per connection — handshake (JSON until a `Hello` negotiates v2),
+//!   partial-frame reassembly for both codecs, the frame caps,
+//!   protocol dispatch through the `dpgrid_serve::wire` entry points,
+//!   and a write queue drained with vectored writes.
 //!
 //! A future async-runtime backend is a third implementation of the
 //! middle seam: it would replace the worker pool and poller with an
@@ -50,8 +49,8 @@
 //!
 //! **Backpressure** is two-layered. The engine's admission control is
 //! global: an overloaded engine sheds work with typed `Overloaded`
-//! frames regardless of transport. The multiplexed transport adds a
-//! per-connection layer: each connection's outbound queue has a 1 MiB
+//! frames regardless of transport. The server adds a per-connection
+//! layer: each connection's outbound queue has a 1 MiB
 //! soft high-water mark, and a connection whose client stops reading
 //! its responses is *paused* — its buffered input stops being
 //! dispatched and its read interest is dropped, so the kernel receive
@@ -62,14 +61,9 @@
 //! as `read_stalls`/`write_stalls` in [`dpgrid_serve::TransportStats`],
 //! which every `Stats` response carries).
 //!
-//! **Choosing a mode** ([`ServerMode`]): the multiplexed default holds
-//! thousands of mostly-idle connections at ~zero per-tick cost and
-//! degrades gracefully under slow readers; prefer it everywhere real.
-//! The threaded mode spends an OS thread (stack, scheduler slot,
-//! 100 ms shutdown-poll tick) per connection but has the simplest
-//! imaginable control flow; it remains as the reference implementation
-//! the multiplexed transport is differentially tested against, and as
-//! the baseline in `benches/net_throughput`.
+//! An idle connection costs one poller registration and no thread, so
+//! one server holds thousands of mostly-idle connections at ~zero
+//! per-tick cost; [`TcpServer::bind_with_workers`] pins the pool size.
 //!
 //! # Deployment topologies
 //!
@@ -152,12 +146,14 @@
 //!
 //! JSON string escaping guarantees a frame never contains a raw
 //! newline, so framing cannot desynchronise on content. Blank lines
-//! are ignored (usable as keep-alives). Request frames are capped at
-//! 16 MiB: a connection whose frame grows past the cap without a
-//! newline is answered with a typed `MalformedRequest` error and
-//! closed, so a newline-free stream cannot grow server memory
-//! unboundedly. A frame that is not valid UTF-8 also gets a typed
-//! `MalformedRequest` reply (the connection stays open).
+//! are ignored (usable as keep-alives). A request line, its newline
+//! included, is capped at 16 MiB
+//! ([`dpgrid_serve::wire::MAX_FRAME_BYTES`] = 16 777 216 bytes): a
+//! connection whose next newline is not within that many bytes is
+//! answered with a typed `MalformedRequest` error and closed, so a
+//! newline-free stream cannot grow server memory unboundedly. A frame
+//! that is not valid UTF-8 also gets a typed `MalformedRequest` reply
+//! (the connection stays open).
 //!
 //! ## Binary v2 (the fast codec)
 //!
@@ -316,19 +312,17 @@ mod conn;
 mod counters;
 mod error;
 mod ingest;
-pub mod mux;
+mod mux;
 pub mod poll;
 mod pool;
 mod remote;
-mod server;
 
 pub use client::{TcpClient, CONNECT_TIMEOUT, DEFAULT_IO_TIMEOUT};
 pub use error::{NetError, Result};
 pub use ingest::ReportRouter;
-pub use mux::MuxServer;
+pub use mux::TcpServer;
 pub use pool::{TcpClientPool, DEFAULT_MAX_IDLE};
 pub use remote::RemoteShard;
-pub use server::{ServerMode, TcpServer};
 
 #[cfg(test)]
 mod tests {

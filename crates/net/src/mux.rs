@@ -1,7 +1,7 @@
 //! The readiness-multiplexed server — the *run loop* third of the
 //! poller / run-loop / dispatch seam.
 //!
-//! A [`MuxServer`] runs a small pool of worker threads. Each worker
+//! A [`TcpServer`] runs a small pool of worker threads. Each worker
 //! owns its own [`crate::poll::Poller`] and its own set of
 //! connections — shared-nothing, so there is no cross-worker locking
 //! on the hot path. Worker 0 additionally owns the (nonblocking)
@@ -32,7 +32,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use dpgrid_serve::QueryService;
+use dpgrid_serve::{QueryService, TransportStats};
 
 use crate::conn::{ConnState, MuxConn};
 use crate::counters::{Instrumented, TransportCounters};
@@ -57,10 +57,14 @@ struct WorkerShared {
     wake_tx: UnixStream,
 }
 
-/// A running multiplexed TCP query server. Use through
-/// [`crate::TcpServer`] unless you need to pin the worker count.
+/// A running TCP query server.
+///
+/// Dropping the handle shuts the server down gracefully: the listener
+/// stops accepting, every frame already dispatched gets its response
+/// attempt, connections close, and every worker thread is joined. Use
+/// [`TcpServer::shutdown`] to do the same explicitly.
 #[derive(Debug)]
-pub struct MuxServer {
+pub struct TcpServer {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
     workers: Vec<JoinHandle<()>>,
@@ -68,10 +72,11 @@ pub struct MuxServer {
     counters: Arc<TransportCounters>,
 }
 
-impl MuxServer {
-    /// Binds `addr` and serves `service` over a default-sized worker
-    /// pool (available parallelism, capped at 8).
-    pub fn bind<S>(service: Arc<S>, addr: impl ToSocketAddrs) -> Result<MuxServer>
+impl TcpServer {
+    /// Binds `addr` (use port 0 for an ephemeral port — the bound
+    /// address is [`TcpServer::local_addr`]) and serves `service` over
+    /// a default-sized worker pool (available parallelism, capped at 8).
+    pub fn bind<S>(service: Arc<S>, addr: impl ToSocketAddrs) -> Result<TcpServer>
     where
         S: QueryService + 'static,
     {
@@ -79,7 +84,7 @@ impl MuxServer {
             .map(|n| n.get())
             .unwrap_or(1)
             .clamp(1, 8);
-        MuxServer::bind_with_workers(service, addr, workers)
+        TcpServer::bind_with_workers(service, addr, workers)
     }
 
     /// Binds `addr` and serves `service` over exactly `workers` event
@@ -88,7 +93,7 @@ impl MuxServer {
         service: Arc<S>,
         addr: impl ToSocketAddrs,
         workers: usize,
-    ) -> Result<MuxServer>
+    ) -> Result<TcpServer>
     where
         S: QueryService + 'static,
     {
@@ -139,7 +144,7 @@ impl MuxServer {
         }
         drop(listener);
 
-        Ok(MuxServer {
+        Ok(TcpServer {
             addr,
             shutdown,
             workers: handles,
@@ -155,14 +160,13 @@ impl MuxServer {
 
     /// Response frames served since start (all connections).
     pub fn frames_served(&self) -> u64 {
-        self.counters
-            .responses
-            .load(std::sync::atomic::Ordering::Relaxed)
+        self.counters.responses.load(Ordering::Relaxed)
     }
 
-    /// A snapshot of this server's transport counters — the same
-    /// numbers the wire `Stats` response carries.
-    pub fn transport_stats(&self) -> dpgrid_serve::TransportStats {
+    /// A snapshot of this server's socket-level counters — the same
+    /// numbers the wire `Stats` response reports in
+    /// [`dpgrid_serve::EngineStats::transport`].
+    pub fn transport_stats(&self) -> TransportStats {
         self.counters.snapshot()
     }
 
@@ -184,7 +188,7 @@ impl MuxServer {
     }
 }
 
-impl Drop for MuxServer {
+impl Drop for TcpServer {
     fn drop(&mut self) {
         self.shutdown_inner();
     }

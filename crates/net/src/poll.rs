@@ -3,8 +3,8 @@
 //!
 //! A [`Poller`] answers exactly one question: *which of these file
 //! descriptors can make progress right now?* It knows nothing about
-//! connections, codecs, or services — the run loop ([`crate::mux`])
-//! owns those. Two implementations ship:
+//! connections, codecs, or services — the run loop behind
+//! [`crate::TcpServer`] owns those. Two implementations ship:
 //!
 //! * [`EpollPoller`] (Linux): `epoll` — O(ready) wakeups, the reason
 //!   ten thousand idle sockets cost nothing per tick;

@@ -87,12 +87,11 @@ pub struct TransportStats {
     /// Request frames decoded (both codecs, malformed ones excluded).
     pub frames_decoded: u64,
     /// Times a connection's input processing was paused because its
-    /// outbound buffer crossed the high-water mark (multiplexed
-    /// server backpressure; always 0 for the threaded server, whose
-    /// blocking writes stall implicitly).
+    /// outbound buffer crossed the high-water mark (the server's
+    /// per-connection backpressure).
     pub read_stalls: u64,
     /// Writes that hit `WouldBlock` and had to wait for socket
-    /// writability (multiplexed server only).
+    /// writability.
     pub write_stalls: u64,
     /// Request payload bytes read off sockets.
     pub bytes_in: u64,

@@ -97,10 +97,10 @@
 //! shrunk — a connection reusing one buffer per direction reaches a
 //! steady state where encoding allocates nothing. Decoders borrow the
 //! payload slice and allocate only the owned frame values they return.
-//! Servers keep header and payload apart
-//! ([`encode_response_payload`] + [`encode_header`]) so the response
-//! goes out as one vectored write; clients append whole frames back to
-//! back ([`append_request`]) to pipeline many requests into one write.
+//! Servers encode each response whole ([`encode_response`]) into a
+//! recycled buffer and gather queued frames into one vectored write;
+//! clients append whole frames back to back ([`append_request`]) to
+//! pipeline many requests into one write.
 
 use super::{
     ErrorCode, OverloadInfo, RequestBody, ResponseBody, WireAnswers, WireEpochSpan, WireError,
@@ -256,19 +256,6 @@ pub fn decode_header(bytes: &[u8; HEADER_BYTES]) -> Result<FrameHeader, WireErro
 pub fn encode_request_payload(body: &RequestBody, out: &mut Vec<u8>) -> Result<u8, WireError> {
     out.clear();
     let frame_type = append_request_payload(body, out)?;
-    check_payload_len(out.len())?;
-    Ok(frame_type)
-}
-
-/// Encodes one response's payload into `out` (cleared first, capacity
-/// kept), returning the frame type byte for [`encode_header`] — the
-/// server half of [`encode_request_payload`], kept separate from the
-/// header so the response goes out as one vectored write. Fails for
-/// [`ResponseBody::Hello`] and for a payload past
-/// [`MAX_PAYLOAD_BYTES`].
-pub fn encode_response_payload(body: &ResponseBody, out: &mut Vec<u8>) -> Result<u8, WireError> {
-    out.clear();
-    let frame_type = append_response_payload(body, out)?;
     check_payload_len(out.len())?;
     Ok(frame_type)
 }

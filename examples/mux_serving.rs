@@ -6,21 +6,18 @@
 //! cargo run --release --example mux_serving
 //! ```
 //!
-//! Demonstrates the multiplexed transport that `TcpServer::bind` now
-//! uses by default: a small worker pool (one epoll/poll(2) run loop
-//! per worker) multiplexes every connection as a nonblocking state
-//! machine, so idle connections cost no threads and no per-tick work.
+//! Demonstrates the multiplexed transport behind `TcpServer::bind`: a
+//! small worker pool (one epoll/poll(2) run loop per worker)
+//! multiplexes every connection as a nonblocking state machine, so
+//! idle connections cost no threads and no per-tick work.
 //! The example parks a few hundred idle connections, drives real
 //! pipelined traffic through the same server, verifies every remote
 //! answer against the in-process engine, and reads the server's
-//! transport counters back over the wire — then does the same against
-//! the thread-per-connection mode to show both modes answer
-//! identically.
+//! transport counters back over the wire.
 
 use std::net::TcpStream;
 use std::sync::Arc;
 
-use dpgrid::net::ServerMode;
 use dpgrid::prelude::*;
 
 const IDLE_CONNECTIONS: usize = 300;
@@ -28,7 +25,7 @@ const BUSY_CLIENTS: usize = 8;
 const PIPELINE_DEPTH: usize = 16;
 
 fn main() {
-    // 1. Publish a release and serve it — multiplexed by default.
+    // 1. Publish a release and serve it.
     let data = PaperDataset::Storage
         .generate_n(404, 20_000)
         .expect("generate dataset");
@@ -42,7 +39,7 @@ fn main() {
     let engine = Arc::new(QueryEngine::new(catalog));
     let server = TcpServer::bind(Arc::clone(&engine), "127.0.0.1:0").expect("bind");
     let addr = server.local_addr();
-    println!("serving on {addr} (mode: {:?})", server.mode());
+    println!("serving on {addr}");
 
     // 2. Park a crowd of idle connections. Under the multiplexed
     //    transport these cost a registration each — no threads, no
@@ -120,23 +117,4 @@ fn main() {
     assert!(transport.active as usize > IDLE_CONNECTIONS);
     drop(idle);
     server.shutdown();
-
-    // 5. Same service behind the thread-per-connection mode: answers
-    //    are identical — the backends differ only in how they schedule
-    //    sockets.
-    let threaded =
-        TcpServer::bind_with_mode(Arc::clone(&engine), "127.0.0.1:0", ServerMode::Threaded)
-            .expect("bind threaded");
-    let mut client = TcpClient::connect(threaded.local_addr()).expect("connect");
-    let response = client
-        .query("storage", &rects)
-        .expect("query over threaded mode");
-    for (got, want) in response.answers.iter().zip(&expected) {
-        assert!((got - want).abs() <= 1e-9 * (1.0 + want.abs()));
-    }
-    println!(
-        "threaded mode agrees on all {} answers; done",
-        response.answers.len()
-    );
-    threaded.shutdown();
 }

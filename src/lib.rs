@@ -21,7 +21,7 @@
 //! | [`baselines`] | `dpgrid-baselines` | KD-trees, hierarchies, constrained inference, Privelet |
 //! | [`eval`] | `dpgrid-eval` | query workloads, error metrics, the experiment harness |
 //! | [`serve`] | `dpgrid-serve` | the multi-release serving engine: the memory-budgeted release `Catalog`, the batched `QueryEngine` frontend with admission control, the transport-facing `QueryService` trait, the versioned wire protocol (`serve::wire`) and the sharded serving tier (`serve::shard`) |
-//! | [`net`] | `dpgrid-net` | the TCP transport: thread-per-connection `TcpServer`, reconnecting `TcpClient`/`TcpClientPool`, the `RemoteShard` leg of the sharded tier and the `ReportRouter` write-path fan-out |
+//! | [`net`] | `dpgrid-net` | the TCP transport: the readiness-multiplexed `TcpServer`, reconnecting `TcpClient`/`TcpClientPool`, the `RemoteShard` leg of the sharded tier and the `ReportRouter` write-path fan-out |
 //! | [`stream`] | `dpgrid-stream` | the temporal subsystem: streaming ingestion into epoch-sliced releases under a `BudgetSchedule`, plus tiered compaction of expired epochs |
 //! | [`ldp`] | `dpgrid-ldp` | the local-DP ingestion front door: the per-epoch `ReportCollector` over the `mech` frequency oracles (GRR / OUE), and the `CollectingService` wrapper that accepts `Report` wire frames on serving connections |
 //!
@@ -75,13 +75,14 @@
 //!
 //! Transports plug into the engine through one seam, the
 //! [`serve::QueryService`] trait, and speak the versioned wire
-//! protocol of [`serve::wire`]: single-line JSON frames, rectangle
-//! validation at the boundary (NaN / inverted rects never reach the
-//! engine), and stable error codes (`UnknownKey`, `InvalidQuery`,
-//! `Overloaded`, …). The first transport ships in [`net`]
+//! protocol of [`serve::wire`]: single-line JSON frames (v1) or
+//! length-prefixed binary frames (v2, negotiated per connection),
+//! rectangle validation at the boundary (NaN / inverted rects never
+//! reach the engine), and stable error codes (`UnknownKey`,
+//! `InvalidQuery`, `Overloaded`, …). The first transport ships in [`net`]
 //! (crate `dpgrid-net`): a std-only TCP server
-//! ([`net::TcpServer`], thread-per-connection over newline-delimited
-//! frames, graceful shutdown) and a blocking [`net::TcpClient`] that
+//! ([`net::TcpServer`], a small pool of readiness-multiplexed event
+//! loops, graceful shutdown) and a blocking [`net::TcpClient`] that
 //! redials stale connections once (server restarts don't strand
 //! long-lived clients) — see `examples/net_roundtrip.rs` for the full
 //! publish → serve → query-over-TCP loop.

@@ -1,21 +1,20 @@
 //! Hostile-I/O and concurrency regression for the readiness-
 //! multiplexed server.
 //!
-//! The polite-client behaviors are pinned by `net_serving.rs`, which
-//! runs unmodified against the multiplexed default. This suite attacks
-//! the transport itself: slowloris clients that dribble one byte at a
-//! time, frames pipelined and interleaved across many concurrent
-//! connections (answers must match the in-process engine to ≤ 1e-9
-//! under both codecs), shutdown under live load, the wire-visible
-//! transport counters, and the remote shard's single-frame window
-//! path with its keys-based fallback against a pre-`Window` peer.
+//! The polite-client behaviors are pinned by `net_serving.rs`. This
+//! suite attacks the transport itself: slowloris clients that dribble
+//! one byte at a time, frames pipelined and interleaved across many
+//! concurrent connections (answers must match the in-process engine to
+//! ≤ 1e-9 under both codecs), shutdown under live load, the
+//! wire-visible transport counters and exact frame counts, and the
+//! remote shard's single-frame window path with its keys-based
+//! fallback against a pre-`Window` peer.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use dpgrid::net::ServerMode;
 use dpgrid::prelude::*;
 use dpgrid::serve::wire::{
     self, binary, ErrorCode, RequestBody, WireError, WireRequest, WireResponse,
@@ -282,21 +281,27 @@ fn transport_counters_travel_in_wire_stats() {
 }
 
 #[test]
-fn both_server_modes_agree_and_count() {
+fn both_codecs_match_the_engine_and_count_frames() {
     let engine = Arc::new(engine(&[("a", 1)]));
+    let server = TcpServer::bind(Arc::clone(&engine), "127.0.0.1:0").unwrap();
     let q = workload(5);
-    let mut answers = Vec::new();
-    for mode in [ServerMode::Multiplexed, ServerMode::Threaded] {
-        let server = TcpServer::bind_with_mode(Arc::clone(&engine), "127.0.0.1:0", mode).unwrap();
-        assert_eq!(server.mode(), mode);
-        let mut client = TcpClient::connect(server.local_addr()).unwrap();
-        answers.push(client.query("a", &q).unwrap().answers);
-        let transport = client.stats().unwrap().transport.unwrap();
-        assert!(transport.frames_decoded >= 1);
-        assert_eq!(server.frames_served(), 3); // hello + query + stats
-        server.shutdown();
-    }
-    assert_eq!(answers[0], answers[1]);
+    let reference = engine
+        .answer(&QueryRequest::new("a", q.clone()))
+        .unwrap()
+        .answers;
+
+    let mut v1 = TcpClient::connect_with_protocol(server.local_addr(), 1).unwrap();
+    assert_eq!(v1.protocol_version(), Some(1));
+    assert_eq!(v1.query("a", &q).unwrap().answers, reference);
+
+    let mut v2 = TcpClient::connect(server.local_addr()).unwrap();
+    assert_eq!(v2.protocol_version(), Some(2));
+    assert_eq!(v2.query("a", &q).unwrap().answers, reference);
+
+    let transport = v2.stats().unwrap().transport.unwrap();
+    assert!(transport.frames_decoded >= 1);
+    assert_eq!(server.frames_served(), 4); // query + hello + query + stats
+    server.shutdown();
 }
 
 /// A fake pre-`Window` (and pre-`Hello`) JSON-only server: one
