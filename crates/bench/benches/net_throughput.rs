@@ -2,7 +2,7 @@
 //! `dpgrid-net` transport.
 //!
 //! Builds three releases (two lattice-path uniform grids and one
-//! band-path adaptive grid) over the 100k-point landmark dataset,
+//! two-level adaptive grid) over the 100k-point landmark dataset,
 //! serves them through a `TcpServer` over a `QueryEngine`, and
 //! measures end-to-end queries/sec through real loopback sockets —
 //! frame encode, TCP round trip, boundary validation, engine answer,

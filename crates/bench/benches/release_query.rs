@@ -1,17 +1,20 @@
 //! Linear-scan vs compiled-surface `Release` answering across release
-//! sizes — the acceptance benchmark of the compiled query surface.
+//! sizes and all three index paths — the acceptance benchmark of the
+//! compiled query surface.
 //!
-//! Builds UG releases at ~1k / 64k / 1M cells (lattice path) plus an
-//! AG release at its guideline size (band path), times a mixed query
-//! workload through `Release::answer` (compiled) and
-//! `Release::answer_linear_scan` (the O(cells) reference), and records
-//! the medians to `BENCH_release_query.json` at the workspace root so
-//! the perf trajectory is tracked in-repo.
+//! Builds UG releases at ~1k / 64k / 1M cells (lattice), an AG release
+//! at its guideline size (two-level index: a coarse lattice of per-cell
+//! lattices) and a KD-standard release (band index). For each it times
+//! a mixed query workload through `Release::answer` (compiled) and
+//! `Release::answer_linear_scan` (the O(cells) reference), times a
+//! fresh compile, and records the medians to `BENCH_release_query.json`
+//! at the workspace root so the perf trajectory is tracked in-repo.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::time::Instant;
 
+use dpgrid_baselines::{KdConfig, KdStandard};
 use dpgrid_bench::{bench_dataset, bench_rng};
 use dpgrid_core::{AdaptiveGrid, AgConfig, Release, Synopsis, UgConfig, UniformGrid};
 use dpgrid_geo::Rect;
@@ -55,12 +58,28 @@ fn measure_ns(queries: &[Rect], mut f: impl FnMut(&Rect) -> f64) -> f64 {
     samples[samples.len() / 2]
 }
 
+/// Median milliseconds to compile a fresh clone of `release`.
+fn compile_ms(release: &Release) -> f64 {
+    let mut samples: Vec<f64> = (0..5)
+        .map(|_| {
+            let mut fresh = release.clone();
+            fresh.evict_surface();
+            let t = Instant::now();
+            black_box(fresh.surface());
+            t.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
+}
+
 struct Row {
     label: String,
     cells: usize,
     kind: String,
     linear_ns: f64,
     compiled_ns: f64,
+    compile_ms: f64,
 }
 
 fn releases() -> Vec<(String, Release)> {
@@ -76,6 +95,11 @@ fn releases() -> Vec<(String, Release)> {
         "ag_guideline".to_string(),
         Release::from_synopsis("AG", &ag),
     ));
+    let kd = KdStandard::build(&dataset, &KdConfig::new(EPS), &mut rng).unwrap();
+    out.push((
+        "kd_standard".to_string(),
+        Release::from_synopsis("Kst", &kd),
+    ));
     out
 }
 
@@ -86,6 +110,7 @@ fn bench_release_query(c: &mut Criterion) {
     for (label, release) in releases() {
         let linear_ns = measure_ns(&queries, |q| release.answer_linear_scan(q));
         let compiled_ns = measure_ns(&queries, |q| release.answer(q));
+        let compile_ms = compile_ms(&release);
         // Also register with criterion so the standard bench output
         // carries the same comparison.
         group.bench_function(format!("{label}/linear"), |b| {
@@ -106,12 +131,13 @@ fn bench_release_query(c: &mut Criterion) {
         });
         println!(
             "release_query/{label}: {} cells ({:?}), linear {:.0} ns/q, \
-             compiled {:.0} ns/q, speedup {:.1}x",
+             compiled {:.0} ns/q, speedup {:.1}x, compile {:.2} ms",
             release.cell_count(),
             release.surface().kind(),
             linear_ns,
             compiled_ns,
-            linear_ns / compiled_ns
+            linear_ns / compiled_ns,
+            compile_ms
         );
         rows.push(Row {
             label,
@@ -119,6 +145,7 @@ fn bench_release_query(c: &mut Criterion) {
             kind: format!("{:?}", release.surface().kind()),
             linear_ns,
             compiled_ns,
+            compile_ms,
         });
     }
     group.finish();
@@ -138,13 +165,15 @@ fn write_json(rows: &[Row]) {
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"label\": \"{}\", \"cells\": {}, \"index\": \"{}\", \
-             \"linear_ns\": {:.1}, \"compiled_ns\": {:.1}, \"speedup\": {:.2}}}{}\n",
+             \"linear_ns\": {:.1}, \"compiled_ns\": {:.1}, \"speedup\": {:.2}, \
+             \"compile_ms\": {:.2}}}{}\n",
             r.label,
             r.cells,
             r.kind.replace('"', ""),
             r.linear_ns,
             r.compiled_ns,
             r.linear_ns / r.compiled_ns,
+            r.compile_ms,
             if i + 1 < rows.len() { "," } else { "" }
         ));
     }

@@ -2,7 +2,7 @@
 //! `dpgrid-serve` engine.
 //!
 //! Builds three releases (two lattice-path uniform grids and one
-//! band-path adaptive grid) over the 100k-point landmark dataset,
+//! two-level adaptive grid) over the 100k-point landmark dataset,
 //! loads them into a `QueryEngine`, and measures end-to-end batched
 //! throughput (queries/sec across `answer_batch`) under the axes that
 //! matter for serving:

@@ -3,7 +3,9 @@
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use dpgrid_geo::{DenseGrid, Domain, GeoDataset, Rect, SummedAreaTable, MAX_GRID_CELLS};
+use dpgrid_geo::{
+    for_each_rim_slot, DenseGrid, Domain, GeoDataset, Rect, SummedAreaTable, MAX_GRID_CELLS,
+};
 use dpgrid_mech::{LaplaceMechanism, PrivacyBudget};
 
 use crate::guidelines::{self, NEstimate, DEFAULT_ALPHA, DEFAULT_C, DEFAULT_C2};
@@ -403,17 +405,11 @@ impl Synopsis for AdaptiveGrid {
         if fc0 < fc1 && fr0 < fr1 {
             sum += self.totals_sat.sum(fc0, fr0, fc1, fr1);
         }
-        // Border cells: answer from the cell's leaf grid.
-        for r in r0..=r1 {
-            for c in c0..=c1 {
-                let interior = c >= fc0 && c < fc1 && r >= fr0 && r < fr1;
-                if interior {
-                    continue;
-                }
-                let cell = &self.cells[r * m1 + c];
-                sum += cell.leaves.answer_uniform(&cell.sat, &q);
-            }
-        }
+        // Rim cells only: answer from the cell's leaf grid.
+        for_each_rim_slot([c0..c1 + 1, r0..r1 + 1], [fc0..fc1, fr0..fr1], |c, r| {
+            let cell = &self.cells[r * m1 + c];
+            sum += cell.leaves.answer_uniform(&cell.sat, &q);
+        });
         sum
     }
 

@@ -4,16 +4,22 @@
 //! that method-agnostic cell list into a [`CompiledSurface`] — the
 //! single structure all serving-side features (releases, caching,
 //! sharding, batch endpoints) are built against. Compilation picks the
-//! cheapest faithful index automatically:
+//! cheapest faithful index automatically (see
+//! [`dpgrid_geo::cell_index`]):
 //!
-//! * cells forming a rectilinear lattice (UG, hierarchy and wavelet
-//!   leaves, most AG outputs) become a dense grid + summed-area table,
-//!   answering in O(log cells) — two binary searches plus O(1) prefix
-//!   sums;
+//! * cells forming an affordable rectilinear lattice (UG, LDP grids,
+//!   hierarchy and wavelet leaves, small AG outputs) become a dense
+//!   grid + summed-area table, answering in O(log cells) — two binary
+//!   searches plus O(1) prefix sums;
+//! * two-level partitions (larger AG outputs, whose leaves align only
+//!   within each first-level cell) become a coarse lattice whose slots
+//!   each hold their own sub-lattice: one coarse prefix-sum lookup for
+//!   the slots a query fully covers plus one sub-lattice lookup per rim
+//!   slot;
 //! * irregular partitions (KD trees, adversarial releases) fall back to
 //!   a sorted row-band / interval index with per-band prefix sums.
 //!
-//! Either way the answers equal the naive linear scan
+//! Whichever index is chosen, the answers equal the naive linear scan
 //! `Σ vᵢ · cellᵢ.overlap_fraction(q)` up to floating-point roundoff, so
 //! compiling is pure post-processing: no privacy accounting is
 //! involved.
@@ -48,7 +54,9 @@ pub fn compile_count() -> u64 {
 /// Which index a [`CompiledSurface`] compiled to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SurfaceKind {
-    /// Dense lattice + summed-area table (`cols × rows`).
+    /// Dense lattice + summed-area table (`cols × rows`). The lattice is
+    /// either the one the cells' edges induce, or the coarse lattice of a
+    /// two-level partition, whose slots each hold their own sub-lattice.
     Lattice {
         /// Lattice columns.
         cols: usize,
@@ -118,6 +126,10 @@ impl CompiledSurface {
         match &self.index {
             CellIndex::Lattice(l) => {
                 let (cols, rows) = l.shape();
+                SurfaceKind::Lattice { cols, rows }
+            }
+            CellIndex::TwoLevel(t) => {
+                let (cols, rows) = t.shape();
                 SurfaceKind::Lattice { cols, rows }
             }
             CellIndex::Bands(b) => SurfaceKind::Bands {

@@ -4,43 +4,59 @@
 //! naive way to answer a rectangle count query from it — test every cell
 //! for overlap — is O(cells) per query, which makes large releases
 //! unusable at serving scale. This module compiles a cell list **once**
-//! into an index that answers in (poly)logarithmic time:
+//! into an index that answers in (poly)logarithmic time.
 //!
-//! * [`LatticeIndex`] — the fast path. When every cell edge lies on a
-//!   common rectilinear lattice (uniform grids, hierarchy / wavelet
-//!   leaves, and most adaptive grids after refinement), the cells are
-//!   scattered onto a [`crate::DenseGrid`] over that lattice and summed
-//!   through a [`crate::SummedAreaTable`]; a query is two binary searches over the edge
-//!   arrays plus O(1) prefix-sum lookups.
-//! * [`BandIndex`] — the general path. Cells are bucketed into *bands*
-//!   of identical y-extent, each band keeping its cells sorted by `x0`
-//!   with prefix sums; bands intersecting the query's y-range are found
-//!   through a segment tree over band start coordinates with max-end
-//!   pruning, and every tree node doubles as a level of a coarse
-//!   y-skip-list: it pre-aggregates its subtree's bounding extents and
-//!   value sum, so a subtree lying entirely inside the query is
-//!   absorbed in O(1) instead of stabbing each band. A query costs
-//!   O(log bands + boundary·log cells-per-band), where only the bands
-//!   *partially* covered at the query's rim are stabbed — wide
-//!   dashboard-style queries touch O(log bands) nodes total instead of
-//!   O(bands).
+//! [`CellIndex::build`] tries three paths, in order:
 //!
-//! Both indexes reproduce the *uniformity assumption* semantics of
+//! 1. [`LatticeIndex`] — the fast path. When every cell edge lies on a
+//!    common rectilinear lattice at most 8× larger than the cell list
+//!    (uniform grids, LDP grids, hierarchy / wavelet leaves, small
+//!    adaptive grids), the cells are scattered onto a
+//!    [`crate::DenseGrid`] over that lattice and summed through a
+//!    [`crate::SummedAreaTable`]; a query is two binary searches over
+//!    the edge arrays plus O(1) prefix-sum lookups.
+//! 2. [`TwoLevelIndex`] — two-level partitions (larger adaptive grids,
+//!    whose first-level cells are each split into their own `m₂ × m₂`
+//!    grid). One sweep per axis finds the *coarse lines* no cell
+//!    straddles, and each coarse slot's cells get their own
+//!    [`LatticeIndex`]. A summed-area table over the slot totals
+//!    answers the slots a query fully covers in one lookup; only the
+//!    rim slots, which it covers partly, ask their own lattice.
+//! 3. [`BandIndex`] — the general path (KD trees, adversarial releases).
+//!    Cells are bucketed into *bands* of identical y-extent, each band
+//!    keeping its cells sorted by `x0` with prefix sums; bands
+//!    intersecting the query's y-range are found through a segment tree
+//!    over band start coordinates with max-end pruning, and every tree
+//!    node doubles as a level of a coarse y-skip-list: it
+//!    pre-aggregates its subtree's bounding extents and value sum, so a
+//!    subtree lying entirely inside the query is absorbed in O(1)
+//!    instead of stabbing each band. A query costs
+//!    O(log bands + boundary·log cells-per-band), where only the bands
+//!    *partially* covered at the query's rim are stabbed — wide
+//!    dashboard-style queries touch O(log bands) nodes total instead of
+//!    O(bands).
+//!
+//! All indexes reproduce the *uniformity assumption* semantics of
 //! [`Rect::overlap_fraction`] exactly (up to floating-point roundoff):
-//! a cell with value `v` contributes `v · |cell ∩ query| / |cell|`.
-//! [`CellIndex::build`] picks the lattice path whenever it applies and
-//! is affordable, and falls back to bands otherwise, so callers never
-//! need to know which partition shape they are holding.
+//! a cell with value `v` contributes `v · |cell ∩ query| / |cell|`, so
+//! callers never need to know which partition shape they are holding.
+
+use std::ops::Range;
 
 use crate::{Domain, Rect, MAX_GRID_CELLS};
 
-/// Maximum blow-up factor the lattice path may pay: scattering `n`
-/// cells onto a lattice of more than `LATTICE_BLOWUP_CAP · n` slots
-/// falls back to the band index instead (an adversarially irregular
-/// partition can induce an O(n²) lattice).
+/// Maximum blow-up factor the lattice paths may pay: scattering `n`
+/// cells onto more than `LATTICE_BLOWUP_CAP · n` lattice slots (the
+/// induced lattice, or a two-level index's coarse lattice) falls back
+/// to the next path instead (an adversarially irregular partition can
+/// induce an O(n²) lattice).
 const LATTICE_BLOWUP_CAP: usize = 8;
 
-/// Relative tolerance for merging near-equal y-extents into one band.
+/// Cells in the sample [`LatticeIndex::try_build`] checks against the
+/// blow-up cap before it sorts every edge of a larger cell list.
+const LATTICE_SAMPLE_CELLS: usize = 4096;
+
+/// Relative tolerance for float drift in derived subdivision edges.
 ///
 /// Adaptive-grid level-2 subdivision computes cell edges as
 /// `parent_y0 + i · (height / m₂)`, so two cells meant to share a row
@@ -49,7 +65,9 @@ const LATTICE_BLOWUP_CAP: usize = 8;
 /// logical row instead of one per drifted bit pattern) while
 /// perturbing any answer by at most the same relative amount — far
 /// below the 1e-9 equivalence budget the compiled surface is tested
-/// against.
+/// against. For the same reason the coarse sweep lets a cell end this
+/// far past a coarse line without straddling it; that only shapes the
+/// slots, since the two-level index answers such a cell exactly.
 ///
 /// The tolerance scales with `max(band height, |y|)`: ULP drift is
 /// relative to the coordinate's *magnitude*, so a thin band far from
@@ -57,7 +75,7 @@ const LATTICE_BLOWUP_CAP: usize = 8;
 /// drifts by far more than its own height. At 1e-12 (~4 ULPs of the
 /// magnitude) genuinely distinct rows — separated by at least a cell
 /// height — stay far outside the snap.
-const BAND_Y_SNAP_REL: f64 = 1e-12;
+const SNAP_REL: f64 = 1e-12;
 
 /// A compiled index over a rectangle partition, ready to answer
 /// uniformity-assumption range-count queries in sublinear time.
@@ -65,6 +83,8 @@ const BAND_Y_SNAP_REL: f64 = 1e-12;
 pub enum CellIndex {
     /// All cells align to a common rectilinear lattice.
     Lattice(LatticeIndex),
+    /// Cells align within coarse slots: coarse lattice of sub-lattices.
+    TwoLevel(TwoLevelIndex),
     /// Irregular partition: sorted row-band index.
     Bands(BandIndex),
 }
@@ -72,12 +92,16 @@ pub enum CellIndex {
 impl CellIndex {
     /// Compiles a cell list. Infallible: any list (including empty or
     /// degenerate cells, which can never contribute to an answer) gets
-    /// an index; the lattice path is chosen when it applies.
+    /// an index; the paths are tried in the order the module
+    /// documentation gives.
     pub fn build(cells: &[(Rect, f64)]) -> CellIndex {
-        match LatticeIndex::try_build(cells) {
-            Some(lattice) => CellIndex::Lattice(lattice),
-            None => CellIndex::Bands(BandIndex::build(cells)),
+        if let Some(lattice) = LatticeIndex::try_build(cells) {
+            return CellIndex::Lattice(lattice);
         }
+        if let Some(two_level) = TwoLevelIndex::try_build(cells) {
+            return CellIndex::TwoLevel(two_level);
+        }
+        CellIndex::Bands(BandIndex::build(cells))
     }
 
     /// Estimated count inside `query` under the uniformity assumption;
@@ -86,6 +110,7 @@ impl CellIndex {
     pub fn answer(&self, query: &Rect) -> f64 {
         match self {
             CellIndex::Lattice(l) => l.answer(query),
+            CellIndex::TwoLevel(t) => t.answer(query),
             CellIndex::Bands(b) => b.answer(query),
         }
     }
@@ -94,6 +119,7 @@ impl CellIndex {
     pub fn total(&self) -> f64 {
         match self {
             CellIndex::Lattice(l) => l.total(),
+            CellIndex::TwoLevel(t) => t.total(),
             CellIndex::Bands(b) => b.total(),
         }
     }
@@ -102,11 +128,12 @@ impl CellIndex {
     ///
     /// This is the quantity serving-side memory budgets account for: it
     /// is dominated by the heap arrays (edge coordinates and prefix
-    /// sums for the lattice path, bands and tree aggregates for the
+    /// sums for the lattice paths, bands and tree aggregates for the
     /// band path), so the enum discriminant padding is ignored.
     pub fn memory_bytes(&self) -> usize {
         match self {
             CellIndex::Lattice(l) => l.memory_bytes(),
+            CellIndex::TwoLevel(t) => t.memory_bytes(),
             CellIndex::Bands(b) => b.memory_bytes(),
         }
     }
@@ -118,14 +145,32 @@ fn collect_edges(
     lo: impl Fn(&Rect) -> f64,
     hi: impl Fn(&Rect) -> f64,
 ) -> Vec<f64> {
-    let mut edges: Vec<f64> = Vec::with_capacity(cells.len() * 2);
+    let mut keys: Vec<i64> = Vec::with_capacity(cells.len() * 2);
     for (rect, _) in cells {
-        edges.push(lo(rect));
-        edges.push(hi(rect));
+        keys.push(total_key(lo(rect)));
+        keys.push(total_key(hi(rect)));
     }
-    edges.sort_by(f64::total_cmp);
+    keys.sort_unstable();
+    keys.dedup();
+    let mut edges: Vec<f64> = keys.into_iter().map(total_key_inv).collect();
+    // `-0.0 == 0.0`: keep one of them, as a float sort would.
     edges.dedup_by(|a, b| a == b);
+    // The edges outlive the build: drop the 2-per-cell capacity.
+    edges.shrink_to_fit();
     edges
+}
+
+/// The integer image of `f64::total_cmp`'s order:
+/// `a.total_cmp(&b) == total_key(a).cmp(&total_key(b))`. Sorting these
+/// keys is cheaper than sorting the floats with `total_cmp`.
+fn total_key(x: f64) -> i64 {
+    let bits = x.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
+}
+
+/// The float whose [`total_key`] is `key` (the map is its own inverse).
+fn total_key_inv(key: i64) -> f64 {
+    f64::from_bits((key ^ (((key >> 63) as u64) >> 1) as i64) as u64)
 }
 
 /// Index of `x` in a sorted edge array, or `None` when `x` is not
@@ -177,6 +222,37 @@ fn axis_segments(edges: &[f64], q0: f64, q1: f64) -> [Option<(usize, usize, f64)
     out
 }
 
+/// Visits, row by row, every slot of the `touched` block that lies
+/// outside its `full` sub-block: the rim of a query over a lattice of
+/// slots, whose fully covered slots are summed by one prefix-sum lookup
+/// instead. Blocks are `[cols, rows]` index ranges; an empty `full`
+/// block leaves every touched slot on the rim.
+///
+/// The walk costs O(rim), not O(touched): a wide query over an
+/// `m × m` lattice visits O(m) slots, never the O(m²) interior.
+pub fn for_each_rim_slot(
+    touched: [Range<usize>; 2],
+    full: [Range<usize>; 2],
+    mut visit: impl FnMut(usize, usize),
+) {
+    let [cols, rows] = touched;
+    let [full_cols, full_rows] = full;
+    // Interior columns, clamped into the touched ones.
+    let lo = full_cols.start.clamp(cols.start, cols.end);
+    let hi = full_cols.end.clamp(lo, cols.end);
+    for row in rows {
+        if lo < hi && full_rows.contains(&row) {
+            for col in (cols.start..lo).chain(hi..cols.end) {
+                visit(col, row);
+            }
+        } else {
+            for col in cols.clone() {
+                visit(col, row);
+            }
+        }
+    }
+}
+
 /// The regular-lattice fast path: cells scattered onto the rectilinear
 /// lattice induced by their own edges, summed through a
 /// [`crate::SummedAreaTable`].
@@ -205,6 +281,18 @@ impl LatticeIndex {
         if live.is_empty() {
             return None;
         }
+        // Any subset's edges induce a lattice no larger than the full one:
+        // when an evenly spread sample of the cells already exceeds the
+        // cap, decline without sorting every edge.
+        let step = live.len().div_ceil(LATTICE_SAMPLE_CELLS);
+        if step > 1 {
+            let sample: Vec<&(Rect, f64)> = live.iter().step_by(step).copied().collect();
+            let sample_cols = collect_edges(&sample, |r| r.x0(), |r| r.x1()).len() - 1;
+            let sample_rows = collect_edges(&sample, |r| r.y0(), |r| r.y1()).len() - 1;
+            if sample_cols.saturating_mul(sample_rows) > blowup_cap(live.len()) {
+                return None;
+            }
+        }
         // Edges come from the live cells only: a degenerate cell off the
         // lattice must not inflate the slot grid or stretch its bounds.
         let xs = collect_edges(&live, |r| r.x0(), |r| r.x1());
@@ -213,8 +301,7 @@ impl LatticeIndex {
             return None;
         }
         let (cols, rows) = (xs.len() - 1, ys.len() - 1);
-        let slots = cols.checked_mul(rows)?;
-        if slots > MAX_GRID_CELLS || slots > live.len().saturating_mul(LATTICE_BLOWUP_CAP) {
+        if cols.checked_mul(rows)? > blowup_cap(live.len()) {
             return None;
         }
 
@@ -280,6 +367,238 @@ impl LatticeIndex {
             + (self.xs.len() + self.ys.len()) * std::mem::size_of::<f64>()
             + (self.sat.memory_bytes() - std::mem::size_of::<crate::SummedAreaTable>())
     }
+}
+
+/// Most lattice slots `live` cells may be scattered onto.
+fn blowup_cap(live: usize) -> usize {
+    live.saturating_mul(LATTICE_BLOWUP_CAP).min(MAX_GRID_CELLS)
+}
+
+/// One axis of the coarse sweep: where the coarse lines fall and which
+/// coarse slot each live cell lands in.
+struct AxisSweep {
+    /// The coarse slots' lower lines, then the largest upper edge:
+    /// `slots + 1` ascending coordinates. Each lower line is the
+    /// smallest lower edge of the cells in its slot.
+    lines: Vec<f64>,
+    /// Per slot, the largest upper edge of any cell in it or an earlier
+    /// slot. It equals the next line unless a cell overhangs that line
+    /// by float drift.
+    reach: Vec<f64>,
+    /// Coarse slot of each live cell.
+    slot_of: Vec<u32>,
+}
+
+impl AxisSweep {
+    /// Sorts the cells by lower edge, then sweeps them in that order,
+    /// opening a coarse slot at each new lower edge no earlier cell
+    /// straddles.
+    fn new(live: &[&(Rect, f64)], span: impl Fn(&Rect) -> (f64, f64)) -> AxisSweep {
+        let mut order: Vec<(i64, f64, u32)> = live
+            .iter()
+            .enumerate()
+            .map(|(i, (r, _))| {
+                let (lo, hi) = span(r);
+                (total_key(lo), hi, i as u32)
+            })
+            .collect();
+        order.sort_unstable_by_key(|t| t.0);
+        let mut lines = Vec::new();
+        let mut reach = Vec::new();
+        let mut slot_of = vec![0u32; live.len()];
+        // `straddle`: where a line must sit for no earlier cell to cross
+        // it (their upper edges less the snap); `hi_max`: their largest
+        // upper edge.
+        let (mut straddle, mut hi_max) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
+        let mut prev_lo = None;
+        for &(key, hi, i) in &order {
+            let lo = total_key_inv(key);
+            if prev_lo != Some(lo) && straddle <= lo {
+                if !lines.is_empty() {
+                    reach.push(hi_max);
+                }
+                lines.push(lo);
+            }
+            prev_lo = Some(lo);
+            slot_of[i as usize] = (lines.len() - 1) as u32;
+            straddle = straddle.max(hi - SNAP_REL * lo.abs().max(hi.abs()));
+            hi_max = hi_max.max(hi);
+        }
+        reach.push(hi_max);
+        lines.push(hi_max);
+        AxisSweep {
+            lines,
+            reach,
+            slot_of,
+        }
+    }
+
+    /// Number of coarse slots.
+    fn slots(&self) -> usize {
+        self.lines.len() - 1
+    }
+}
+
+/// The two-level path: a coarse lattice whose slots each hold a
+/// [`LatticeIndex`] over their own cells.
+///
+/// This is the shape of the paper's adaptive grid: an `m₁ × m₁` grid
+/// whose cells are each split into their own `m₂ × m₂` grid. Its leaves
+/// induce no affordable common lattice (each first-level column mixes
+/// many `m₂`), but no leaf straddles a first-level line. A summed-area
+/// table over the slot totals answers the slots a query fully covers;
+/// only the rim slots, which it covers partly, ask their own lattice.
+/// A query costs two binary searches per axis over the coarse lines,
+/// one coarse lookup, and one [`LatticeIndex::answer`] per rim slot —
+/// O(perimeter) slots, never O(area).
+#[derive(Debug, Clone)]
+pub struct TwoLevelIndex {
+    /// Coarse lines and the prefix sums of the slot totals.
+    coarse: LatticeIndex,
+    /// Per coarse column, the largest x any cell in it or an earlier
+    /// column reaches (see `AxisSweep::reach`).
+    x_reach: Vec<f64>,
+    /// Per coarse row, the same bound along y.
+    y_reach: Vec<f64>,
+    /// Row-major per-slot lattices; `None` for a slot with no cells.
+    slots: Vec<Option<LatticeIndex>>,
+}
+
+impl TwoLevelIndex {
+    /// Attempts the two-level compilation: one sweep per axis finds the
+    /// coarse lines no live cell straddles (a cell may overhang a line
+    /// by the snap tolerance), the cells are counting-sorted into the
+    /// slots those lines bound, and each slot's cells go through
+    /// [`LatticeIndex::try_build`]. `None` when the coarse lattice alone
+    /// exceeds the blow-up cap or some slot's lattice is declined.
+    pub fn try_build(cells: &[(Rect, f64)]) -> Option<TwoLevelIndex> {
+        let live: Vec<&(Rect, f64)> = cells.iter().filter(|(r, _)| !r.is_empty()).collect();
+        if live.is_empty() || u32::try_from(live.len()).is_err() {
+            return None;
+        }
+        let x = AxisSweep::new(&live, |r| (r.x0(), r.x1()));
+        let y = AxisSweep::new(&live, |r| (r.y0(), r.y1()));
+        let (cols, rows) = (x.slots(), y.slots());
+        let slots = cols.checked_mul(rows)?;
+        if slots > blowup_cap(live.len()) {
+            return None;
+        }
+        // Counting sort into row-major slots: sizes, offsets, placement.
+        let slot = |i: usize| y.slot_of[i] as usize * cols + x.slot_of[i] as usize;
+        let mut starts = vec![0usize; slots + 1];
+        for i in 0..live.len() {
+            starts[slot(i) + 1] += 1;
+        }
+        for s in 0..slots {
+            starts[s + 1] += starts[s];
+        }
+        let mut fill = starts.clone();
+        let mut by_slot = vec![*live[0]; live.len()];
+        for (i, cell) in live.iter().enumerate() {
+            let at = &mut fill[slot(i)];
+            by_slot[*at] = **cell;
+            *at += 1;
+        }
+
+        let (xs, ys) = (x.lines, y.lines);
+        let domain = Domain::from_corners(xs[0], ys[0], xs[cols], ys[rows]).ok()?;
+        let mut totals = crate::DenseGrid::zeros(domain, cols, rows).ok()?;
+        let mut lattices = Vec::with_capacity(slots);
+        for s in 0..slots {
+            let members = &by_slot[starts[s]..starts[s + 1]];
+            if members.is_empty() {
+                lattices.push(None);
+                continue;
+            }
+            let lattice = LatticeIndex::try_build(members)?;
+            totals.add(s % cols, s / cols, lattice.total());
+            lattices.push(Some(lattice));
+        }
+        Some(TwoLevelIndex {
+            coarse: LatticeIndex {
+                sat: totals.sat(),
+                xs,
+                ys,
+            },
+            x_reach: x.reach,
+            y_reach: y.reach,
+            slots: lattices,
+        })
+    }
+
+    /// Coarse lattice shape as `(cols, rows)`.
+    pub fn shape(&self) -> (usize, usize) {
+        self.coarse.shape()
+    }
+
+    /// Answers a query: one coarse prefix-sum lookup for the slots it
+    /// fully covers, one slot lattice answer per rim slot.
+    pub fn answer(&self, query: &Rect) -> f64 {
+        let (cols, _) = self.shape();
+        let xs = &self.coarse.xs;
+        let ys = &self.coarse.ys;
+        let (touched_cols, full_cols) =
+            slot_cover(&xs[..xs.len() - 1], &self.x_reach, query.x0(), query.x1());
+        let (touched_rows, full_rows) =
+            slot_cover(&ys[..ys.len() - 1], &self.y_reach, query.y0(), query.y1());
+        let mut sum = self.coarse.sat.sum(
+            full_cols.start,
+            full_rows.start,
+            full_cols.end,
+            full_rows.end,
+        );
+        for_each_rim_slot(
+            [touched_cols, touched_rows],
+            [full_cols, full_rows],
+            |c, r| {
+                if let Some(lattice) = &self.slots[r * cols + c] {
+                    sum += lattice.answer(query);
+                }
+            },
+        );
+        sum
+    }
+
+    /// Sum of all values.
+    pub fn total(&self) -> f64 {
+        self.coarse.total()
+    }
+
+    /// Estimated resident size in bytes: the struct, the coarse lattice,
+    /// the reach bounds, and every slot's lattice.
+    pub fn memory_bytes(&self) -> usize {
+        let slot_heap: usize = (self.slots.iter().flatten())
+            .map(|l| l.memory_bytes() - std::mem::size_of::<LatticeIndex>())
+            .sum();
+        std::mem::size_of::<Self>() - std::mem::size_of::<LatticeIndex>()
+            + self.coarse.memory_bytes()
+            + (self.x_reach.len() + self.y_reach.len()) * std::mem::size_of::<f64>()
+            + self.slots.len() * std::mem::size_of::<Option<LatticeIndex>>()
+            + slot_heap
+    }
+}
+
+/// Per-axis slot ranges of the query interval `[q0, q1]` over coarse
+/// slots with the given lower lines and reach bounds: `(touched, full)`.
+///
+/// `touched` holds every slot a cell of which can overlap the interval
+/// (a superset: it may include a slot that turns out to contribute 0);
+/// `full` holds only slots whose every cell lies inside it, judged by
+/// the slot's lower line and its reach, so a cell overhanging its slot
+/// by float drift never gets counted whole by mistake.
+fn slot_cover(lower: &[f64], reach: &[f64], q0: f64, q1: f64) -> (Range<usize>, Range<usize>) {
+    let t0 = reach.partition_point(|&e| e <= q0);
+    let t1 = lower.partition_point(|&e| e < q1);
+    // Both full bounds sit within a slot or two of the touched ones.
+    let mut f0 = t0;
+    while f0 < t1 && lower[f0] < q0 {
+        f0 += 1;
+    }
+    let mut f1 = t1;
+    while f1 > f0 && reach[f1 - 1] > q1 {
+        f1 -= 1;
+    }
+    (t0..t1, f0..f1)
 }
 
 /// A snap group under construction: the band's y-extent plus the
@@ -462,7 +781,7 @@ impl BandIndex {
             let rect = &cell.0;
             let same_band = groups.last().is_some_and(|(y0, y1, _)| {
                 let scale = (y1 - y0).abs().max(y0.abs()).max(y1.abs());
-                let tol = scale * BAND_Y_SNAP_REL;
+                let tol = scale * SNAP_REL;
                 (y0 - rect.y0()).abs() <= tol && (y1 - rect.y1()).abs() <= tol
             });
             if !same_band {
@@ -635,6 +954,7 @@ impl BandIndex {
 mod tests {
     use super::*;
     use crate::{DenseGrid, Domain};
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -885,20 +1205,68 @@ mod tests {
     #[test]
     fn lattice_declines_oversized_blowup() {
         // n cells whose edges induce an O(n²) lattice: staircase of
-        // offset rows. try_build must decline, CellIndex must fall back.
-        let n = 64;
-        let mut cells = Vec::new();
-        for i in 0..n {
-            let y0 = i as f64;
-            // Each row split at a unique offset.
-            let split = 0.3 + 9.0 * (i as f64) / n as f64;
-            cells.push((Rect::new(0.0, y0, split, y0 + 1.0).unwrap(), 1.0));
-            cells.push((Rect::new(split, y0, 10.0, y0 + 1.0).unwrap(), 2.0));
+        // offset rows. try_build must decline. Each row is a coarse
+        // slot split into its own two cells — a two-level partition — so
+        // CellIndex takes the two-level index: never the O(n²) lattice,
+        // and memory linear in n.
+        let staircase = |n: usize| {
+            let mut cells = Vec::new();
+            for i in 0..n {
+                let y0 = i as f64;
+                // Each row split at a unique offset.
+                let split = 0.3 + 9.0 * (i as f64) / n as f64;
+                cells.push((Rect::new(0.0, y0, split, y0 + 1.0).unwrap(), 1.0));
+                cells.push((Rect::new(split, y0, 10.0, y0 + 1.0).unwrap(), 2.0));
+            }
+            cells
+        };
+        let mut bytes = Vec::new();
+        for n in [64, 256] {
+            let cells = staircase(n);
+            assert!(LatticeIndex::try_build(&cells).is_none());
+            let index = CellIndex::build(&cells);
+            assert!(matches!(index, CellIndex::TwoLevel(_)), "n = {n}");
+            let domain = Rect::new(0.0, 0.0, 10.0, n as f64).unwrap();
+            assert_matches_scan(&cells, &index, &query_mix(&domain));
+            bytes.push(index.memory_bytes());
         }
+        // 4x the cells: at most ~4x the bytes (an O(n²) lattice would
+        // take 16x).
+        assert!(
+            bytes[1] <= 4 * bytes[0] + 1024,
+            "memory {bytes:?} grows faster than the cell count"
+        );
+    }
+
+    #[test]
+    fn sampled_decline_agrees_with_the_full_check() {
+        // Above `LATTICE_SAMPLE_CELLS` cells, try_build first checks an
+        // evenly spread sample against the cap. A grid fits either way.
+        let grid = uniform_cells(100, 60);
+        let shape = LatticeIndex::try_build(&grid).map(|l| l.shape());
+        assert_eq!(shape, Some((100, 60)));
+        // Every third cell a grid cell, the rest a staircase above it:
+        // the stride-3 sample sees only the grid and fits the cap, but
+        // the full lattice does not, so the full check must decline.
+        let grid = uniform_cells(60, 50);
+        let stairs: Vec<(Rect, f64)> = staircase_cells(3000)
+            .into_iter()
+            .map(|(r, v)| {
+                (
+                    Rect::new(r.x0(), r.y0() + 6.0, r.x1(), r.y1() + 6.0).unwrap(),
+                    v,
+                )
+            })
+            .collect();
+        let mut cells = Vec::new();
+        for (i, cell) in grid.iter().enumerate() {
+            cells.push(*cell);
+            cells.extend_from_slice(&stairs[2 * i..2 * i + 2]);
+        }
+        assert_eq!(cells.len().div_ceil(LATTICE_SAMPLE_CELLS), 3);
         assert!(LatticeIndex::try_build(&cells).is_none());
         let index = CellIndex::build(&cells);
-        assert!(matches!(index, CellIndex::Bands(_)));
-        let domain = Rect::new(0.0, 0.0, 10.0, n as f64).unwrap();
+        let domain = Rect::new(0.0, 0.0, 10.0, 3006.0).unwrap();
         assert_matches_scan(&cells, &index, &query_mix(&domain));
     }
 
@@ -1050,5 +1418,255 @@ mod tests {
                 "({q0},{q1}): covered {covered} expect {expect}"
             );
         }
+    }
+
+    #[test]
+    fn rim_walk_visits_touched_minus_full_once() {
+        for (touched, full) in [
+            ([1..6, 2..7], [2..5, 3..6]),
+            ([0..4, 0..4], [0..4, 0..4]),
+            ([0..4, 0..4], [1..3, 2..2]),
+            ([3..5, 0..9], [4..4, 1..8]),
+            ([2..8, 1..3], [2..8, 1..2]),
+        ] {
+            let mut seen = Vec::new();
+            for_each_rim_slot(touched.clone(), full.clone(), |c, r| seen.push((c, r)));
+            let interior = !full[0].is_empty() && !full[1].is_empty();
+            let mut expect = Vec::new();
+            for r in touched[1].clone() {
+                for c in touched[0].clone() {
+                    if !(interior && full[0].contains(&c) && full[1].contains(&r)) {
+                        expect.push((c, r));
+                    }
+                }
+            }
+            assert_eq!(seen, expect, "touched {touched:?} full {full:?}");
+        }
+    }
+
+    /// Ascending cut positions from `lo` to `hi` splitting it into `n`
+    /// parts of random, unequal widths.
+    fn random_cuts(rng: &mut StdRng, lo: f64, hi: f64, n: usize) -> Vec<f64> {
+        let mut weights: Vec<f64> = (0..n).map(|_| rng.random_range(0.3..2.0)).collect();
+        let total: f64 = weights.iter().sum();
+        let mut cuts = vec![lo];
+        let mut acc = 0.0;
+        for w in weights.iter_mut().take(n - 1) {
+            acc += *w;
+            cuts.push(lo + (hi - lo) * acc / total);
+        }
+        cuts.push(hi);
+        cuts
+    }
+
+    /// A random two-level partition: coarse columns and rows of unequal
+    /// widths, each slot split into its own `k × l` grid (1×1 up to
+    /// non-square, unequal sub-widths) or left empty, with values of
+    /// both signs. With `one_per_slot`, every slot is one cell. Returns
+    /// the cells and every edge used, for aligned queries.
+    fn two_level_cells(seed: u64, one_per_slot: bool) -> (Vec<(Rect, f64)>, Vec<f64>, Vec<f64>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (cols, rows) = (rng.random_range(1..7usize), rng.random_range(1..7usize));
+        let xs = random_cuts(&mut rng, -3.0, 17.0, cols);
+        let ys = random_cuts(&mut rng, 2.0, 9.0, rows);
+        let (mut all_x, mut all_y) = (xs.clone(), ys.clone());
+        let mut cells = Vec::new();
+        for r in 0..rows {
+            for c in 0..cols {
+                let (k, l) = if one_per_slot {
+                    (1, 1)
+                } else if rng.random_range(0..8) == 0 {
+                    continue; // empty slot
+                } else {
+                    (rng.random_range(1..5usize), rng.random_range(1..5usize))
+                };
+                let sub_x = random_cuts(&mut rng, xs[c], xs[c + 1], k);
+                let sub_y = random_cuts(&mut rng, ys[r], ys[r + 1], l);
+                for j in 0..l {
+                    for i in 0..k {
+                        let rect = Rect::new(sub_x[i], sub_y[j], sub_x[i + 1], sub_y[j + 1]);
+                        cells.push((rect.unwrap(), rng.random_range(-20.0..40.0)));
+                    }
+                }
+                all_x.extend_from_slice(&sub_x);
+                all_y.extend_from_slice(&sub_y);
+            }
+        }
+        (cells, all_x, all_y)
+    }
+
+    /// Random queries over `[x0, x1] × [y0, y1]` and beyond, half of them
+    /// with edges snapped to given lattice lines.
+    fn random_queries(seed: u64, xs: &[f64], ys: &[f64], count: usize) -> Vec<Rect> {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
+        let (x0, x1) = (xs[0], xs[xs.len() - 1]);
+        let (y0, y1) = (ys[0], ys[ys.len() - 1]);
+        (0..count)
+            .map(|i| {
+                let mut edge = |lines: &[f64], lo: f64, hi: f64| {
+                    if i % 2 == 0 {
+                        lines[rng.random_range(0..lines.len())]
+                    } else {
+                        rng.random_range(lo - 1.0..hi + 1.0)
+                    }
+                };
+                let (a, b) = (edge(xs, x0, x1), edge(xs, x0, x1));
+                let (c, d) = (edge(ys, y0, y1), edge(ys, y0, y1));
+                Rect::new(a.min(b), c.min(d), a.max(b), c.max(d)).unwrap()
+            })
+            .collect()
+    }
+
+    proptest! {
+        /// Random two-level partitions: the two-level index (and
+        /// whichever path `CellIndex` picks) matches the linear scan,
+        /// and one cell per slot compiles to the lattice, bit for bit
+        /// what `LatticeIndex::try_build` answers.
+        #[test]
+        fn two_level_partitions_match_the_scan(seed in 0u64..1_000_000, shape in 0u8..4) {
+            let one_per_slot = shape == 0;
+            let (cells, xs, ys) = two_level_cells(seed, one_per_slot);
+            let queries = random_queries(seed, &xs, &ys, 40);
+            let index = CellIndex::build(&cells);
+            if cells.is_empty() {
+                prop_assert!(TwoLevelIndex::try_build(&cells).is_none());
+                return;
+            }
+            let two_level = CellIndex::TwoLevel(
+                TwoLevelIndex::try_build(&cells).expect("a two-level partition compiles"),
+            );
+            assert_matches_scan(&cells, &two_level, &queries);
+            assert_matches_scan(&cells, &index, &queries);
+            if one_per_slot {
+                prop_assert!(matches!(index, CellIndex::Lattice(_)));
+                let lattice = LatticeIndex::try_build(&cells).expect("one cell per slot");
+                for q in &queries {
+                    prop_assert_eq!(index.answer(q).to_bits(), lattice.answer(q).to_bits());
+                }
+            }
+        }
+    }
+
+    /// An AG-shaped partition exactly as `AdaptiveGrid` derives it:
+    /// first-level cells `domain.cell_rect(m1, m1, ..)`, each split by
+    /// `parent.grid_cell(m2, m2, ..)` with its own `m2`. Returns the
+    /// cells and the first- and second-level lines along each axis.
+    fn ag_cells(
+        domain: Domain,
+        m1: usize,
+        m2: impl Fn(usize, usize) -> usize,
+    ) -> (Vec<(Rect, f64)>, Vec<f64>, Vec<f64>) {
+        let mut cells = Vec::new();
+        let (mut xs, mut ys) = (Vec::new(), Vec::new());
+        for r in 0..m1 {
+            for c in 0..m1 {
+                let parent = domain.cell_rect(m1, m1, c, r);
+                let k = m2(c, r);
+                for sr in 0..k {
+                    for sc in 0..k {
+                        let leaf = parent.grid_cell(k, k, sc, sr);
+                        xs.extend([leaf.x0(), leaf.x1()]);
+                        ys.extend([leaf.y0(), leaf.y1()]);
+                        let v = ((c * 7 + r * 3 + sc * 5 + sr) % 11) as f64 - 3.5;
+                        cells.push((leaf, v));
+                    }
+                }
+            }
+        }
+        xs.sort_by(f64::total_cmp);
+        ys.sort_by(f64::total_cmp);
+        (cells, xs, ys)
+    }
+
+    #[test]
+    fn drifted_first_level_lines_far_from_the_origin_match_the_scan() {
+        // Projected coordinates around 10⁶: `parent.x0 + w·i/m2` at
+        // i = m2 lands a few ULPs off the parent's own far edge (past it
+        // or short of it) wherever `w` is inexact, so leaves overhang or
+        // fall short of the first-level lines. Whatever path the cells
+        // land on, queries — including ones with edges exactly on
+        // first-level lines and on drifted leaf edges — must match the
+        // scan.
+        let domain = Domain::from_corners(-4.0e5, 0.0, 1.3e6, 1.0e6).unwrap();
+        let m1 = 13;
+        let m2 = |c: usize, r: usize| 1 + (c * 5 + r * 3) % 7;
+        let (cells, xs, ys) = ag_cells(domain, m1, m2);
+        let (mut drift_x, mut drift_y) = (0, 0);
+        for r in 0..m1 {
+            for c in 0..m1 {
+                let parent = domain.cell_rect(m1, m1, c, r);
+                let k = m2(c, r);
+                let last = parent.grid_cell(k, k, k - 1, k - 1);
+                drift_x += usize::from(last.x1() != parent.x1());
+                drift_y += usize::from(last.y1() != parent.y1());
+            }
+        }
+        assert!(
+            drift_x > 0 && drift_y > 0,
+            "the fixture must drift on both axes to test anything"
+        );
+        let mut queries = random_queries(7, &xs, &ys, 200);
+        for i in 0..m1 {
+            // Exactly on first-level lines, spanning several parents.
+            let a = domain.cell_rect(m1, m1, i, (i * 5) % m1);
+            let b = domain.cell_rect(m1, m1, (i * 7) % m1, (i * 3) % m1);
+            queries.push(
+                Rect::new(
+                    a.x0().min(b.x0()),
+                    a.y0().min(b.y0()),
+                    a.x1().max(b.x1()),
+                    a.y1().max(b.y1()),
+                )
+                .unwrap(),
+            );
+        }
+        let index = CellIndex::build(&cells);
+        assert_matches_scan(&cells, &index, &queries);
+        if let Some(index) = TwoLevelIndex::try_build(&cells) {
+            assert_matches_scan(&cells, &CellIndex::TwoLevel(index), &queries);
+        }
+    }
+
+    #[test]
+    fn small_mixed_m2_grid_keeps_the_induced_lattice() {
+        // A small AG whose leaves mix m2 = 1 and 2: the induced lattice
+        // (8 × 8 slots for 40 cells) fits the cap, so it keeps the plain
+        // lattice it has always had, answer for answer, even though it
+        // is a two-level partition too.
+        let domain = Domain::from_corners(-3.0, 1.0, 5.0, 7.0).unwrap();
+        let (cells, xs, ys) = ag_cells(domain, 4, |c, r| 1 + (c + r) % 2);
+        let index = CellIndex::build(&cells);
+        let lattice = LatticeIndex::try_build(&cells).expect("the induced lattice fits");
+        match &index {
+            CellIndex::Lattice(l) => assert_eq!(l.shape(), lattice.shape()),
+            other => panic!("expected the induced lattice, got {other:?}"),
+        }
+        assert!(TwoLevelIndex::try_build(&cells).is_some());
+        for q in random_queries(3, &xs, &ys, 200) {
+            assert_eq!(index.answer(&q).to_bits(), lattice.answer(&q).to_bits());
+        }
+    }
+
+    #[test]
+    fn two_level_memory_is_below_the_band_index() {
+        // A large AG shape whose induced lattice exceeds the cap: every
+        // slot lattice is counted, and the total stays under the band
+        // index's.
+        let domain = Domain::from_corners(0.0, 0.0, 60.0, 40.0).unwrap();
+        let (cells, xs, ys) = ag_cells(domain, 40, |c, r| 1 + (c * 7 + r * 5) % 11);
+        let index = CellIndex::build(&cells);
+        let CellIndex::TwoLevel(two_level) = &index else {
+            panic!("expected the two-level index, got {index:?}");
+        };
+        assert_eq!(two_level.shape(), (40, 40));
+        let slots: usize = two_level
+            .slots
+            .iter()
+            .flatten()
+            .map(|l| l.memory_bytes())
+            .sum();
+        assert!(two_level.memory_bytes() > slots + two_level.coarse.memory_bytes());
+        assert!(index.memory_bytes() < BandIndex::build(&cells).memory_bytes());
+        assert_matches_scan(&cells, &index, &random_queries(11, &xs, &ys, 100));
     }
 }

@@ -10,9 +10,10 @@
 //! * an exact range-count oracle [`PointIndex`] used to compute ground
 //!   truth answers for the error metrics of the evaluation harness;
 //! * compiled query indexes over arbitrary cell partitions
-//!   ([`cell_index`]): a regular-lattice fast path and a sorted
-//!   row-band / interval fallback, both answering uniformity-assumption
-//!   range queries in O(log cells) instead of O(cells);
+//!   ([`cell_index`]): a regular-lattice fast path, a coarse lattice of
+//!   per-slot sub-lattices for two-level partitions such as AG, and a
+//!   sorted row-band / interval fallback, all answering
+//!   uniformity-assumption range queries without scanning every cell;
 //! * deterministic synthetic [`generators`] reproducing the spatial
 //!   character of the four datasets used in the paper (road, checkin,
 //!   landmark, storage);
@@ -62,7 +63,9 @@ mod rect;
 mod sat;
 mod synopsis;
 
-pub use cell_index::{BandIndex, BandStabStats, CellIndex, LatticeIndex};
+pub use cell_index::{
+    for_each_rim_slot, BandIndex, BandStabStats, CellIndex, LatticeIndex, TwoLevelIndex,
+};
 pub use dataset::GeoDataset;
 pub use domain::Domain;
 pub use error::{DpError, GeoError};

@@ -1,13 +1,15 @@
 //! Cross-method equivalence of the compiled query surface.
 //!
-//! A `Release` answers through a compiled index (lattice or row-band);
-//! those answers must match the naive linear scan over the released
-//! cells — the semantics the index replaces — to within 1e-9, for every
-//! producing method, over a mixed workload of domain-spanning, sliver,
-//! cell-aligned and miss queries.
+//! A `Release` answers through a compiled index — a lattice, a coarse
+//! lattice of per-slot sub-lattices (two-level partitions such as AG),
+//! or a row-band index; those answers must match the naive linear scan
+//! over the released cells — the semantics the index replaces — to
+//! within 1e-9, for every producing method, over a mixed workload of
+//! domain-spanning, sliver, cell-aligned and miss queries.
 
 use dpgrid::baselines::{HierarchicalGrid, HierarchyConfig, KdConfig, KdHybrid, KdStandard};
 use dpgrid::core::{Release, SurfaceKind};
+use dpgrid::geo::LatticeIndex;
 use dpgrid::prelude::*;
 use rand::SeedableRng;
 
@@ -87,13 +89,93 @@ fn uniform_grid_equivalence() {
     }
 }
 
+/// The paper's query classes q1–q6 (Table II) over `domain`: each class
+/// doubles both extents of the last, placed on a fixed spread of
+/// positions (clamped inside the domain).
+fn query_classes(dataset: PaperDataset, domain: &Rect) -> Vec<Rect> {
+    let (w1, h1) = dataset.q1_size();
+    let mut queries = Vec::new();
+    for class in 0..6 {
+        let scale = f64::from(1u32 << class);
+        let (w, h) = (
+            (w1 * scale).min(domain.width()),
+            (h1 * scale).min(domain.height()),
+        );
+        for (fx, fy) in [
+            (0.0, 0.0),
+            (0.13, 0.71),
+            (0.5, 0.5),
+            (0.87, 0.29),
+            (1.0, 1.0),
+        ] {
+            let x0 = domain.x0() + fx * (domain.width() - w);
+            let y0 = domain.y0() + fy * (domain.height() - h);
+            queries.push(Rect::new(x0, y0, x0 + w, y0 + h).unwrap());
+        }
+    }
+    queries
+}
+
+/// Queries whose edges lie exactly on AG's first-level lines, on its
+/// second-level (leaf) lines, and on one of each.
+fn ag_aligned_queries(ag: &AdaptiveGrid) -> Vec<Rect> {
+    let parents: Vec<Rect> = ag.cells_info().iter().map(|c| c.rect).collect();
+    let leaves: Vec<Rect> = ag.cells().iter().map(|(r, _)| *r).collect();
+    let span = |a: &Rect, b: &Rect| {
+        Rect::new(
+            a.x0().min(b.x0()),
+            a.y0().min(b.y0()),
+            a.x1().max(b.x1()),
+            a.y1().max(b.y1()),
+        )
+        .unwrap()
+    };
+    let mut queries = Vec::new();
+    for i in 0..12 {
+        let (p, q) = (
+            &parents[i * 7 % parents.len()],
+            &parents[i * 13 % parents.len()],
+        );
+        let (a, b) = (
+            &leaves[i * 101 % leaves.len()],
+            &leaves[i * 389 % leaves.len()],
+        );
+        queries.push(span(p, q));
+        queries.push(span(a, b));
+        queries.push(span(p, a));
+        queries.push(*a);
+    }
+    queries
+}
+
 #[test]
 fn adaptive_grid_equivalence() {
-    for seed in [1u64, 2, 3] {
-        let ds = dataset(seed);
-        let ag = AdaptiveGrid::build(&ds, &AgConfig::guideline(0.5), &mut rng(seed ^ 0xA)).unwrap();
-        let release = Release::from_synopsis("AG", &ag);
-        assert_equivalent(&release, &query_mix(ds.domain().rect(), ag.m1()));
+    // At ε = 0.5 the leaves induce a lattice within the blow-up cap; at
+    // ε = 2 the finer second level does not, and the release compiles
+    // to the coarse lattice of per-cell sub-lattices instead.
+    for epsilon in [0.5, 2.0] {
+        for seed in [1u64, 2, 3] {
+            let ds = dataset(seed);
+            let config = AgConfig::guideline(epsilon);
+            let ag = AdaptiveGrid::build(&ds, &config, &mut rng(seed ^ 0xA)).unwrap();
+            let release = Release::from_synopsis("AG", &ag);
+            // AG's two-level partition compiles to a lattice, never to
+            // the band index; an induced lattice within the cap is kept.
+            let kind = release.surface().kind();
+            assert!(
+                matches!(kind, SurfaceKind::Lattice { .. }),
+                "ε = {epsilon}: {kind:?}"
+            );
+            if let Some(lattice) = LatticeIndex::try_build(&ag.cells()) {
+                let (cols, rows) = lattice.shape();
+                assert_eq!(kind, SurfaceKind::Lattice { cols, rows });
+            }
+            let domain = ds.domain().rect();
+            let mut queries = query_mix(domain, ag.m1());
+            queries.extend(query_classes(PaperDataset::Storage, domain));
+            queries.extend(ag_aligned_queries(&ag));
+            assert_equivalent(&release, &queries);
+        }
     }
 }
 
@@ -182,9 +264,9 @@ fn band_skip_list_wide_query_equivalence() {
 
 #[test]
 fn untrusted_irregular_release_equivalence() {
-    // A hand-built irregular partition (no common lattice): vertical
-    // strips of unequal widths, each split at its own heights — the
-    // shape that forces the band index.
+    // A hand-built irregular partition: vertical strips of unequal
+    // widths, each split at its own heights — a two-level partition
+    // whose small induced lattice still fits the blow-up cap.
     let domain = Domain::from_corners(0.0, 0.0, 12.0, 10.0).unwrap();
     let splits = [0.0, 1.7, 2.9, 5.3, 8.0, 12.0];
     let mut cells = Vec::new();
