@@ -30,7 +30,7 @@ use std::time::Instant;
 
 use dpgrid_bench::{bench_dataset, bench_rng};
 use dpgrid_core::{AdaptiveGrid, AgConfig, Release, UgConfig, UniformGrid};
-use dpgrid_geo::Rect;
+use dpgrid_geo::{available_parallelism, Rect};
 use dpgrid_net::{TcpClient, TcpServer};
 use dpgrid_serve::{Catalog, QueryEngine, QueryRequest};
 use rand::Rng;
@@ -182,9 +182,7 @@ struct Row {
 }
 
 fn bench_net_throughput(c: &mut Criterion) {
-    let parallelism = std::thread::available_parallelism()
-        .map(usize::from)
-        .unwrap_or(1);
+    let parallelism = available_parallelism();
     let mut catalog = Catalog::new();
     let mut keys = Vec::new();
     for (key, release) in serve_releases() {

@@ -24,7 +24,7 @@ use std::time::Instant;
 
 use dpgrid_bench::{bench_dataset, bench_rng};
 use dpgrid_core::{AdaptiveGrid, AgConfig, Release, UgConfig, UniformGrid};
-use dpgrid_geo::Rect;
+use dpgrid_geo::{available_parallelism, Rect};
 use dpgrid_serve::{Catalog, QueryEngine, QueryRequest};
 use rand::Rng;
 
@@ -122,9 +122,7 @@ struct Row {
 }
 
 fn bench_serve_throughput(c: &mut Criterion) {
-    let parallelism = std::thread::available_parallelism()
-        .map(usize::from)
-        .unwrap_or(1);
+    let parallelism = available_parallelism();
     let masters = master_releases();
     let keys: Vec<String> = masters.iter().map(|(k, _)| k.clone()).collect();
     let requests = batch(&keys);

@@ -32,7 +32,7 @@ use std::time::Instant;
 
 use dpgrid_bench::{bench_dataset, bench_rng};
 use dpgrid_core::{rendezvous_route, Release, UgConfig, UniformGrid};
-use dpgrid_geo::Rect;
+use dpgrid_geo::{available_parallelism, Rect};
 use dpgrid_net::{RemoteShard, TcpClientPool, TcpServer};
 use dpgrid_serve::shard::{LocalShard, ShardRouter};
 use dpgrid_serve::{Catalog, QueryEngine, QueryRequest, QueryService};
@@ -139,9 +139,7 @@ struct Row {
 }
 
 fn bench_shard_throughput(c: &mut Criterion) {
-    let parallelism = std::thread::available_parallelism()
-        .map(usize::from)
-        .unwrap_or(1);
+    let parallelism = available_parallelism();
     let rects = request_rects();
     let keys: Vec<String> = (0..RELEASES).map(|i| format!("release-{i}")).collect();
     let requests = batch(&keys, &rects);

@@ -24,10 +24,10 @@
 //! compiling is pure post-processing: no privacy accounting is
 //! involved.
 //!
-//! Batched answering ([`CompiledSurface::answer_all`]) chunks the query
-//! slice across `std::thread::scope` threads through the shared
-//! [`dpgrid_geo::answer_all_batched`] driver, mirroring the evaluation
-//! runner's method-level parallelism.
+//! Batched answering ([`CompiledSurface::answer_all`]) goes through the
+//! shared [`dpgrid_geo::answer_all_batched`] driver: small batches are
+//! answered inline, large ones are chunked across `std::thread::scope`
+//! threads, mirroring the evaluation runner's method-level parallelism.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -176,9 +176,11 @@ impl CompiledSurface {
         self.index.answer(&q)
     }
 
-    /// Answers a batch of queries, chunked across scoped threads when
-    /// the batch is large enough to amortise the spawns (the shared
-    /// [`dpgrid_geo::answer_all_batched`] driver).
+    /// Answers a batch of queries through the shared
+    /// [`dpgrid_geo::answer_all_batched`] driver: inline below two
+    /// [`dpgrid_geo::MIN_QUERIES_PER_THREAD`] chunks, otherwise chunked
+    /// across scoped threads sized by the host's parallelism, which is
+    /// read once per process.
     pub fn answer_all(&self, queries: &[Rect]) -> Vec<f64> {
         answer_all_batched(queries, |q| self.answer(q))
     }
@@ -261,8 +263,8 @@ mod tests {
         let sequential: Vec<f64> = queries.iter().map(|q| surface.answer(q)).collect();
         assert_eq!(batched, sequential);
         // Force the scoped-thread fan-out regardless of how many CPUs
-        // this machine reports (answer_all only engages it when
-        // available_parallelism allows).
+        // the host offers (answer_all only engages it when
+        // dpgrid_geo::available_parallelism allows).
         use dpgrid_geo::answer_all_with_workers;
         let threaded = answer_all_with_workers(&queries, |q| surface.answer(q), 4);
         assert_eq!(threaded, sequential);

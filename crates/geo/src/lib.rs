@@ -75,7 +75,8 @@ pub use point_index::PointIndex;
 pub use rect::Rect;
 pub use sat::SummedAreaTable;
 pub use synopsis::{
-    answer_all_batched, answer_all_with_workers, Build, Synopsis, MIN_QUERIES_PER_THREAD,
+    answer_all_batched, answer_all_with_workers, available_parallelism, Build, Synopsis,
+    MIN_QUERIES_PER_THREAD,
 };
 
 /// Convenience alias used throughout the crate.

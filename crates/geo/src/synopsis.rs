@@ -9,6 +9,9 @@
 //! substrate crate so that implementors only need `dpgrid-geo` (and the
 //! mechanisms), not each other.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
+
 use rand::Rng;
 
 use crate::{Domain, DpError, GeoDataset, Rect};
@@ -16,8 +19,23 @@ use crate::{Domain, DpError, GeoDataset, Rect};
 /// Minimum batch size per worker thread before
 /// [`answer_all_batched`] (and therefore the default
 /// [`Synopsis::answer_all`]) fans out; below this the spawn overhead
-/// outweighs the per-query work.
+/// outweighs the per-query work. A batch shorter than twice this is
+/// answered inline on the calling thread whatever the host offers.
 pub const MIN_QUERIES_PER_THREAD: usize = 256;
+
+/// The host's parallelism (at least 1), read once per process.
+///
+/// [`std::thread::available_parallelism`] re-reads the process's CPU
+/// affinity and cgroup quota on every call, which costs tens of
+/// microseconds — more than answering a whole 64-rect batch. Every
+/// thread fan-out in the workspace sizes itself through this cached
+/// read instead. The price: affinity or cgroup changes made after the
+/// first call are not seen by this process.
+#[allow(clippy::disallowed_methods)] // The one sanctioned probe; see clippy.toml.
+pub fn available_parallelism() -> usize {
+    static PARALLELISM: OnceLock<usize> = OnceLock::new();
+    *PARALLELISM.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from))
+}
 
 /// A differentially private synopsis of a two-dimensional dataset.
 ///
@@ -161,24 +179,31 @@ impl<S: Synopsis + ?Sized> Synopsis for Box<S> {
 /// Callers like the evaluation runner already parallelise one level up
 /// (a thread per method); dividing the worker budget by the number of
 /// concurrently active fan-outs keeps the total CPU-bound thread count
-/// near `available_parallelism` instead of multiplying the two levels.
-static ACTIVE_FANOUTS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+/// near [`available_parallelism`] instead of multiplying the two levels.
+/// Batches too small to fan out are answered inline and never counted,
+/// so they cannot narrow a large batch running beside them.
+static ACTIVE_FANOUTS: AtomicUsize = AtomicUsize::new(0);
 
 /// Shared batched-answering driver: evaluates `answer` over `queries`,
-/// fanning out across `std::thread::scope` when the batch is large
-/// enough (mirroring `dpgrid-eval`'s runner, which parallelises at the
-/// method level the same way).
+/// fanning out across `std::thread::scope` when the batch holds at
+/// least two [`MIN_QUERIES_PER_THREAD`] chunks (mirroring
+/// `dpgrid-eval`'s runner, which parallelises at the method level the
+/// same way). The width is [`available_parallelism`] — read once per
+/// process — divided among the fan-outs active at the same time.
 pub fn answer_all_batched<F>(queries: &[Rect], answer: F) -> Vec<f64>
 where
     F: Fn(&Rect) -> f64 + Sync,
 {
-    use std::sync::atomic::Ordering;
+    let max_workers = queries.len() / MIN_QUERIES_PER_THREAD;
+    if max_workers <= 1 {
+        return queries.iter().map(&answer).collect();
+    }
     // Drop guard so every exit path (including a panicking answer
     // closure) releases this call's slot in the counter.
     struct FanoutGuard;
     impl Drop for FanoutGuard {
         fn drop(&mut self) {
-            ACTIVE_FANOUTS.fetch_sub(1, std::sync::atomic::Ordering::Relaxed);
+            ACTIVE_FANOUTS.fetch_sub(1, Ordering::Relaxed);
         }
     }
     // Increment BEFORE reading the concurrency level: simultaneous
@@ -186,11 +211,7 @@ where
     // which a load-then-add would miss.
     let concurrent = ACTIVE_FANOUTS.fetch_add(1, Ordering::Relaxed) + 1;
     let _guard = FanoutGuard;
-    let workers = (std::thread::available_parallelism()
-        .map(usize::from)
-        .unwrap_or(1)
-        / concurrent)
-        .min(queries.len() / MIN_QUERIES_PER_THREAD);
+    let workers = (available_parallelism() / concurrent).min(max_workers);
     answer_all_with_workers(queries, answer, workers)
 }
 
@@ -290,5 +311,19 @@ mod tests {
         let sequential: Vec<f64> = queries.iter().map(|q| s.answer(q)).collect();
         let threaded = answer_all_with_workers(&queries, |q| s.answer(q), 3);
         assert_eq!(threaded, sequential);
+    }
+
+    #[test]
+    fn batches_too_small_to_fan_out_are_not_counted_as_fanouts() {
+        // No other test here sends 2 * MIN_QUERIES_PER_THREAD queries
+        // through the driver, so nothing else can hold a slot.
+        let queries: Vec<Rect> = (0..64)
+            .map(|i| {
+                let x = (i % 8) as f64 * 0.25;
+                Rect::new(x, 0.0, x + 0.5, 0.5).unwrap()
+            })
+            .collect();
+        let seen = answer_all_batched(&queries, |_| ACTIVE_FANOUTS.load(Ordering::Relaxed) as f64);
+        assert_eq!(seen, vec![0.0; queries.len()]);
     }
 }

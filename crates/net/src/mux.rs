@@ -75,15 +75,13 @@ pub struct TcpServer {
 impl TcpServer {
     /// Binds `addr` (use port 0 for an ephemeral port — the bound
     /// address is [`TcpServer::local_addr`]) and serves `service` over
-    /// a default-sized worker pool (available parallelism, capped at 8).
+    /// a default-sized worker pool: [`dpgrid_geo::available_parallelism`]
+    /// (read once per process), capped at 8.
     pub fn bind<S>(service: Arc<S>, addr: impl ToSocketAddrs) -> Result<TcpServer>
     where
         S: QueryService + 'static,
     {
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .clamp(1, 8);
+        let workers = dpgrid_geo::available_parallelism().min(8);
         TcpServer::bind_with_workers(service, addr, workers)
     }
 

@@ -18,11 +18,16 @@
 //!    *unlocked* (each release's `OnceLock` keeps them exactly-once)
 //!    and answering holds no lock either, so neither slow queries nor
 //!    cold compiles block inserts or other requests.
-//! 3. **Shard over scoped threads.** Batches fan out across
-//!    `std::thread::scope` workers, and each request's rectangles run
-//!    through the same [`dpgrid_geo::answer_all_batched`] driver the
-//!    rest of the workspace uses (or a pinned worker count via
-//!    [`QueryEngine::with_workers`]).
+//! 3. **Shard over scoped threads only when it pays.** By default a
+//!    batch fans out across `std::thread::scope` workers sized by
+//!    [`dpgrid_geo::available_parallelism`] (read once per process),
+//!    but only as far as its work pays for the spawns: one shard per
+//!    [`MIN_QUERIES_PER_THREAD`] rectangles, or one per cold surface
+//!    so cold compiles overlap. Each request's rectangles run through
+//!    the same [`dpgrid_geo::answer_all_batched`] driver the rest of
+//!    the workspace uses, which answers small batches inline. A pinned
+//!    worker count ([`QueryEngine::with_workers`]) replaces both
+//!    policies.
 //! 4. **Typed responses.** Every [`QueryResponse`] carries the release
 //!    version it answered against and whether the surface was warm,
 //!    so callers can reason about staleness and cache behaviour.
@@ -31,7 +36,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 use dpgrid_core::{Release, ReleaseSink};
-use dpgrid_geo::{answer_all_with_workers, Rect};
+use dpgrid_geo::{answer_all_with_workers, available_parallelism, Rect, MIN_QUERIES_PER_THREAD};
 use serde::{Deserialize, Serialize};
 
 use crate::catalog::{CacheState, Catalog, CatalogStats, Lease, SurfaceHandle};
@@ -341,8 +346,11 @@ impl QueryEngine {
     }
 
     /// Pins the total worker budget per batch. `1` answers strictly
-    /// sequentially (the benchmarking baseline); `0` restores the
-    /// adaptive policy.
+    /// sequentially (the benchmarking baseline); `n > 1` shards every
+    /// batch of several requests over up to `n` threads however little
+    /// work it holds; `0` restores the adaptive policy, which sizes the
+    /// fan-out from [`dpgrid_geo::available_parallelism`] and the
+    /// batch's work (see the module docs).
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers;
         self
@@ -415,11 +423,11 @@ impl QueryEngine {
     /// not fit are shed with [`ServeError::Overloaded`], without
     /// touching the catalog), warm surfaces are leased under one short
     /// catalog lock, then the requests are sharded over
-    /// `std::thread::scope` workers — cold compilations run on the
-    /// workers with no lock held (concurrently across distinct
-    /// releases, exactly once per release whatever the batch shape) —
-    /// and each request's rectangles are answered through the shared
-    /// batched driver.
+    /// `std::thread::scope` workers when the batch's work pays for
+    /// them — cold compilations run on the workers with no lock held
+    /// (concurrently across distinct releases, exactly once per release
+    /// whatever the batch shape) — and each request's rectangles are
+    /// answered through the shared batched driver.
     ///
     /// Responses come back in request order; a request for an unknown
     /// key (or one shed by admission control) fails alone without
@@ -450,8 +458,7 @@ impl QueryEngine {
         // batch over K cold releases compiles them concurrently — the
         // per-release `OnceLock` dedups same-key races) and answers.
         // Other threads keep leasing and inserting meanwhile.
-        let budget = self.budget();
-        let shards = requests.len().min(budget).max(1);
+        let shards = requests.len().min(self.budget(&prepared)).max(1);
         if shards <= 1 {
             return requests
                 .iter()
@@ -629,15 +636,23 @@ impl QueryEngine {
         })
     }
 
-    /// Total worker budget for one batch.
-    fn budget(&self) -> usize {
-        if self.workers == 0 {
-            std::thread::available_parallelism()
-                .map(usize::from)
-                .unwrap_or(1)
-        } else {
-            self.workers
+    /// Total worker budget for one phase-one batch. Pinned, it is the
+    /// configured count. Adaptive, it is the host's parallelism (read
+    /// once per process), capped by the work a thread would get: one
+    /// per [`MIN_QUERIES_PER_THREAD`] admitted rectangles, or one per
+    /// cold lease so that cold compiles still run concurrently.
+    fn budget(&self, prepared: &[Option<Prepared<'_>>]) -> usize {
+        if self.workers != 0 {
+            return self.workers;
         }
+        let (mut rects, mut cold) = (0, 0);
+        for slot in prepared {
+            if let Some(Prepared::Admitted { permit, lease }) = slot {
+                rects += permit.rects as usize;
+                cold += usize::from(matches!(lease, Ok(Lease::Cold(_))));
+            }
+        }
+        available_parallelism().min((rects / MIN_QUERIES_PER_THREAD).max(cold))
     }
 
     /// The catalog lock, surviving panics in other lock holders: the
@@ -774,6 +789,29 @@ mod tests {
                 assert_eq!(&resp.as_ref().unwrap().answers, expect, "workers {workers}");
             }
         }
+    }
+
+    #[test]
+    fn adaptive_budget_spawns_only_for_rects_or_cold_compiles() {
+        let engine = engine_with(&[("a", 1), ("b", 2), ("c", 3)]);
+        let slot = |key: &str, n: usize| {
+            Some(Prepared::Admitted {
+                permit: engine.admit(n).unwrap(),
+                lease: engine.lock().lease(key),
+            })
+        };
+        let cold: Vec<_> = ["a", "b", "c"].iter().map(|k| slot(k, 1)).collect();
+        assert_eq!(engine.budget(&cold), available_parallelism().min(3));
+        drop(cold);
+        for key in ["a", "b", "c"] {
+            engine.answer(&QueryRequest::new(key, rects(1))).unwrap();
+        }
+        let warm_small: Vec<_> = ["a", "b", "c"].iter().map(|k| slot(k, 64)).collect();
+        assert_eq!(engine.budget(&warm_small), 0);
+        let warm_large: Vec<_> = (0..8).map(|_| slot("a", 2 * 64)).collect();
+        assert_eq!(engine.budget(&warm_large), available_parallelism().min(4));
+        let pinned = engine_with(&[("a", 1)]).with_workers(3);
+        assert_eq!(pinned.budget(&[]), 3);
     }
 
     #[test]

@@ -45,8 +45,10 @@
 //! whole fully-covered band runs in O(log bands) instead of stabbing
 //! each band). A JSON release loaded from disk is exactly as fast to
 //! query as the in-memory type that produced it.
-//! Batch endpoints (`Synopsis::answer_all`) chunk large query slices
-//! across scoped threads.
+//! Batch endpoints (`Synopsis::answer_all`) answer small query slices
+//! inline and chunk large ones across scoped threads, sized by
+//! [`geo::available_parallelism`] (the host's parallelism, read once
+//! per process).
 //!
 //! # The serving stack: many releases, one engine, any transport
 //!
