@@ -9,9 +9,8 @@
 //!
 //! * **grid size**: 8×8, 16×16 and 32×32 cells — the domain the
 //!   accumulator folds over and (for OUE) the per-report payload size;
-//! * **codec × pipelining**: JSON v1 batches one round trip at a
-//!   time, binary v2 one at a time, and binary v2 with all of a pass's
-//!   batches written in one burst (`submit_reports`).
+//! * **pipelining**: binary v2 batches one round trip at a time, or
+//!   all of a pass's batches written in one burst (`submit_reports`).
 //!
 //! GRR rows carry 4-byte reports and measure framing + fold overhead;
 //! the `oue` rows ship `⌈cells/64⌉` packed words per report, so their
@@ -47,40 +46,29 @@ const BATCHES_PER_PASS: usize = 16;
 /// The measured grid ladder.
 const GRIDS: [(usize, usize); 3] = [(8, 8), (16, 16), (32, 32)];
 
-/// One measured configuration: oracle family, offered protocol, and
-/// whether the pass's batches go out one round trip at a time or as
-/// one pipelined burst.
+/// One measured configuration: oracle family, and whether the pass's
+/// batches go out one round trip at a time or as one pipelined burst.
 #[derive(Clone, Copy)]
 struct Variant {
     tag: &'static str,
     oracle: &'static str,
-    max_protocol: u32,
     pipelined: bool,
 }
 
-const VARIANTS: [Variant; 4] = [
-    Variant {
-        tag: "grr_v1",
-        oracle: "grr",
-        max_protocol: 1,
-        pipelined: false,
-    },
+const VARIANTS: [Variant; 3] = [
     Variant {
         tag: "grr_v2",
         oracle: "grr",
-        max_protocol: 2,
         pipelined: false,
     },
     Variant {
         tag: "grr_v2_pipe",
         oracle: "grr",
-        max_protocol: 2,
         pipelined: true,
     },
     Variant {
         tag: "oue_v2_pipe",
         oracle: "oue",
-        max_protocol: 2,
         pipelined: true,
     },
 ];
@@ -330,9 +318,8 @@ fn bench_ldp_ingest(c: &mut Criterion) {
         let addr = server.local_addr();
         for variant in VARIANTS {
             let batches = pass_batches(cells, variant.oracle);
-            let mut client =
-                TcpClient::connect_with_protocol(addr, variant.max_protocol).expect("connect");
-            let protocol = client.protocol_version().unwrap_or(1);
+            let mut client = TcpClient::connect(addr).expect("connect");
+            let protocol = client.protocol_version().expect("connected");
             pass_ns(&mut client, &batches, variant.pipelined); // warmup
             let label = format!("{}x{}_{}", cols, grid_rows, variant.tag);
             let ns = measure_ns(&mut client, &batches, variant.pipelined);
@@ -358,7 +345,7 @@ fn bench_ldp_ingest(c: &mut Criterion) {
     for r in &rows {
         println!(
             "ldp_ingest/{}: {} cells, proto v{}{}, {} batches x {} reports, \
-             {:.2} ms/pass, {:.0} reports/s ({:.2}x vs 8x8_grr_v1)",
+             {:.2} ms/pass, {:.0} reports/s ({:.2}x vs 8x8_grr_v2)",
             r.label,
             r.cells,
             r.protocol,
@@ -406,7 +393,7 @@ fn write_json(rows: &[Row], baseline: f64, micro: &[MicroRow]) {
         out.push_str(&format!(
             "    {{\"label\": \"{}\", \"cells\": {}, \"oracle\": \"{}\", \"protocol\": {}, \
              \"pipelined\": {}, \"elapsed_ms\": {:.2}, \"reports_per_sec\": {:.0}, \
-             \"speedup_vs_8x8_grr_v1\": {:.2}}}{}\n",
+             \"speedup_vs_8x8_grr_v2\": {:.2}}}{}\n",
             r.label,
             r.cells,
             r.oracle,

@@ -13,8 +13,8 @@
 //!   plus an *idle-crowd* row — the busy measurement repeated with 256
 //!   idle connections parked on the same server, which prices what a
 //!   mostly-idle connection costs;
-//! * **codec × pipelining**: JSON v1 frames, binary v2 frames, binary
-//!   v2 with all of a connection's frames written in one burst.
+//! * **pipelining**: binary v2 frames one round trip at a time, or
+//!   all of a connection's frames written in one burst.
 //!
 //! Every row records the protocol version its clients actually
 //! negotiated. Medians are recorded to `BENCH_net_throughput.json` at
@@ -75,41 +75,27 @@ fn request_rects() -> Vec<Rect> {
         .collect()
 }
 
-/// One measured configuration: which protocol the clients offer and
-/// whether a connection's frames go out one-at-a-time or as one
-/// pipelined burst.
+/// One measured configuration: whether a connection's frames go out
+/// one-at-a-time or as one pipelined burst.
 #[derive(Clone, Copy)]
 struct Variant {
     tag: &'static str,
-    max_protocol: u32,
     pipelined: bool,
 }
 
-const V1: Variant = Variant {
-    tag: "v1",
-    max_protocol: 1,
-    pipelined: false,
-};
 const V2: Variant = Variant {
     tag: "v2",
-    max_protocol: 2,
     pipelined: false,
 };
 const V2_PIPE: Variant = Variant {
     tag: "v2_pipe",
-    max_protocol: 2,
     pipelined: true,
 };
 
-/// The measured concurrency ladder: the full codec matrix at one
-/// connection (where per-frame cost dominates), the binary variants at
-/// 16 and the pipelined one at 64 (where scheduling dominates and the
-/// codec question is already settled).
-const LADDER: [(usize, &[Variant]); 3] = [
-    (1, &[V1, V2, V2_PIPE]),
-    (16, &[V2, V2_PIPE]),
-    (64, &[V2_PIPE]),
-];
+/// The measured concurrency ladder: both variants at 1 and 16
+/// connections, the pipelined one at 64 (where scheduling dominates).
+const LADDER: [(usize, &[Variant]); 3] =
+    [(1, &[V2, V2_PIPE]), (16, &[V2, V2_PIPE]), (64, &[V2_PIPE])];
 
 /// One pass: `conns` client threads, each sending `FRAMES_PER_CONN`
 /// query frames round-robin across the release keys — one round trip
@@ -126,8 +112,7 @@ fn pass_ns(
     std::thread::scope(|scope| {
         for c in 0..conns {
             scope.spawn(move || {
-                let mut client =
-                    TcpClient::connect_with_protocol(addr, variant.max_protocol).expect("connect");
+                let mut client = TcpClient::connect(addr).expect("connect");
                 if variant.pipelined {
                     let requests: Vec<QueryRequest> = (0..FRAMES_PER_CONN)
                         .map(|i| {
@@ -198,15 +183,14 @@ fn bench_net_throughput(c: &mut Criterion) {
     let addr = server.local_addr();
 
     // Warmup: compile every surface once so all rows measure warm.
-    pass_ns(addr, &keys, &rects, 1, V1);
+    pass_ns(addr, &keys, &rects, 1, V2);
 
     let mut measure = |conns: usize, idle_conns: usize, variant: Variant| {
-        // Record what a client under this cap actually negotiates —
-        // the row is honest even against a downgrading server.
-        let protocol = TcpClient::connect_with_protocol(addr, variant.max_protocol)
+        // Record the protocol the clients actually speak.
+        let protocol = TcpClient::connect(addr)
             .expect("connect")
             .protocol_version()
-            .unwrap_or(1);
+            .expect("connected");
         let idle_tag = if idle_conns > 0 {
             format!("_idle{idle_conns}")
         } else {
@@ -253,7 +237,7 @@ fn bench_net_throughput(c: &mut Criterion) {
     for r in &rows {
         println!(
             "net_throughput/{}: {} conns (+{} idle), proto v{}{}, {} frames x {} rects, \
-             {:.1} ms/pass, {:.0} q/s ({:.2}x vs mux_v1_c1)",
+             {:.1} ms/pass, {:.0} q/s ({:.2}x vs mux_v2_c1)",
             r.label,
             r.conns,
             r.idle_conns,
@@ -287,7 +271,7 @@ fn write_json(rows: &[Row], releases: usize, parallelism: usize, c1: f64) {
         out.push_str(&format!(
             "    {{\"label\": \"{}\", \"conns\": {}, \"idle_conns\": {}, \
              \"protocol\": {}, \"pipelined\": {}, \
-             \"elapsed_ms\": {:.2}, \"qps\": {:.0}, \"speedup_vs_mux_v1_c1\": {:.2}}}{}\n",
+             \"elapsed_ms\": {:.2}, \"qps\": {:.0}, \"speedup_vs_mux_v2_c1\": {:.2}}}{}\n",
             r.label,
             r.conns,
             r.idle_conns,

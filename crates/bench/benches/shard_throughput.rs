@@ -10,13 +10,10 @@
 //!   (isolates pure routing overhead: hashing, scatter bookkeeping);
 //! * `router_local_sN` — a router over N local shards, releases
 //!   placed by the same rendezvous hash (the in-process scaling axis);
-//! * `router_tcp_s2` — a router over two `RemoteShard`s behind real
-//!   loopback `TcpServer`s, pinned to JSON protocol v1 (routed-over-
-//!   TCP vs direct: the price of the wire on the scatter path);
-//! * `router_tcp_s2_binary` — the same two remote shards on default
-//!   connections, which negotiate binary v2 and pipeline each
-//!   sub-batch as id-correlated frames in one burst (the codec's
-//!   contribution to closing that gap).
+//! * `router_tcp_s2_binary` — a router over two `RemoteShard`s behind
+//!   real loopback `TcpServer`s, whose binary v2 connections pipeline
+//!   each sub-batch as id-correlated frames in one burst (routed-over-
+//!   TCP vs direct: the price of the wire on the scatter path).
 //!
 //! Medians are recorded to `BENCH_shard_throughput.json` at the
 //! workspace root. Honest-parallelism note: on a 1-hardware-thread
@@ -33,7 +30,7 @@ use std::time::Instant;
 use dpgrid_bench::{bench_dataset, bench_rng};
 use dpgrid_core::{rendezvous_route, Release, UgConfig, UniformGrid};
 use dpgrid_geo::{available_parallelism, Rect};
-use dpgrid_net::{RemoteShard, TcpClientPool, TcpServer};
+use dpgrid_net::{RemoteShard, TcpServer};
 use dpgrid_serve::shard::{LocalShard, ShardRouter};
 use dpgrid_serve::{Catalog, QueryEngine, QueryRequest, QueryService};
 use rand::Rng;
@@ -193,10 +190,7 @@ fn bench_shard_throughput(c: &mut Criterion) {
         });
     }
 
-    // Routed over TCP: two remote shards behind loopback servers, once
-    // pinned to JSON v1 (the historical row) and once on default
-    // connections that negotiate binary v2 and pipeline each
-    // sub-batch. The transport string records what was negotiated.
+    // Routed over TCP: two remote shards behind loopback servers.
     {
         let names = vec!["s0".to_string(), "s1".to_string()];
         let engines = sharded_engines(&names);
@@ -204,38 +198,21 @@ fn bench_shard_throughput(c: &mut Criterion) {
             .iter()
             .map(|engine| TcpServer::bind(Arc::clone(engine), "127.0.0.1:0").unwrap())
             .collect();
-        for (label, max_protocol) in [("router_tcp_s2", 1u32), ("router_tcp_s2_binary", 2)] {
-            let router = ShardRouter::new();
-            for (name, server) in names.iter().zip(&servers) {
-                let pool = TcpClientPool::connect(server.local_addr())
-                    .unwrap()
-                    .with_max_protocol(max_protocol);
-                let shard = RemoteShard::with_pool(pool);
-                let negotiated = shard
-                    .pool()
-                    .with_client(|c| {
-                        c.ping()?;
-                        Ok(c.protocol_version().unwrap_or(1))
-                    })
-                    .unwrap();
-                assert_eq!(negotiated, max_protocol, "{label}: unexpected negotiation");
-                router.add_shard(name.clone(), shard).unwrap();
-            }
-            let transport = if max_protocol >= 2 {
-                "tcp_loopback_v2_binary_pipelined"
-            } else {
-                "tcp_loopback_v1_json"
-            };
-            let ns = measure_ns(&router, &requests);
-            group.bench_function(label, |b| b.iter(|| pass_ns(&router, &requests)));
-            rows.push(Row {
-                label: label.into(),
-                shards: 2,
-                transport,
-                qps: rects_per_batch / (ns / 1e9),
-                elapsed_ms: ns / 1e6,
-            });
+        let router = ShardRouter::new();
+        for (name, server) in names.iter().zip(&servers) {
+            let shard = RemoteShard::connect(server.local_addr()).unwrap();
+            router.add_shard(name.clone(), shard).unwrap();
         }
+        let label = "router_tcp_s2_binary";
+        let ns = measure_ns(&router, &requests);
+        group.bench_function(label, |b| b.iter(|| pass_ns(&router, &requests)));
+        rows.push(Row {
+            label: label.into(),
+            shards: 2,
+            transport: "tcp_loopback_v2_binary_pipelined",
+            qps: rects_per_batch / (ns / 1e9),
+            elapsed_ms: ns / 1e6,
+        });
         for server in servers {
             server.shutdown();
         }

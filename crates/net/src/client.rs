@@ -1,44 +1,44 @@
-//! The blocking client: one TCP connection speaking the wire protocol.
+//! The blocking client: one TCP connection speaking the binary wire
+//! protocol.
 //!
 //! A [`TcpClient`] issues one request frame at a time and blocks for
 //! the matching response (ids are checked, so a desynchronised
-//! connection fails loudly instead of mismatching answers) — or, over
-//! the binary codec, pipelines many id-correlated frames before
-//! draining their responses ([`TcpClient::query_pipelined`]). It is
-//! deliberately not `Sync` — open one client per thread (or pool
-//! clients with [`crate::TcpClientPool`]); the server side is built
-//! for many cheap connections.
+//! connection fails loudly instead of mismatching answers) — or
+//! pipelines many id-correlated frames before draining their
+//! responses ([`TcpClient::query_pipelined`]). It is deliberately not
+//! `Sync` — open one client per thread (or pool clients with
+//! [`crate::TcpClientPool`]); the server side is built for many cheap
+//! connections.
 //!
-//! # Protocol negotiation
+//! # The handshake
 //!
-//! Every fresh connection starts in JSON v1 and immediately offers
-//! the binary codec with a `Hello` frame (unless capped to v1 via
-//! [`TcpClient::connect_with_protocol`]). A v2-capable server acks and
-//! the connection switches to binary framing; an old server rejects
-//! the unknown request kind as `MalformedRequest`, which per the
-//! versioning policy means "v1 only" — the client falls back
-//! silently. The negotiated version is per *connection*, not per
-//! client: reconnection always re-handshakes, so a client that
-//! negotiated v2 against one server instance cannot desync framing
-//! against a restarted v1-only instance.
+//! Every connection starts in JSON v1, so the client's first frame is
+//! a JSON `Hello` offering [`binary::PROTOCOL_VERSION`]; the server's
+//! ack switches the connection to binary framing. The client speaks
+//! nothing else. A server that acks another version, or answers the
+//! offer with an error (a JSON-only peer rejects the unknown request
+//! kind), fails the dial with [`NetError::Protocol`] carrying the
+//! server's answer. The handshake belongs to the *connection*, not the
+//! client: every redial repeats it, so a client never writes binary
+//! frames at a restarted peer that has not acked them.
 //!
 //! # Reconnection
 //!
 //! The client remembers the address it connected to and, when a call
 //! finds the connection *stale* — broken pipe, reset, or EOF where a
 //! response was due, the signature of a server restart or an idle
-//! timeout — it reconnects (re-negotiating the protocol from scratch)
-//! and resends that frame **once** before surfacing a [`NetError`].
-//! One retry is safe because the read-path requests are all
-//! idempotent (queries, stats, keys, ping); it is capped at one so a
-//! dead server fails fast instead of retry-looping. The write path is
-//! the deliberate exception: `Report` batches mutate collector state,
-//! so [`TcpClient::submit_report`] and [`TcpClient::submit_reports`]
-//! never resend — a connection that dies mid-submit surfaces the
-//! error and lets the caller decide whether re-submitting could
-//! double-count. A client that has surfaced an error reconnects
-//! lazily on its next call, so long-lived clients ride out server
-//! restarts without being rebuilt.
+//! timeout — it reconnects (repeating the handshake) and resends that
+//! frame **once** before surfacing a [`NetError`]. One retry is safe
+//! because the read-path requests are all idempotent (queries, stats,
+//! keys, ping); it is capped at one so a dead server fails fast
+//! instead of retry-looping. The write path is the deliberate
+//! exception: `Report` batches mutate collector state, so
+//! [`TcpClient::submit_report`] and [`TcpClient::submit_reports`]
+//! never resend — a connection that dies mid-submit surfaces the error
+//! and lets the caller decide whether re-submitting could
+//! double-count. A client that has surfaced an error reconnects lazily
+//! on its next call, so long-lived clients ride out server restarts
+//! without being rebuilt.
 
 use std::borrow::Borrow;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
@@ -46,8 +46,8 @@ use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 
 use dpgrid_geo::Rect;
 use dpgrid_serve::wire::{
-    binary, ErrorCode, HelloOffer, RequestBody, ResponseBody, WireError, WireQuery, WireRect,
-    WireReportBatch, WireRequest, WireResponse, WireWindow,
+    binary, HelloOffer, RequestBody, ResponseBody, WireError, WireQuery, WireRect, WireReportBatch,
+    WireRequest, WireResponse, WireWindow,
 };
 use dpgrid_serve::{
     EngineStats, QueryRequest, QueryResponse, ReportAck, ReportBatch, WindowAnswer,
@@ -69,25 +69,19 @@ pub const CONNECT_TIMEOUT: Duration = Duration::from_secs(10);
 /// it. Tune or disable per client with [`TcpClient::with_io_timeout`].
 pub const DEFAULT_IO_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// The request id negotiation frames travel under. Connection-level,
-/// never allocated to an application request (those start at 1).
+/// The request id the `Hello` handshake travels under.
+/// Connection-level, never allocated to an application request (those
+/// start at 1).
 const HELLO_ID: u64 = 0;
 
-/// One live connection: buffered reader/writer halves of a stream,
-/// the protocol version its `Hello` exchange negotiated, and the
-/// reusable buffers binary framing encodes into (cleared, never
-/// shrunk — steady-state encoding allocates nothing).
+/// One live connection: buffered reader/writer halves of a stream
+/// that has acked the binary codec, and the reusable buffers binary
+/// framing encodes into (cleared, never shrunk — steady-state encoding
+/// allocates nothing).
 #[derive(Debug)]
 struct Conn {
     reader: BufReader<TcpStream>,
     writer: BufWriter<TcpStream>,
-    /// The codec this connection speaks: [`wire::PROTOCOL_VERSION`]
-    /// (JSON lines) or [`binary::PROTOCOL_VERSION`] (length-prefixed
-    /// binary). Lives here, not on the client, so a redial can never
-    /// carry a stale negotiation onto a fresh connection.
-    ///
-    /// [`wire::PROTOCOL_VERSION`]: dpgrid_serve::wire::PROTOCOL_VERSION
-    protocol: u32,
     /// Outbound frame bytes (payload of one frame, or many whole
     /// frames when pipelining).
     out_buf: Vec<u8>,
@@ -99,7 +93,7 @@ struct Conn {
 }
 
 impl Conn {
-    fn open(addr: SocketAddr, io_timeout: Option<Duration>, max_protocol: u32) -> Result<Self> {
+    fn open(addr: SocketAddr, io_timeout: Option<Duration>) -> Result<Self> {
         let stream = TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT)?;
         stream.set_nodelay(true)?;
         stream.set_read_timeout(io_timeout)?;
@@ -107,68 +101,41 @@ impl Conn {
         let mut conn = Conn {
             reader: BufReader::new(stream.try_clone()?),
             writer: BufWriter::new(stream),
-            protocol: dpgrid_serve::wire::PROTOCOL_VERSION,
             out_buf: Vec::new(),
             in_buf: Vec::new(),
             rect_scratch: Vec::new(),
         };
-        if max_protocol >= binary::PROTOCOL_VERSION {
-            conn.negotiate(max_protocol)?;
-        }
+        conn.handshake()?;
         Ok(conn)
     }
 
-    /// Offers the binary codec and adopts whatever the server acks.
-    /// A pre-`Hello` server rejects the unknown request kind as
-    /// `MalformedRequest` — per the versioning policy that means
-    /// "v1 only", so it is a successful (if modest) negotiation, not
-    /// an error.
-    fn negotiate(&mut self, max_protocol: u32) -> Result<()> {
+    /// Offers the binary codec in a JSON `Hello` and requires the
+    /// server to ack exactly that version; anything else fails typed.
+    fn handshake(&mut self) -> Result<()> {
         let offer = WireRequest::new(
             HELLO_ID,
             RequestBody::Hello(HelloOffer {
-                max_version: max_protocol,
+                max_version: binary::PROTOCOL_VERSION,
             }),
         );
-        let response = self.roundtrip_json(&offer.encode())?;
-        match response.body {
-            ResponseBody::Hello(ack) => {
-                if ack.version > max_protocol || ack.version < dpgrid_serve::wire::PROTOCOL_VERSION
-                {
-                    return Err(NetError::Protocol(format!(
-                        "server acked protocol {} outside the offered range 1..={max_protocol}",
-                        ack.version
-                    )));
-                }
-                self.protocol = ack.version;
-                Ok(())
-            }
-            ResponseBody::Error(e) if e.code == ErrorCode::MalformedRequest => Ok(()),
-            ResponseBody::Error(e) => Err(NetError::Server(e)),
+        match self.roundtrip_json(&offer.encode())?.body {
+            ResponseBody::Hello(ack) if ack.version == binary::PROTOCOL_VERSION => Ok(()),
+            ResponseBody::Hello(ack) => Err(NetError::Protocol(format!(
+                "server acked protocol {}, this client speaks only binary v{}",
+                ack.version,
+                binary::PROTOCOL_VERSION
+            ))),
+            ResponseBody::Error(e) => Err(NetError::Protocol(format!(
+                "server refused the binary v{} handshake: {e}",
+                binary::PROTOCOL_VERSION
+            ))),
             other => Err(unexpected("Hello", &other)),
         }
     }
 
-    /// One frame exchange over whichever codec this connection speaks.
+    /// One binary frame exchange.
     fn exchange(&mut self, body: &RequestBody, id: u64) -> Result<ResponseBody> {
-        let response = if self.protocol == binary::PROTOCOL_VERSION {
-            self.roundtrip_binary(body, id)?
-        } else {
-            let frame = WireRequest::new(id, body.clone()).encode();
-            // Refuse to send a frame the server is guaranteed to
-            // reject (and punish with a mid-write close a retry would
-            // only run into again): fail typed and attributable,
-            // connection intact.
-            if frame.len() + 1 > dpgrid_serve::wire::MAX_FRAME_BYTES {
-                return Err(NetError::Protocol(format!(
-                    "request frame of {} bytes exceeds the protocol's {} byte cap; \
-                     split the batch",
-                    frame.len() + 1,
-                    dpgrid_serve::wire::MAX_FRAME_BYTES
-                )));
-            }
-            self.roundtrip_json(&frame)?
-        };
+        let response = self.roundtrip_binary(body, id)?;
         // Typed server errors win over the id check: a frame the
         // server could not attribute (oversized, unparseable) is
         // reported under id 0, and this path is strictly
@@ -184,7 +151,8 @@ impl Conn {
         }
     }
 
-    /// Writes one JSON line and reads the response line.
+    /// Writes one JSON line and reads the response line — the
+    /// handshake's codec.
     fn roundtrip_json(&mut self, frame: &str) -> Result<WireResponse> {
         self.writer.write_all(frame.as_bytes())?;
         self.writer.write_all(b"\n")?;
@@ -305,8 +273,8 @@ impl Conn {
             let response = self.read_binary_response()?;
             match response.body {
                 // A rejected batch (sealed epoch, ε mismatch, a
-                // pre-`Report` server's `MalformedRequest`) fails only
-                // its slot; the drain continues in lockstep.
+                // read-only server's `MalformedRequest`) fails only its
+                // slot; the drain continues in lockstep.
                 ResponseBody::Error(e) if response.id == expect => results.push(Err(e)),
                 ResponseBody::Error(e) => {
                     return Err(NetError::Protocol(format!(
@@ -329,46 +297,34 @@ impl Conn {
     }
 }
 
-/// A blocking connection to a [`crate::TcpServer`] (or anything else
-/// speaking the wire protocol), with per-connection protocol
-/// negotiation (binary v2 where the server supports it, JSON v1
-/// otherwise), one-shot reconnection on stale connections and bounded
-/// waits (see [`CONNECT_TIMEOUT`] / [`DEFAULT_IO_TIMEOUT`]).
+/// A blocking binary-v2 connection to a [`crate::TcpServer`] (or
+/// anything else that acks the binary codec), with one-shot
+/// reconnection on stale connections and bounded waits (see
+/// [`CONNECT_TIMEOUT`] / [`DEFAULT_IO_TIMEOUT`]).
 #[derive(Debug)]
 pub struct TcpClient {
     peer: SocketAddr,
     conn: Option<Conn>,
     io_timeout: Option<Duration>,
-    max_protocol: u32,
     next_id: u64,
 }
 
 impl TcpClient {
-    /// Connects to `addr`, offering the binary codec (the server may
-    /// negotiate down to JSON v1). When `addr` resolves to several
-    /// addresses the first that connects wins, and that concrete
-    /// address is what reconnection later dials.
+    /// Connects to `addr` and completes the binary handshake; a peer
+    /// that does not ack binary v2 fails with [`NetError::Protocol`].
+    /// When `addr` resolves to several addresses the first that
+    /// connects wins, and that concrete address is what reconnection
+    /// later dials.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Self> {
-        Self::connect_with_protocol(addr, binary::PROTOCOL_VERSION)
-    }
-
-    /// Connects offering at most `max_protocol` —
-    /// `connect_with_protocol(addr, 1)` pins a pure JSON v1 client
-    /// (no `Hello` is sent at all, exactly like a pre-negotiation
-    /// client), which is also what to use against servers that
-    /// predate the `Keys` request (their `MalformedRequest` reply to
-    /// `Hello` is indistinguishable from "v1 only").
-    pub fn connect_with_protocol(addr: impl ToSocketAddrs, max_protocol: u32) -> Result<Self> {
         let io_timeout = Some(DEFAULT_IO_TIMEOUT);
         let mut last_err: Option<NetError> = None;
         for candidate in addr.to_socket_addrs()? {
-            match Conn::open(candidate, io_timeout, max_protocol) {
+            match Conn::open(candidate, io_timeout) {
                 Ok(conn) => {
                     return Ok(TcpClient {
                         peer: candidate,
                         conn: Some(conn),
                         io_timeout,
-                        max_protocol,
                         next_id: 1,
                     })
                 }
@@ -409,12 +365,11 @@ impl TcpClient {
         self.conn.is_some()
     }
 
-    /// The protocol version the current connection negotiated: 1
-    /// (JSON) or 2 (binary). `None` when no connection is held — the
-    /// next call's fresh connection negotiates from scratch, so a
-    /// past connection's version says nothing about the next one.
+    /// The protocol the current connection speaks:
+    /// [`binary::PROTOCOL_VERSION`] (2) while one is held, `None`
+    /// otherwise.
     pub fn protocol_version(&self) -> Option<u32> {
-        self.conn.as_ref().map(|c| c.protocol)
+        self.conn.as_ref().map(|_| binary::PROTOCOL_VERSION)
     }
 
     /// Round-trips a liveness check.
@@ -433,9 +388,7 @@ impl TcpClient {
         }
     }
 
-    /// Fetches the server's advertised release keys (sorted). A
-    /// pre-`Keys` server answers with a `MalformedRequest` wire error —
-    /// treat it as "feature unsupported", per the versioning policy.
+    /// Fetches the server's advertised release keys (sorted).
     pub fn keys(&mut self) -> Result<Vec<String>> {
         match self.call(RequestBody::Keys)? {
             ResponseBody::Keys(keys) => Ok(keys),
@@ -445,7 +398,9 @@ impl TcpClient {
 
     /// Answers `rects` against the release under `key`. Server-side
     /// failures (unknown key, invalid rect, overload) come back as
-    /// [`NetError::Server`] with a stable error code.
+    /// [`NetError::Server`] with a stable error code; a request too
+    /// large for one frame fails with [`NetError::Protocol`] before
+    /// any byte of it is sent.
     pub fn query(&mut self, key: &str, rects: &[Rect]) -> Result<QueryResponse> {
         let query = WireQuery {
             release_key: key.to_string(),
@@ -464,8 +419,7 @@ impl TcpClient {
     /// reports exactly which epoch ranges were summed (compacted
     /// tiers widen coverage visibly). A window touching no retained
     /// epoch fails with an `UnknownKey` wire error naming the missing
-    /// range; a pre-`Window` server answers `MalformedRequest` —
-    /// treat it as "feature unsupported", per the versioning policy.
+    /// range.
     pub fn window(
         &mut self,
         keyspace: &str,
@@ -490,9 +444,8 @@ impl TcpClient {
     /// Submits one batch of locally-perturbed reports to the server's
     /// collector and blocks for the ack. Typed collector rejections
     /// (sealed epoch, ε mismatch, overflow) come back as
-    /// [`NetError::Server`]; a pre-`Report` server answers
-    /// `MalformedRequest` — treat it as "feature unsupported", per the
-    /// versioning policy.
+    /// [`NetError::Server`]; a read-only server, which has no
+    /// collector, answers `MalformedRequest`.
     ///
     /// Unlike the read-path calls this is **never resent**: a report
     /// batch mutates collector state, and a connection that dies after
@@ -502,21 +455,19 @@ impl TcpClient {
     /// whether to re-submit.
     pub fn submit_report(&mut self, batch: &ReportBatch) -> Result<ReportAck> {
         let body = RequestBody::Report(WireReportBatch::from_batch(batch));
-        match self.call_mutating(body)? {
+        let id = self.take_ids(1);
+        match self.with_conn(|conn| conn.exchange(&body, id))? {
             ResponseBody::Report(ack) => Ok(ack.into_ack()),
             other => Err(unexpected("Report", &other)),
         }
     }
 
     /// Submits several report batches by **pipelining** one Report
-    /// frame per batch over the binary codec: all frames ship in a
-    /// single write, then the acks are drained in order, so the
-    /// socket stays busy instead of ping-ponging per batch — this is
-    /// the ingestion fast path. On a connection that negotiated down
-    /// to JSON v1 it degrades to sequential per-batch round trips
-    /// (same semantics, more round trips). Per-batch rejections are
-    /// isolated in the inner results; the outer `Result` is the
-    /// transport.
+    /// frame per batch: all frames ship in a single write, then the
+    /// acks are drained in order, so the socket stays busy instead of
+    /// ping-ponging per batch — this is the ingestion fast path.
+    /// Per-batch rejections are isolated in the inner results; the
+    /// outer `Result` is the transport.
     ///
     /// Like [`TcpClient::submit_report`] this is never resent on a
     /// stale connection — see there for why. On a transport error the
@@ -530,37 +481,8 @@ impl TcpClient {
         if batches.is_empty() {
             return Ok(Vec::new());
         }
-        let first_id = self.next_id;
-        self.next_id += batches.len() as u64;
-        if self.conn.is_none() {
-            self.conn = Some(Conn::open(self.peer, self.io_timeout, self.max_protocol)?);
-        }
-        let conn = self.conn.as_mut().expect("connection just ensured");
-        let result = if conn.protocol == binary::PROTOCOL_VERSION {
-            conn.pipeline_reports(batches, first_id)
-        } else {
-            // JSON v1 fallback: sequential frames, rejections still
-            // isolated per batch so one sealed epoch doesn't mask the
-            // acks around it.
-            let mut results = Vec::with_capacity(batches.len());
-            let mut sequential = || {
-                for (i, batch) in batches.iter().enumerate() {
-                    let body = RequestBody::Report(WireReportBatch::from_batch(batch.borrow()));
-                    match conn.exchange(&body, first_id + i as u64) {
-                        Ok(ResponseBody::Report(ack)) => results.push(Ok(ack.into_ack())),
-                        Ok(other) => return Err(unexpected("Report", &other)),
-                        Err(NetError::Server(e)) => results.push(Err(e)),
-                        Err(e) => return Err(e),
-                    }
-                }
-                Ok(())
-            };
-            sequential().map(|()| results)
-        };
-        if matches!(result, Err(ref e) if !matches!(e, NetError::Server(_))) {
-            self.conn = None;
-        }
-        result
+        let first_id = self.take_ids(batches.len());
+        self.with_conn(|conn| conn.pipeline_reports(batches, first_id))
     }
 
     /// Answers several requests (possibly across releases) in one
@@ -600,10 +522,7 @@ impl TcpClient {
     /// is what keeps a shard router's scatter leg fed. Failures are
     /// isolated per request exactly as in [`TcpClient::query_batch`].
     ///
-    /// Pipelining needs the binary codec's id-correlated frames; on a
-    /// connection that negotiated down to JSON v1 this degrades to
-    /// one `Batch` frame (same semantics, still one round trip). The
-    /// stale-connection retry covers the whole pipeline: ids are
+    /// The stale-connection retry covers the whole pipeline: ids are
     /// re-issued on the fresh connection, and reads are idempotent.
     pub fn query_pipelined(
         &mut self,
@@ -612,118 +531,51 @@ impl TcpClient {
         if requests.is_empty() {
             return Ok(Vec::new());
         }
-        let first_id = self.next_id;
-        self.next_id += requests.len() as u64;
-        match self.pipeline_exchange(requests, first_id) {
-            Err(e) if is_stale_connection(&e) => {
-                self.conn = None;
-                let retried = self.pipeline_exchange(requests, first_id);
-                if matches!(retried, Err(ref e) if !matches!(e, NetError::Server(_))) {
-                    self.conn = None;
-                }
-                retried
-            }
-            Err(e) => {
-                if !matches!(e, NetError::Server(_)) {
-                    self.conn = None;
-                }
-                Err(e)
-            }
-            ok => ok,
-        }
+        let first_id = self.take_ids(requests.len());
+        self.with_retry(|conn| conn.pipeline_binary(requests, first_id))
     }
 
-    fn pipeline_exchange(
-        &mut self,
-        requests: &[QueryRequest],
-        first_id: u64,
-    ) -> Result<Vec<std::result::Result<QueryResponse, WireError>>> {
-        if self.conn.is_none() {
-            self.conn = Some(Conn::open(self.peer, self.io_timeout, self.max_protocol)?);
-        }
-        let conn = self.conn.as_mut().expect("connection just ensured");
-        if conn.protocol == binary::PROTOCOL_VERSION {
-            return conn.pipeline_binary(requests, first_id);
-        }
-        // JSON v1 fallback: one batch frame under the first id.
-        let queries = requests.iter().map(WireQuery::from_request).collect();
-        match conn.exchange(&RequestBody::Batch(queries), first_id)? {
-            ResponseBody::Batch(outcomes) => {
-                if outcomes.len() != requests.len() {
-                    return Err(NetError::Protocol(format!(
-                        "batch of {} queries got {} outcomes",
-                        requests.len(),
-                        outcomes.len()
-                    )));
-                }
-                Ok(outcomes
-                    .into_iter()
-                    .map(|outcome| match outcome {
-                        dpgrid_serve::wire::WireOutcome::Answered(a) => Ok(a.into_response()),
-                        dpgrid_serve::wire::WireOutcome::Failed(e) => Err(e),
-                    })
-                    .collect())
-            }
-            other => Err(unexpected("Batch", &other)),
-        }
-    }
-
-    /// Sends one frame and blocks for its response. A *stale*
-    /// connection (the server went away between calls: broken pipe,
-    /// reset, EOF in place of a response) is redialed — which
-    /// re-negotiates the protocol from scratch — and the frame resent
-    /// exactly once; every request routed through here is an
-    /// idempotent read (mutating `Report` frames go through
-    /// [`TcpClient::call_mutating`] instead), so the retry cannot
-    /// double-apply anything.
+    /// Sends one idempotent read frame and blocks for its response,
+    /// with the stale-connection resend of [`TcpClient::with_retry`].
     fn call(&mut self, body: RequestBody) -> Result<ResponseBody> {
-        let id = self.next_id;
-        self.next_id += 1;
-        match self.exchange(&body, id) {
-            Err(e) if is_stale_connection(&e) => {
-                self.conn = None;
-                let retried = self.exchange(&body, id);
-                if matches!(retried, Err(ref e) if !matches!(e, NetError::Server(_))) {
-                    self.conn = None;
-                }
-                retried
-            }
-            Err(e) => {
-                // Transport and framing errors poison the connection
-                // (a desynchronised stream must not serve the next
-                // call); typed server errors leave it healthy.
-                if !matches!(e, NetError::Server(_)) {
-                    self.conn = None;
-                }
-                Err(e)
-            }
-            ok => ok,
+        let id = self.take_ids(1);
+        self.with_retry(|conn| conn.exchange(&body, id))
+    }
+
+    /// Reserves `n` consecutive request ids, returning the first.
+    fn take_ids(&mut self, n: usize) -> u64 {
+        let first = self.next_id;
+        self.next_id += n as u64;
+        first
+    }
+
+    /// [`TcpClient::with_conn`], but a *stale* connection (the server
+    /// went away between calls: broken pipe, reset, EOF in place of a
+    /// response) is redialed — repeating the handshake — and `f` rerun
+    /// exactly once. Only idempotent reads come through here (mutating
+    /// `Report` frames use [`TcpClient::with_conn`] directly), so the
+    /// retry cannot double-apply anything.
+    fn with_retry<T>(&mut self, mut f: impl FnMut(&mut Conn) -> Result<T>) -> Result<T> {
+        match self.with_conn(&mut f) {
+            Err(e) if is_stale_connection(&e) => self.with_conn(f),
+            result => result,
         }
     }
 
-    /// [`TcpClient::call`] without the stale-connection resend, for
-    /// requests that mutate server state: a fresh connection is still
-    /// opened when none is held (no bytes of this request have been
-    /// written yet, so that dial risks nothing), but once the frame is
-    /// on the wire any failure surfaces to the caller.
-    fn call_mutating(&mut self, body: RequestBody) -> Result<ResponseBody> {
-        let id = self.next_id;
-        self.next_id += 1;
-        let result = self.exchange(&body, id);
+    /// Runs `f` once on the current connection, dialing a fresh one
+    /// when none is held (no bytes of the request have been written
+    /// yet, so that dial risks nothing). Transport and framing errors
+    /// poison the connection — a desynchronised stream must not serve
+    /// the next call — while typed server errors leave it healthy.
+    fn with_conn<T>(&mut self, f: impl FnOnce(&mut Conn) -> Result<T>) -> Result<T> {
+        if self.conn.is_none() {
+            self.conn = Some(Conn::open(self.peer, self.io_timeout)?);
+        }
+        let result = f(self.conn.as_mut().expect("connection just ensured"));
         if matches!(result, Err(ref e) if !matches!(e, NetError::Server(_))) {
             self.conn = None;
         }
         result
-    }
-
-    /// One round trip on the current connection, opening (and
-    /// negotiating) a fresh one if none is held.
-    fn exchange(&mut self, body: &RequestBody, id: u64) -> Result<ResponseBody> {
-        if self.conn.is_none() {
-            self.conn = Some(Conn::open(self.peer, self.io_timeout, self.max_protocol)?);
-        }
-        let conn = self.conn.as_mut().expect("connection just ensured");
-        conn.exchange(body, id)
     }
 }
 

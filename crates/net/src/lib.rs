@@ -8,14 +8,14 @@
 //! connection pool ([`TcpClientPool`]), the remote leg of the sharded
 //! serving tier ([`RemoteShard`]) and the write-path fan-out for LDP
 //! report ingestion ([`ReportRouter`]) — all speaking the versioned
-//! wire protocol defined in [`dpgrid_serve::wire`], negotiating its
-//! binary v2 codec per connection and falling back to JSON v1 against
-//! old peers. It deliberately uses no async runtime and no external
-//! networking dependencies — everything is `std::net` + `std::thread`
-//! plus a thin readiness shim over the platform's `epoll`/`poll(2)`,
-//! consistent with the workspace's vendored-stubs constraint, and the
-//! protocol layer is shared so an async transport can later reuse it
-//! unchanged.
+//! wire protocol defined in [`dpgrid_serve::wire`]. The server speaks
+//! both of its codecs; the client side speaks binary v2 only, reached
+//! by one JSON `Hello` per connection. It deliberately uses no async
+//! runtime and no external networking dependencies — everything is
+//! `std::net` + `std::thread` plus a thin readiness shim over the
+//! platform's `epoll`/`poll(2)`, consistent with the workspace's
+//! vendored-stubs constraint, and the protocol layer is shared so an
+//! async transport can later reuse it unchanged.
 //!
 //! # Transport architecture
 //!
@@ -111,7 +111,7 @@
 //!
 //! Two codecs share one request/response vocabulary (the types in
 //! [`dpgrid_serve::wire`]); which one a connection speaks is decided
-//! once, at connect time (see *Versioning and negotiation* below).
+//! once, at connect time (see *Versioning and the handshake* below).
 //!
 //! ## JSON v1 (the bootstrap codec)
 //!
@@ -194,17 +194,14 @@
 //! they travel through `Query`/`Batch`/`Keys` unchanged, place on
 //! shards by the same rendezvous hash, and `Keys` enumerates every
 //! epoch of a keyspace. The `Window` request kind (JSON `{"Window":…}`
-//! / binary `0x06`, additive within each codec version) asks the
-//! server to resolve and sum the surfaces covering an epoch range in
-//! one round trip: [`TcpClient::window`] on the client side,
-//! `dpgrid_serve::answer_window` behind any server. A pre-`Window`
-//! server rejects the kind as `MalformedRequest` — the standard
-//! "feature unsupported" signal.
+//! / binary `0x06`) asks the server to resolve and sum the surfaces
+//! covering an epoch range in one round trip: [`TcpClient::window`] on
+//! the client side, `dpgrid_serve::answer_window` behind any server.
 //!
 //! # The write path: LDP report ingestion
 //!
-//! The `Report` request kind (JSON `{"Report":…}` / binary `0x07`,
-//! additive within each codec version) is the protocol's only
+//! The `Report` request kind (JSON `{"Report":…}` / binary `0x07`) is
+//! the protocol's only
 //! *mutating* request: a batch of locally-perturbed frequency-oracle
 //! reports (`dpgrid_mech::Grr` cell indices or `dpgrid_mech::Oue`
 //! packed bit rows) bound for the server's `dpgrid_ldp` collector,
@@ -214,8 +211,8 @@
 //! path. Because the request mutates collector state, neither is ever
 //! resent on a stale connection (unlike every read-path call): the
 //! error surfaces and the caller decides whether re-submitting could
-//! double-count. A read-only server — or one predating the kind —
-//! answers `MalformedRequest`, the usual "feature unsupported" signal.
+//! double-count. A read-only server has no collector and answers
+//! `MalformedRequest`.
 //!
 //! Releases sealed from LDP reports carry
 //! `dpgrid_core::TrustModel::Local` in their metadata: the server
@@ -238,38 +235,31 @@
 //! | `UnsupportedVersion` | `protocol_version` mismatch                | upgrade one side |
 //! | `Internal`           | server-side failure                        | report / retry |
 //!
-//! # Versioning and negotiation
+//! # Versioning and the handshake
 //!
-//! Every connection starts in JSON v1 — the codec any peer of any age
-//! can parse. A client that supports v2 sends one JSON
-//! `Hello {max_version}` frame (id 0) as its first message:
-//!
-//! * a v2-capable server replies `Hello {version: min(client_max,
-//!   server_max)}` and, when that lands on 2, the **same connection**
-//!   switches to binary frames — both directions, no reconnect;
-//! * an old server has no `Hello` variant, so the offer decodes as a
-//!   `MalformedRequest` error — the exact additive-request-kind
-//!   signal defined below — and the client silently stays on v1.
-//!
-//! The reverse direction needs no handshake at all: a v1-only client
-//! simply never offers, and the server keeps speaking JSON. Negotiated
-//! state lives and dies with the connection — a reconnecting client
-//! ([`TcpClient`]'s one-shot redial, every pool checkout) re-offers
-//! from scratch, so a server downgrade or replacement mid-session
-//! renegotiates instead of writing binary frames at a peer that only
-//! reads lines.
+//! Every connection starts in JSON v1, the codec a script or `nc` can
+//! speak by hand; the server answers such raw-line peers for as long
+//! as they stay on it. [`TcpClient`] instead sends one JSON
+//! `Hello {max_version: 2}` frame (id 0) as its first message, and the
+//! server replies `Hello {version: min(client_max, server_max)}`. When
+//! that lands on 2 the **same connection** switches to binary frames —
+//! both directions, no reconnect. The client speaks binary v2 only: an
+//! ack of any other version, or an error reply to the offer (what a
+//! JSON-only peer sends for the unknown kind), fails the dial with a
+//! typed [`NetError::Protocol`]. The handshake lives and dies with the
+//! connection — a reconnecting client ([`TcpClient`]'s one-shot
+//! redial, every pool checkout) repeats it, so a replaced server is
+//! never sent binary frames it has not acked.
 //!
 //! Within one codec, `protocol_version` (JSON:
 //! [`dpgrid_serve::wire::PROTOCOL_VERSION`] = 1, binary:
 //! [`dpgrid_serve::wire::binary::PROTOCOL_VERSION`] = 2) bumps on any
 //! incompatible change; both peers reject other versions with
-//! `UnsupportedVersion` rather than guessing. Additive request kinds
-//! within a version decode as `MalformedRequest` on older servers,
-//! which clients must treat as "feature unsupported" (`Hello` itself
-//! rides on that rule). The [`dpgrid_serve::wire::ErrorCode`] table is
-//! shared by both codecs: JSON spells the *names*, binary carries one
-//! stable byte per code ([`dpgrid_serve::wire::binary::code_byte`]) —
-//! both append-only, never changing meaning.
+//! `UnsupportedVersion` rather than guessing. The
+//! [`dpgrid_serve::wire::ErrorCode`] table is shared by both codecs:
+//! JSON spells the *names*, binary carries one stable byte per code
+//! ([`dpgrid_serve::wire::binary::code_byte`]) — both append-only,
+//! never changing meaning.
 //!
 //! # Example
 //!
@@ -330,8 +320,10 @@ mod tests {
     use dpgrid_core::{Method, Pipeline};
     use dpgrid_geo::generators::PaperDataset;
     use dpgrid_geo::Rect;
-    use dpgrid_serve::wire::ErrorCode;
+    use dpgrid_serve::wire::{ErrorCode, RequestBody, ResponseBody, WireRequest, WireResponse};
     use dpgrid_serve::{Catalog, QueryEngine, QueryRequest};
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::TcpStream;
     use std::sync::Arc;
 
     fn engine(keys: &[(&str, u64)]) -> QueryEngine {
@@ -345,6 +337,20 @@ mod tests {
                 .unwrap();
         }
         QueryEngine::new(catalog)
+    }
+
+    /// Sends `body` as one raw JSON line on `json` and reads the reply
+    /// line — the server's JSON codec as a script or `nc` speaks it,
+    /// with no `Hello`.
+    fn json_line(json: &mut BufReader<TcpStream>, id: u64, body: RequestBody) -> ResponseBody {
+        let frame = WireRequest::new(id, body).encode();
+        json.get_mut().write_all(frame.as_bytes()).unwrap();
+        json.get_mut().write_all(b"\n").unwrap();
+        let mut line = String::new();
+        json.read_line(&mut line).unwrap();
+        let response = WireResponse::decode(line.trim_end()).unwrap();
+        assert_eq!(response.id, id);
+        response.body
     }
 
     #[test]
@@ -390,29 +396,39 @@ mod tests {
     #[test]
     fn unattributed_server_errors_surface_typed_not_as_id_mismatch() {
         // A server that cannot attribute a frame replies under id 0
-        // (e.g. the 16 MiB frame-cap rejection); the client must
-        // surface the typed error, not a confusing id-mismatch
-        // protocol error. Simulated with a one-shot fake server.
-        use dpgrid_serve::wire::{ErrorCode, WireError, WireResponse};
-        use std::io::Write;
+        // (e.g. the frame-cap rejection); the client must surface the
+        // typed error, not a confusing id-mismatch protocol error.
+        // Simulated with a one-shot fake server that acks the
+        // handshake, then answers the first binary frame that way.
+        use dpgrid_serve::wire::{binary, hello_ack, WireError};
+        use std::io::Read;
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let fake = std::thread::spawn(move || {
-            let (mut stream, _) = listener.accept().unwrap();
-            let frame = WireResponse::error(
+            let (stream, _) = listener.accept().unwrap();
+            let mut peer = BufReader::new(stream);
+            let mut offer = String::new();
+            peer.read_line(&mut offer).unwrap();
+            let mut out = hello_ack(0, binary::PROTOCOL_VERSION).encode().into_bytes();
+            out.push(b'\n');
+            peer.get_mut().write_all(&out).unwrap();
+            let mut ping = [0u8; binary::HEADER_BYTES];
+            peer.read_exact(&mut ping).unwrap();
+            let reject = WireResponse::error(
                 0,
                 WireError::new(ErrorCode::MalformedRequest, "frame exceeds the cap"),
-            )
-            .encode();
-            stream.write_all(frame.as_bytes()).unwrap();
-            stream.write_all(b"\n").unwrap();
+            );
+            binary::encode_response(&reject, &mut out).unwrap();
+            peer.get_mut().write_all(&out).unwrap();
+            // Hold the connection until the client hangs up.
+            let _ = peer.read(&mut [0u8; 1]);
         });
-        // Pinned to v1 so no Hello consumes the fake's single frame.
-        let mut client = TcpClient::connect_with_protocol(addr, 1).unwrap();
+        let mut client = TcpClient::connect(addr).unwrap();
         match client.ping() {
             Err(NetError::Server(e)) => assert_eq!(e.code, ErrorCode::MalformedRequest),
             other => panic!("expected typed server error, got {other:?}"),
         }
+        drop(client);
         fake.join().unwrap();
     }
 
@@ -498,23 +514,37 @@ mod tests {
                     .answers[0]
             })
             .sum();
-        // Binary v2 (negotiated) and pinned JSON v1 must agree.
-        for max_protocol in [2u32, 1] {
-            let mut client =
-                TcpClient::connect_with_protocol(server.local_addr(), max_protocol).unwrap();
-            assert_eq!(client.protocol_version(), Some(max_protocol));
-            let answer = client.window("taxi", 1, 3, &[q]).unwrap();
-            assert_eq!(answer.keyspace, "taxi");
-            assert_eq!(
-                answer.covered,
-                vec![EpochRange::single(1), EpochRange::single(2)]
-            );
-            assert!((answer.answers[0] - expected).abs() <= 1e-9 * (1.0 + expected.abs()));
-            // Uncovered windows come back as typed UnknownKey errors.
-            match client.window("taxi", 10, 12, &[q]) {
-                Err(NetError::Server(e)) => assert_eq!(e.code, ErrorCode::UnknownKey),
-                other => panic!("expected UnknownKey, got {other:?}"),
-            }
+        let mut client = TcpClient::connect(server.local_addr()).unwrap();
+        let answer = client.window("taxi", 1, 3, &[q]).unwrap();
+        assert_eq!(answer.keyspace, "taxi");
+        assert_eq!(
+            answer.covered,
+            vec![EpochRange::single(1), EpochRange::single(2)]
+        );
+        assert!((answer.answers[0] - expected).abs() <= 1e-9 * (1.0 + expected.abs()));
+        // Uncovered windows come back as typed UnknownKey errors.
+        match client.window("taxi", 10, 12, &[q]) {
+            Err(NetError::Server(e)) => assert_eq!(e.code, ErrorCode::UnknownKey),
+            other => panic!("expected UnknownKey, got {other:?}"),
+        }
+
+        // The same windows as raw JSON lines answer identically.
+        let window = |epoch_start, epoch_end| {
+            RequestBody::Window(dpgrid_serve::wire::WireWindow {
+                keyspace: "taxi".into(),
+                epoch_start,
+                epoch_end,
+                rects: vec![(&q).into()],
+            })
+        };
+        let mut json = BufReader::new(TcpStream::connect(server.local_addr()).unwrap());
+        match json_line(&mut json, 1, window(1, 3)) {
+            ResponseBody::Window(w) => assert_eq!(w.into_answer().unwrap(), answer),
+            other => panic!("expected a window answer, got {other:?}"),
+        }
+        match json_line(&mut json, 2, window(10, 12)) {
+            ResponseBody::Error(e) => assert_eq!(e.code, ErrorCode::UnknownKey),
+            other => panic!("expected UnknownKey, got {other:?}"),
         }
         server.shutdown();
     }
@@ -557,37 +587,56 @@ mod tests {
         let server = TcpServer::bind(Arc::clone(&service), "127.0.0.1:0").unwrap();
         let eps = service.with_collector(|c| c.open_epsilon().unwrap());
 
-        for max_protocol in [2u32, 1] {
-            let mut client =
-                TcpClient::connect_with_protocol(server.local_addr(), max_protocol).unwrap();
-            assert_eq!(client.protocol_version(), Some(max_protocol));
-            let ack = client
-                .submit_report(&grr_batch("taxi", 0, eps, vec![9, 9, 9]))
-                .unwrap();
-            assert_eq!(ack.accepted, 3);
+        // Binary: one ack, then a pipelined train whose future-epoch
+        // batch fails only its own slot.
+        let mut client = TcpClient::connect(server.local_addr()).unwrap();
+        let ack = client
+            .submit_report(&grr_batch("taxi", 0, eps, vec![9, 9, 9]))
+            .unwrap();
+        assert_eq!(ack.accepted, 3);
+        let outcomes = client
+            .submit_reports(&[
+                grr_batch("taxi", 0, eps, vec![1, 2]),
+                grr_batch("taxi", 5, eps, vec![1]), // future epoch
+                grr_batch("taxi", 0, eps, vec![3]),
+            ])
+            .unwrap();
+        assert!(outcomes[0].is_ok());
+        assert!(matches!(&outcomes[1], Err(e) if e.code == ErrorCode::InvalidQuery));
+        assert!(outcomes[2].is_ok());
 
-            // Pipelined over binary, sequential over JSON — either
-            // way, per-batch rejections fail only their own slot.
-            let outcomes = client
-                .submit_reports(&[
-                    grr_batch("taxi", 0, eps, vec![1, 2]),
-                    grr_batch("taxi", 5, eps, vec![1]), // future epoch
-                    grr_batch("taxi", 0, eps, vec![3]),
-                ])
-                .unwrap();
-            assert!(outcomes[0].is_ok());
-            assert!(matches!(&outcomes[1], Err(e) if e.code == ErrorCode::InvalidQuery));
-            assert!(outcomes[2].is_ok());
+        // The same batches as raw JSON lines: the same acks, the same
+        // typed rejection, the connection intact throughout.
+        let mut json = BufReader::new(TcpStream::connect(server.local_addr()).unwrap());
+        for (id, (epoch, reports)) in [
+            (0, vec![9, 9, 9]),
+            (0, vec![1, 2]),
+            (5, vec![1]),
+            (0, vec![3]),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let accepted = reports.len() as u64;
+            let batch = grr_batch("taxi", epoch, eps, reports);
+            let body = RequestBody::Report(dpgrid_serve::wire::WireReportBatch::from_batch(&batch));
+            match json_line(&mut json, id as u64, body) {
+                ResponseBody::Report(ack) if epoch == 0 => assert_eq!(ack.accepted, accepted),
+                ResponseBody::Error(e) if epoch == 5 => assert_eq!(e.code, ErrorCode::InvalidQuery),
+                other => panic!("batch {id}: unexpected {other:?}"),
+            }
         }
         // Both codecs fed one collector: (3 + 2 + 1) reports × 2.
         assert_eq!(service.with_collector(|c| c.open_reports()), 12);
 
-        // The transport counted exactly the acknowledged batches.
-        let mut client = TcpClient::connect(server.local_addr()).unwrap();
+        // The transport counted exactly the acknowledged reports (the
+        // rejected future epoch counts nothing), under both codecs.
         let stats = client.stats().unwrap();
-        // 6 reports per codec pass (3 + 2 + 1; the rejected future
-        // epoch counts nothing), v2 then v1.
         assert_eq!(stats.transport.unwrap().reports_accepted, 12);
+        match json_line(&mut json, 9, RequestBody::Stats) {
+            ResponseBody::Stats(s) => assert_eq!(s.transport.unwrap().reports_accepted, 12),
+            other => panic!("expected stats, got {other:?}"),
+        }
 
         // Sealing turns the epoch into an ordinary served release.
         let sealed = service.seal_open_epoch().unwrap();
@@ -599,7 +648,7 @@ mod tests {
     }
 
     #[test]
-    fn read_only_servers_reject_reports_as_feature_unsupported() {
+    fn read_only_servers_reject_reports_typed() {
         let engine = Arc::new(engine(&[("a", 1)]));
         let server = TcpServer::bind(Arc::clone(&engine), "127.0.0.1:0").unwrap();
         let mut client = TcpClient::connect(server.local_addr()).unwrap();

@@ -15,8 +15,6 @@ use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::Mutex;
 use std::time::Duration;
 
-use dpgrid_serve::wire::binary;
-
 use crate::client::{TcpClient, DEFAULT_IO_TIMEOUT};
 use crate::error::{NetError, Result};
 
@@ -30,16 +28,14 @@ pub struct TcpClientPool {
     idle: Mutex<Vec<TcpClient>>,
     max_idle: usize,
     io_timeout: Option<Duration>,
-    max_protocol: u32,
 }
 
 impl TcpClientPool {
     /// Creates a pool dialing `addr`, verifying reachability with one
     /// pinged connection (parked for reuse). When `addr` resolves to
     /// several addresses the first that connects wins. Every pooled
-    /// connection offers the binary codec on dial (negotiating down
-    /// to JSON v1 against old servers); cap it with
-    /// [`TcpClientPool::with_max_protocol`].
+    /// connection is a [`TcpClient`], so each dial completes the binary
+    /// handshake or fails typed.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Self> {
         let mut client = TcpClient::connect(addr)?;
         client.ping()?;
@@ -48,21 +44,9 @@ impl TcpClientPool {
             idle: Mutex::new(Vec::new()),
             max_idle: DEFAULT_MAX_IDLE,
             io_timeout: Some(DEFAULT_IO_TIMEOUT),
-            max_protocol: binary::PROTOCOL_VERSION,
         };
         pool.check_in(client);
         Ok(pool)
-    }
-
-    /// Caps the protocol version pooled connections offer on dial —
-    /// `with_max_protocol(1)` pins pure JSON v1 connections (no
-    /// `Hello` sent at all). Parked connections are dropped so every
-    /// future checkout negotiates under the new cap.
-    #[must_use]
-    pub fn with_max_protocol(mut self, max_protocol: u32) -> Self {
-        self.max_protocol = max_protocol.max(1);
-        self.lock().clear();
-        self
     }
 
     /// Caps the number of parked idle connections (≥ 1). Excess
@@ -107,8 +91,7 @@ impl TcpClientPool {
     pub fn with_client<T>(&self, f: impl FnOnce(&mut TcpClient) -> Result<T>) -> Result<T> {
         let mut client = match self.lock().pop() {
             Some(client) => client,
-            None => TcpClient::connect_with_protocol(self.addr, self.max_protocol)?
-                .with_io_timeout(self.io_timeout)?,
+            None => TcpClient::connect(self.addr)?.with_io_timeout(self.io_timeout)?,
         };
         match f(&mut client) {
             Ok(value) => {

@@ -5,9 +5,8 @@
 //! [`dpgrid_serve::ShardRouter`] mixes in-process engines and engines
 //! on other hosts transparently: the router scatter–gathers, each
 //! remote sub-batch travels as pipelined binary frames on one pooled
-//! connection (one `Batch` frame when the peer only speaks JSON v1),
-//! and the answers come back as the same typed results an in-process
-//! shard produces.
+//! connection, and the answers come back as the same typed results an
+//! in-process shard produces.
 //!
 //! # Error mapping
 //!
@@ -15,13 +14,13 @@
 //! engine itself raises, so callers match one enum whether the shard
 //! was local or remote — a remote `Overloaded` even keeps the
 //! server's in-flight/limit counters (they travel structured in the
-//! wire error's `overload` field; only a pre-`overload` peer degrades
-//! to zeroes). One honest loss of fidelity: unexpected codes
-//! (`Internal`, `MalformedRequest`, …) collapse into
+//! wire error's `overload` field). One honest loss of fidelity:
+//! unexpected codes (`Internal`, `MalformedRequest`, …) collapse into
 //! [`ServeError::Unavailable`]. A *transport* failure — the host is
-//! unreachable, the pool's dial failed — fails the whole sub-batch
-//! with [`ServeError::Unavailable`], which the router isolates to
-//! exactly the requests routed here.
+//! unreachable, the pool's dial failed, the peer refused the binary
+//! handshake — fails the whole sub-batch with
+//! [`ServeError::Unavailable`], which the router isolates to exactly
+//! the requests routed here.
 
 use std::net::{SocketAddr, ToSocketAddrs};
 
@@ -80,9 +79,8 @@ impl RemoteShard {
         match e.code {
             ErrorCode::UnknownKey => ServeError::UnknownRelease(key.to_string()),
             ErrorCode::InvalidQuery => ServeError::InvalidQuery(e.message),
-            // The server sends its counters structured (the
-            // `overload` field, additive within protocol v1); a
-            // pre-`overload` peer's error simply carries zeroes.
+            // The server sends its counters structured in the
+            // `overload` field; an error without them reads as zeroes.
             ErrorCode::Overloaded => {
                 let info = e.overload.unwrap_or(OverloadInfo {
                     inflight_rects: 0,
@@ -103,9 +101,8 @@ impl RemoteShard {
 impl QueryService for RemoteShard {
     /// One pipelined round trip on a pooled connection: every request
     /// travels as its own id-correlated binary frame, written in one
-    /// burst so the socket stays busy while the server answers (a
-    /// JSON-v1-only peer gets one `Batch` frame instead — same
-    /// semantics). Transport failure fails every request in the
+    /// burst so the socket stays busy while the server answers.
+    /// Transport failure fails every request in the
     /// sub-batch with [`ServeError::Unavailable`]; per-query failures
     /// come back typed, exactly as a local shard isolates them.
     fn answer_batch(&self, requests: &[QueryRequest]) -> Vec<dpgrid_serve::Result<QueryResponse>> {
@@ -147,8 +144,7 @@ impl QueryService for RemoteShard {
             .unwrap_or_else(|_| EngineStats::zeroed())
     }
 
-    /// The remote's advertised keys; empty when unreachable (or when
-    /// the remote predates the `Keys` request).
+    /// The remote's advertised keys; empty when unreachable.
     fn keys(&self) -> Vec<String> {
         self.pool
             .with_client(|client| client.keys())
@@ -158,10 +154,7 @@ impl QueryService for RemoteShard {
     /// One native `Window` frame — the server resolves the covering
     /// epochs and sums them in a single round trip, instead of the
     /// default resolution (a `Keys` round trip followed by a batch),
-    /// which pays per-epoch work across the wire. A pre-`Window` peer
-    /// rejects the kind as `MalformedRequest` — the standard "feature
-    /// unsupported" signal — and this falls back to that keys-based
-    /// resolution, which only needs request kinds every peer has.
+    /// which pays per-epoch work across the wire.
     fn window(&self, query: &WindowQuery) -> dpgrid_serve::Result<WindowAnswer> {
         let sent = self.pool.with_client(|client| {
             client.window(
@@ -173,9 +166,6 @@ impl QueryService for RemoteShard {
         });
         match sent {
             Ok(answer) => Ok(answer),
-            Err(NetError::Server(e)) if e.code == ErrorCode::MalformedRequest => {
-                dpgrid_serve::resolve_window_via_keys(self, query)
-            }
             Err(NetError::Server(e)) => {
                 // Attribute UnknownKey to the window's own epoch key
                 // (the same label the in-process resolver uses for an

@@ -15,9 +15,9 @@
 //! pushes the resident sum past the budget, least-recently-used
 //! surfaces are evicted ([`Release::evict_surface`]) until it fits.
 //! Surfaces vary by orders of magnitude across releases, which is why
-//! the budget is in bytes; the older *count* bound survives as a
-//! deprecated shim ([`Catalog::with_capacity`]). Eviction is pure cache
-//! management: leased [`SurfaceHandle`]s stay valid (the index is
+//! the budget is in bytes and there is no count bound. Eviction is
+//! pure cache management: leased [`SurfaceHandle`]s stay valid (the
+//! index is
 //! reference-counted), and a later lookup of an evicted key recompiles
 //! from the retained cells. A resident surface is never recompiled —
 //! lookups lease clones of the same `Arc`.
@@ -38,10 +38,6 @@ use dpgrid_core::{CompiledSurface, Release, ReleaseSink};
 use serde::{Deserialize, Serialize};
 
 use crate::error::{Result, ServeError};
-
-/// Default bound on resident compiled surfaces for the deprecated
-/// count-bounded constructor ([`Catalog::with_capacity`]).
-pub const DEFAULT_SURFACE_CAPACITY: usize = 64;
 
 /// Default resident-surface memory budget (256 MiB) used by
 /// [`Catalog::new`]. Production catalogs should size this explicitly
@@ -89,11 +85,12 @@ pub struct CatalogStats {
     pub releases: usize,
     /// Compiled surfaces currently resident.
     pub warm: usize,
-    /// Residency count bound (`usize::MAX` when unbounded — the
-    /// default for memory-budgeted catalogs).
+    /// Always `usize::MAX`: catalogs have no residency count bound.
+    /// The field stays because the binary `Stats` layout carries it,
+    /// and dropping it would need a protocol version bump.
     pub capacity: usize,
-    /// Resident-surface byte budget (`usize::MAX` when unbounded —
-    /// only via the deprecated count-capacity shim).
+    /// Resident-surface byte budget (`usize::MAX` when the catalog
+    /// was built with that budget, i.e. unbounded).
     pub budget_bytes: usize,
     /// Bytes of compiled surface currently resident, as accounted by
     /// [`dpgrid_core::CompiledSurface::memory_bytes`].
@@ -104,7 +101,7 @@ pub struct CatalogStats {
     pub warm_hits: u64,
     /// Surface compilations performed.
     pub compilations: u64,
-    /// Surfaces evicted by the residency bounds.
+    /// Surfaces evicted by the byte budget.
     pub evictions: u64,
 }
 
@@ -216,8 +213,6 @@ pub struct Catalog {
     /// Catalogs hold few enough releases that the O(warm) touch is
     /// noise next to one surface compilation.
     lru: Vec<String>,
-    /// Residency count bound (`usize::MAX` = unbounded).
-    capacity: usize,
     /// Resident-surface byte budget (`usize::MAX` = unbounded).
     budget_bytes: usize,
     /// Current resident-surface byte total.
@@ -243,7 +238,7 @@ impl Default for Catalog {
 
 impl Catalog {
     /// An empty catalog with the [`DEFAULT_MEMORY_BUDGET_BYTES`]
-    /// resident-surface byte budget and no count bound.
+    /// resident-surface byte budget.
     pub fn new() -> Self {
         Catalog::with_memory_budget(DEFAULT_MEMORY_BUDGET_BYTES)
     }
@@ -258,26 +253,10 @@ impl Catalog {
     /// while making the next lookup recompile), so a *single* surface
     /// larger than the whole budget stays resident alone.
     pub fn with_memory_budget(budget_bytes: usize) -> Self {
-        Catalog::bounded(usize::MAX, budget_bytes.max(1))
-    }
-
-    /// An empty catalog keeping at most `capacity` (≥ 1) compiled
-    /// surfaces resident, with no byte budget.
-    #[deprecated(
-        since = "0.1.0",
-        note = "count bounds ignore how unevenly surfaces weigh; size catalogs in bytes with \
-                `Catalog::with_memory_budget`"
-    )]
-    pub fn with_capacity(capacity: usize) -> Self {
-        Catalog::bounded(capacity.max(1), usize::MAX)
-    }
-
-    fn bounded(capacity: usize, budget_bytes: usize) -> Self {
         Catalog {
             entries: HashMap::new(),
             lru: Vec::new(),
-            capacity,
-            budget_bytes,
+            budget_bytes: budget_bytes.max(1),
             resident_bytes: 0,
             escaped_release: std::cell::Cell::new(false),
             lookups: 0,
@@ -343,7 +322,7 @@ impl Catalog {
     /// Replacing drops the stale compiled surface from the LRU. A
     /// release arriving *already compiled* (e.g. a clone of a warm
     /// release — clones share their surface) counts against the
-    /// residency bounds immediately, so inserts cannot smuggle resident
+    /// byte budget immediately, so inserts cannot smuggle resident
     /// surfaces past the budget.
     pub fn insert(&mut self, key: impl Into<String>, release: Release) -> u64 {
         let key = key.into();
@@ -484,7 +463,7 @@ impl Catalog {
     }
 
     /// Accounts `key`'s resident surface bytes (once per residency),
-    /// marks it most recently used and enforces the residency bounds.
+    /// marks it most recently used and enforces the byte budget.
     fn mark_resident(&mut self, key: &str) {
         if let Some(entry) = self.entries.get_mut(key) {
             if entry.resident_bytes == 0 && entry.release.surface_is_compiled() {
@@ -535,8 +514,8 @@ impl Catalog {
         self.lru.splice(0..0, collected);
     }
 
-    /// Evicts least-recently-used surfaces until both residency bounds
-    /// (count and bytes) hold, sparing the most-recently-used key — it
+    /// Evicts least-recently-used surfaces until the byte budget
+    /// holds, sparing the most-recently-used key — it
     /// is the surface a live lease is answering through, so evicting
     /// it would free nothing. A victim whose release is mid-compile
     /// elsewhere (its `Arc` is leased) is skipped for the same reason;
@@ -546,9 +525,7 @@ impl Catalog {
     fn enforce_bounds(&mut self) {
         self.collect_out_of_band();
         let mut victim = 0;
-        while (self.lru.len() > self.capacity || self.resident_bytes > self.budget_bytes)
-            && victim + 1 < self.lru.len()
-        {
+        while self.resident_bytes > self.budget_bytes && victim + 1 < self.lru.len() {
             let evicted = match self.entries.get_mut(&self.lru[victim]) {
                 Some(entry) => match Arc::get_mut(&mut entry.release) {
                     Some(release) => {
@@ -601,11 +578,6 @@ impl Catalog {
         self.lru.len()
     }
 
-    /// The residency count bound (`usize::MAX` when unbounded).
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// The resident-surface byte budget (`usize::MAX` when unbounded).
     pub fn memory_budget(&self) -> usize {
         self.budget_bytes
@@ -618,7 +590,7 @@ impl Catalog {
 
     /// Sweeps any out-of-band compiles (surfaces filled through
     /// [`Catalog::release`] references) into the byte budget and
-    /// enforces the residency bounds — without waiting for the next
+    /// enforces the byte budget — without waiting for the next
     /// lookup or insert to do it. Call before reading
     /// [`Catalog::stats`] when the counters must reflect escape-hatch
     /// activity; the query engine does this on every stats read.
@@ -631,7 +603,7 @@ impl Catalog {
         CatalogStats {
             releases: self.entries.len(),
             warm: self.lru.len(),
-            capacity: self.capacity,
+            capacity: usize::MAX,
             budget_bytes: self.budget_bytes,
             resident_bytes: self.resident_bytes,
             lookups: self.lookups,
@@ -713,9 +685,10 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn count_capacity_shim_evicts_past_capacity_and_leases_stay_valid() {
-        let mut catalog = Catalog::with_capacity(2);
+    fn memory_budget_evicts_lru_first_and_leases_stay_valid() {
+        // Budget sized to hold two 8×8 surfaces but not three.
+        let one = surface_bytes(1, 8);
+        let mut catalog = Catalog::with_memory_budget(one * 2 + one / 2);
         for (key, seed) in [("a", 1u64), ("b", 2), ("c", 3)] {
             catalog.insert(key, release(seed, 8));
         }

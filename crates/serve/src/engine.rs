@@ -105,9 +105,7 @@ pub struct TransportStats {
     /// Individual LDP reports accepted on the write path (the sum of
     /// every `Report` ack's `accepted` count, both codecs) — distinct
     /// from `frames_decoded`, which counts decoded request frames
-    /// regardless of kind or batch size. Additive within the protocol:
-    /// older peers omit the field and it decodes as 0.
-    #[serde(default)]
+    /// regardless of kind or batch size.
     pub reports_accepted: u64,
 }
 
@@ -198,14 +196,9 @@ pub struct EngineStats {
     /// The wrapped catalog's counters.
     pub catalog: CatalogStats,
     /// Socket-level counters, when a network server answered this
-    /// `Stats` request (additive within protocol v1/v2: older peers
-    /// simply omit the field and it decodes as `None`).
-    #[serde(default)]
+    /// `Stats` request.
     pub transport: Option<TransportStats>,
-    /// The kernel backend the answering host's data plane selected
-    /// (additive within v1/v2: older peers omit the field and it
-    /// decodes as `None`).
-    #[serde(default)]
+    /// The kernel backend the answering host's data plane selected.
     pub kernel_backend: Option<KernelBackend>,
 }
 

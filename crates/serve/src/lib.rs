@@ -55,12 +55,12 @@
 //!   [`QueryService`]. The `dpgrid-net` crate supplies TCP framing
 //!   around it.
 //! * [`report`] — the write path: the `Report` wire kind (the
-//!   protocol's first mutating request) carries batches of
+//!   protocol's only mutating request) carries batches of
 //!   locally-perturbed frequency-oracle reports to a
 //!   [`ReportService`] collector reached through
-//!   [`QueryService::reports`]; read-only services answer
-//!   `MalformedRequest` exactly like a pre-`Report` server. The
-//!   aggregating collector itself lives in the `dpgrid-ldp` crate.
+//!   [`QueryService::reports`]; a read-only service has no collector
+//!   and answers `MalformedRequest`. The aggregating collector itself
+//!   lives in the `dpgrid-ldp` crate.
 //!
 //! # Example
 //!
@@ -110,8 +110,7 @@ pub mod window;
 pub mod wire;
 
 pub use catalog::{
-    CacheState, Catalog, CatalogStats, ColdLease, Lease, SurfaceHandle,
-    DEFAULT_MEMORY_BUDGET_BYTES, DEFAULT_SURFACE_CAPACITY,
+    CacheState, Catalog, CatalogStats, ColdLease, Lease, SurfaceHandle, DEFAULT_MEMORY_BUDGET_BYTES,
 };
 pub use engine::{
     EngineStats, KernelBackend, QueryEngine, QueryRequest, QueryResponse, TransportStats,

@@ -1,7 +1,7 @@
 //! The write path: typed LDP report batches and the [`ReportService`]
 //! seam.
 //!
-//! The `Report` wire kind is the protocol's first **mutating**
+//! The `Report` wire kind is the protocol's only **mutating**
 //! request: instead of reading a release, a client uploads a batch of
 //! locally-perturbed frequency-oracle reports (GRR cell indices or
 //! packed OUE bit vectors) for one `(keyspace, epoch)` pair. The
@@ -9,9 +9,8 @@
 //! a seam deliberately separate from [`crate::QueryService`]'s read
 //! methods, reached via [`crate::QueryService::reports`]: a service
 //! without a collector simply returns `None` and the dispatch layer
-//! answers `MalformedRequest`, exactly the "feature unsupported"
-//! signal a pre-`Report` server would send, so clients cannot tell an
-//! old server from a read-only one (and fall back identically).
+//! answers `MalformedRequest`: the service has nowhere to put the
+//! batch.
 //!
 //! The serve crate defines only the shapes; the aggregation itself —
 //! flat-vector accumulators, debiasing, epoch sealing into releases —

@@ -61,10 +61,8 @@ pub trait QueryService: Send + Sync {
     /// [`ReportService`](crate::report::ReportService) that absorbs
     /// LDP report batches arriving on the same connections that answer
     /// queries. The default — `None` — makes the service read-only:
-    /// the dispatch layer answers `Report` frames with
-    /// `MalformedRequest`, indistinguishable from a pre-`Report`
-    /// server, so clients fall back identically ("feature
-    /// unsupported", per the versioning policy).
+    /// with no collector to hand a batch to, the dispatch layer
+    /// answers `Report` frames with `MalformedRequest`.
     fn reports(&self) -> Option<&dyn crate::report::ReportService> {
         None
     }

@@ -32,9 +32,8 @@
 //!
 //! [`PROTOCOL_VERSION`] bumps on any incompatible change (renamed
 //! fields, changed semantics, removed variants). Peers reject frames
-//! from other versions with `UnsupportedVersion`; additive request
-//! kinds within a version are decoded as `MalformedRequest` by older
-//! servers, which clients must treat as "feature unsupported".
+//! from other versions with `UnsupportedVersion`. Encoders write every
+//! field of a frame, and a frame missing one does not decode.
 //!
 //! # Two codecs, one protocol
 //!
@@ -42,18 +41,17 @@
 //! them:
 //!
 //! * **JSON v1** — single-line JSON frames (this module's
-//!   `encode`/`decode`), the format every peer speaks on connect.
+//!   `encode`/`decode`), the format every connection starts in and
+//!   what raw-line peers (scripts, `nc`) speak throughout.
 //! * **Binary v2** — length-prefixed binary frames ([`binary`]),
 //!   negotiated per connection: a client offers v2 with a
 //!   [`RequestBody::Hello`] JSON frame, the server answers
 //!   [`ResponseBody::Hello`] with the version both sides will speak
 //!   (see [`negotiate`]), and when that is 2 the *same connection*
-//!   switches to binary framing for every subsequent frame. `Hello` is
-//!   additive within v1: a pre-`Hello` server answers it with
-//!   `MalformedRequest`, which clients treat as "v1 only" and fall
-//!   back — old clients and old servers interoperate with new ones in
-//!   both directions. Negotiation frames themselves always travel as
-//!   JSON v1.
+//!   switches to binary framing for every subsequent frame. The
+//!   `dpgrid-net` client speaks only this codec and refuses a server
+//!   that does not ack it. Negotiation frames themselves always travel
+//!   as JSON v1.
 //!
 //! Dispatch is codec-generic: both codecs decode into the same
 //! [`RequestBody`], go through the same [`dispatch`] (one validation
@@ -558,35 +556,25 @@ pub enum RequestBody {
     /// Report [`EngineStats`].
     Stats,
     /// List the service's advertised release keys (sorted), answered
-    /// with [`ResponseBody::Keys`]. Added within protocol version 1:
-    /// per the versioning policy, a pre-`Keys` server answers it with
-    /// `MalformedRequest`, which clients treat as "feature
-    /// unsupported".
+    /// with [`ResponseBody::Keys`].
     Keys,
     /// Answer a sliding-window query over a keyspace's epoch-sliced
     /// releases (see [`crate::window`]), answered with
-    /// [`ResponseBody::Window`]. Added within protocol version 1,
-    /// same policy as `Keys`: a pre-`Window` server answers it with
-    /// `MalformedRequest`.
+    /// [`ResponseBody::Window`].
     Window(WireWindow),
     /// Liveness / protocol check; answered with
     /// [`ResponseBody::Pong`].
     Ping,
     /// Offer to upgrade this connection's codec, answered with
-    /// [`ResponseBody::Hello`]. Added within protocol version 1: a
-    /// pre-`Hello` server answers it with `MalformedRequest`, which
-    /// clients treat as "v1 only". Transports that support binary
-    /// framing intercept this frame themselves (the negotiated codec
-    /// is connection state, which [`dispatch`] does not hold); at the
+    /// [`ResponseBody::Hello`]. Transports that support binary framing
+    /// intercept this frame themselves (the negotiated codec is
+    /// connection state, which [`dispatch`] does not hold); at the
     /// dispatch layer it always acks version 1.
     Hello(HelloOffer),
     /// Upload a batch of locally-perturbed LDP reports — the
-    /// protocol's first **mutating** request — answered with
-    /// [`ResponseBody::Report`]. Added within protocol version 1,
-    /// same policy as `Keys`: a pre-`Report` server (or a server
-    /// whose service is read-only) answers it with
-    /// `MalformedRequest`, which clients treat as "feature
-    /// unsupported".
+    /// protocol's only **mutating** request — answered with
+    /// [`ResponseBody::Report`]. A read-only service has no collector
+    /// and answers it with `MalformedRequest`.
     Report(WireReportBatch),
 }
 
@@ -744,11 +732,7 @@ pub struct WireError {
     /// Human-readable detail; not part of the stability contract.
     pub message: String,
     /// Structured counters, present when `code` is
-    /// [`ErrorCode::Overloaded`]. Added within protocol version 1:
-    /// struct decoding ignores unknown fields and defaults missing
-    /// ones, so frames exchange cleanly with pre-`overload` peers
-    /// (whose errors simply carry `None`).
-    #[serde(default)]
+    /// [`ErrorCode::Overloaded`].
     pub overload: Option<OverloadInfo>,
 }
 
@@ -992,8 +976,7 @@ pub fn dispatch<S: QueryService + ?Sized>(service: &S, id: u64, body: RequestBod
         RequestBody::Stats => WireResponse::new(id, ResponseBody::Stats(service.stats())),
         RequestBody::Keys => WireResponse::new(id, ResponseBody::Keys(service.keys())),
         RequestBody::Report(batch) => match service.reports() {
-            // A read-only service answers exactly like a pre-`Report`
-            // server: same code, same client fallback.
+            // A read-only service has no collector to hand the batch.
             None => WireResponse::error(
                 id,
                 WireError::new(

@@ -42,7 +42,7 @@
 //! | `0x07` | Report           | report batch                       |
 //! | `0x81` | Answers          | answers                            |
 //! | `0x82` | Batch response   | `u32` n, n × outcome               |
-//! | `0x83` | Stats response   | stats (15 × `u64` + optional tail) |
+//! | `0x83` | Stats response   | stats (15 × `u64` + flagged tail)  |
 //! | `0x84` | Keys response    | `u32` n, n × string                |
 //! | `0x85` | Pong             | empty                              |
 //! | `0x86` | Error            | error                              |
@@ -75,16 +75,12 @@
 //!   admission_limit releases warm capacity budget_bytes
 //!   resident_bytes lookups warm_hits compilations evictions`, each a
 //!   `u64` (`usize` fields travel as `u64`; `usize::MAX` bounds stay
-//!   `u64::MAX` on the wire), then an *optional* transport tail:
-//!   `u8` flag 1 + 7 × `u64` (`accepted active frames_decoded
-//!   read_stalls write_stalls bytes_in bytes_out`), then an optional
-//!   8th `u64` (`reports_accepted`) written only when nonzero. The
-//!   tail is additive within v2: `transport: None` writes no tail at
-//!   all (byte-identical to the pre-transport encoding), a payload
-//!   that ends after the 15 counters decodes with `transport: None`,
-//!   and a tail that ends after 7 words decodes with
-//!   `reports_accepted: 0` — so a server that has absorbed no reports
-//!   stays byte-identical to the pre-`Report` encoding
+//!   `u64::MAX` on the wire), then a `u8` flag, always present (bit 0:
+//!   transport counters follow, bit 1: a kernel-backend byte follows;
+//!   other bits are rejected), then 8 × `u64` when bit 0 is set
+//!   (`accepted active frames_decoded read_stalls write_stalls
+//!   bytes_in bytes_out reports_accepted`), then one `u8` backend
+//!   (0 scalar, 1 AVX2, 2 mixed) when bit 1 is set — 121 to 186 bytes
 //!
 //! Unlike JSON — which cannot carry non-finite numbers — a binary
 //! rect travels bit-exact, NaN included; boundary validation in
@@ -702,17 +698,10 @@ fn put_stats(out: &mut Vec<u8>, stats: &EngineStats) {
     put_u64(out, stats.catalog.warm_hits);
     put_u64(out, stats.catalog.compilations);
     put_u64(out, stats.catalog.evictions);
-    // Neither optional present writes no tail at all (not even the
-    // flag), so an in-process engine's stats payload is byte-identical
-    // to the pre-transport encoding and old strict decoders keep
-    // accepting it. Otherwise the flag is a bitmask: bit 0 = transport
-    // counters follow, bit 1 = a kernel-backend byte follows them.
+    // The flag byte is always written: bit 0 = the 8 transport words
+    // follow, bit 1 = a kernel-backend byte follows them.
     let backend = stats.kernel_backend;
-    if stats.transport.is_none() && backend.is_none() {
-        return;
-    }
-    let flag = stats.transport.is_some() as u8 | (backend.is_some() as u8) << 1;
-    out.push(flag);
+    out.push(stats.transport.is_some() as u8 | (backend.is_some() as u8) << 1);
     if let Some(t) = &stats.transport {
         put_u64(out, t.accepted);
         put_u64(out, t.active);
@@ -721,16 +710,7 @@ fn put_stats(out: &mut Vec<u8>, stats: &EngineStats) {
         put_u64(out, t.write_stalls);
         put_u64(out, t.bytes_in);
         put_u64(out, t.bytes_out);
-        // Second additive extension: without a backend byte,
-        // `reports_accepted` is written only when nonzero, so a server
-        // that has absorbed no reports encodes a tail byte-identical
-        // to the pre-`Report` layout and old strict decoders keep
-        // accepting it. With a backend byte following, the word is
-        // always written — the flag's bit 1 disambiguates, and the
-        // backend byte must not be mistaken for this word.
-        if t.reports_accepted > 0 || backend.is_some() {
-            put_u64(out, t.reports_accepted);
-        }
+        put_u64(out, t.reports_accepted);
     }
     if let Some(b) = backend {
         out.push(match b {
@@ -948,44 +928,29 @@ impl<'a> Reader<'a> {
             transport: None,
             kernel_backend: None,
         };
-        // Additive tail: a pre-transport peer's payload ends here,
-        // which is exactly the all-`None` case. The flag is a bitmask
-        // (bit 0 = transport counters, bit 1 = kernel-backend byte);
-        // older peers only ever wrote 0 or 1.
-        if self.remaining() > 0 {
-            let flag = self.u8()?;
-            if flag > 3 {
-                return Err(malformed(format!("unknown stats tail flag byte {flag}")));
-            }
-            let has_backend = flag & 2 != 0;
-            if flag & 1 != 0 {
-                let mut t = TransportStats {
-                    accepted: self.u64()?,
-                    active: self.u64()?,
-                    frames_decoded: self.u64()?,
-                    read_stalls: self.u64()?,
-                    write_stalls: self.u64()?,
-                    bytes_in: self.u64()?,
-                    bytes_out: self.u64()?,
-                    reports_accepted: 0,
-                };
-                // Without a backend byte, a tail ending after 7 words
-                // is a pre-`Report` peer — exactly the
-                // `reports_accepted: 0` case. With one, the word is
-                // always present (the encoder guarantees it).
-                if has_backend || self.remaining() > 0 {
-                    t.reports_accepted = self.u64()?;
-                }
-                stats.transport = Some(t);
-            }
-            if has_backend {
-                stats.kernel_backend = Some(match self.u8()? {
-                    0 => KernelBackend::Scalar,
-                    1 => KernelBackend::Avx2,
-                    2 => KernelBackend::Mixed,
-                    byte => return Err(malformed(format!("unknown kernel backend byte {byte}"))),
-                });
-            }
+        let flag = self.u8()?;
+        if flag > 3 {
+            return Err(malformed(format!("unknown stats tail flag byte {flag}")));
+        }
+        if flag & 1 != 0 {
+            stats.transport = Some(TransportStats {
+                accepted: self.u64()?,
+                active: self.u64()?,
+                frames_decoded: self.u64()?,
+                read_stalls: self.u64()?,
+                write_stalls: self.u64()?,
+                bytes_in: self.u64()?,
+                bytes_out: self.u64()?,
+                reports_accepted: self.u64()?,
+            });
+        }
+        if flag & 2 != 0 {
+            stats.kernel_backend = Some(match self.u8()? {
+                0 => KernelBackend::Scalar,
+                1 => KernelBackend::Avx2,
+                2 => KernelBackend::Mixed,
+                byte => return Err(malformed(format!("unknown kernel backend byte {byte}"))),
+            });
         }
         Ok(stats)
     }
@@ -1077,22 +1042,21 @@ mod tests {
         assert_eq!(roundtrip_response(&response).body, response.body);
     }
 
-    #[test]
-    fn stats_transport_tail_is_additive() {
-        let mut stats = EngineStats {
-            requests: 10,
-            answers: 20,
-            shed: 1,
-            ..EngineStats::default()
+    fn decode_stats(payload: &[u8]) -> Result<EngineStats, WireError> {
+        let header = FrameHeader {
+            frame_type: frame_type::STATS_RESPONSE,
+            id: 9,
+            payload_len: payload.len(),
         };
+        match decode_response(&header, payload)?.body {
+            ResponseBody::Stats(stats) => Ok(stats),
+            other => panic!("expected stats, got {other:?}"),
+        }
+    }
 
-        // Without transport counters the payload is exactly the
-        // pre-transport 15 × u64 encoding — no tail, not even a flag.
-        let mut payload = Vec::new();
-        put_stats(&mut payload, &stats);
-        assert_eq!(payload.len(), 15 * 8);
-
-        stats.transport = Some(TransportStats {
+    #[test]
+    fn stats_payload_has_one_fixed_layout() {
+        let transport = TransportStats {
             accepted: 5,
             active: 2,
             frames_decoded: 100,
@@ -1100,58 +1064,55 @@ mod tests {
             write_stalls: 3,
             bytes_in: 4096,
             bytes_out: 1 << 20,
-            reports_accepted: 0,
-        });
-        let response = WireResponse::new(9, ResponseBody::Stats(stats));
-        assert_eq!(roundtrip_response(&response).body, response.body);
-
-        // `reports_accepted: 0` encodes byte-identical to the
-        // 7-word pre-`Report` tail; nonzero appends an 8th word and
-        // still round-trips.
-        let mut zero_tail = Vec::new();
-        put_stats(&mut zero_tail, &stats);
-        assert_eq!(zero_tail.len(), 15 * 8 + 1 + 7 * 8);
-        let mut counting = stats;
-        counting.transport.as_mut().unwrap().reports_accepted = 42;
-        let mut report_tail = Vec::new();
-        put_stats(&mut report_tail, &counting);
-        assert_eq!(report_tail.len(), zero_tail.len() + 8);
-        let response = WireResponse::new(9, ResponseBody::Stats(counting));
-        assert_eq!(roundtrip_response(&response).body, response.body);
-
-        // A pre-transport peer's payload (15 counters, nothing after)
-        // decodes with `transport: None`, not an error.
-        let mut short = Vec::new();
-        put_stats(
-            &mut short,
-            &EngineStats {
-                transport: None,
-                ..stats
-            },
-        );
-        let header = FrameHeader {
-            frame_type: frame_type::STATS_RESPONSE,
-            id: 9,
-            payload_len: short.len(),
+            reports_accepted: 42,
         };
-        match decode_response(&header, &short).unwrap().body {
-            ResponseBody::Stats(decoded) => {
-                assert_eq!(decoded.transport, None);
-                assert_eq!(decoded.requests, 10);
+        let base = EngineStats {
+            requests: 10,
+            answers: 20,
+            shed: 1,
+            ..EngineStats::default()
+        };
+        // 15 counters and the flag byte, plus 8 transport words and/or
+        // one backend byte: exactly four lengths.
+        for (transport, kernel_backend, len) in [
+            (None, None, 121),
+            (Some(transport), None, 185),
+            (None, Some(KernelBackend::Avx2), 122),
+            (Some(transport), Some(KernelBackend::Mixed), 186),
+        ] {
+            let stats = EngineStats {
+                transport,
+                kernel_backend,
+                ..base
+            };
+            let mut payload = Vec::new();
+            put_stats(&mut payload, &stats);
+            assert_eq!(payload.len(), len);
+            assert_eq!(decode_stats(&payload), Ok(stats));
+            // Any cut, and any trailing byte, fails typed.
+            for cut in 0..len {
+                let err = decode_stats(&payload[..cut]).unwrap_err();
+                assert_eq!(err.code, ErrorCode::MalformedRequest, "cut at {cut}");
             }
-            other => panic!("expected stats, got {other:?}"),
+            payload.push(0);
+            let err = decode_stats(&payload).unwrap_err();
+            assert!(err.message.contains("trailing"), "{}", err.message);
         }
 
-        // A truncated tail is still a truncation error.
-        let mut buf = Vec::new();
-        encode_response(&WireResponse::new(9, ResponseBody::Stats(stats)), &mut buf).unwrap();
-        let header = FrameHeader {
-            frame_type: frame_type::STATS_RESPONSE,
-            id: 9,
-            payload_len: buf.len() - HEADER_BYTES - 8,
-        };
-        let err = decode_response(&header, &buf[HEADER_BYTES..buf.len() - 8]).unwrap_err();
-        assert_eq!(err.code, ErrorCode::MalformedRequest);
+        // Shorter shapes are rejected typed: no flag byte at all, and a
+        // 7-word transport tail without `reports_accepted`.
+        let mut payload = Vec::new();
+        put_stats(&mut payload, &base);
+        let counters = &payload[..15 * 8];
+        assert!(decode_stats(counters).is_err());
+        let mut seven_words = counters.to_vec();
+        seven_words.push(1);
+        seven_words.extend_from_slice(&[0u8; 7 * 8]);
+        assert!(decode_stats(&seven_words).is_err());
+        // So is a flag bit this layout does not define.
+        payload[15 * 8] = 4;
+        let err = decode_stats(&payload).unwrap_err();
+        assert!(err.message.contains("flag"), "{}", err.message);
     }
 
     #[test]

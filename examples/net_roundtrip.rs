@@ -8,10 +8,10 @@
 //! Demonstrates the whole transport-ready stack: `Pipeline` publishes
 //! into a memory-budgeted `Catalog`, a `QueryEngine` (with admission
 //! control) implements `QueryService`, a `TcpServer` exposes it over
-//! newline-delimited JSON frames, and a blocking `TcpClient` pings,
-//! queries, batches, observes typed errors (unknown key, invalid
-//! rect semantics, overload) and reads engine stats over the same
-//! connection — with every remote answer checked against the
+//! TCP, and a blocking `TcpClient` — binary v2 frames after one JSON
+//! `Hello` — pings, queries, batches, observes typed errors (unknown
+//! key, invalid rect semantics, overload) and reads engine stats over
+//! the same connection — with every remote answer checked against the
 //! in-process engine.
 
 use std::sync::Arc;

@@ -81,7 +81,8 @@
 //! Transports plug into the engine through one seam, the
 //! [`serve::QueryService`] trait, and speak the versioned wire
 //! protocol of [`serve::wire`]: single-line JSON frames (v1) or
-//! length-prefixed binary frames (v2, negotiated per connection),
+//! length-prefixed binary frames (v2, reached by a JSON `Hello` on
+//! each connection; [`net::TcpClient`] speaks only v2),
 //! rectangle validation at the boundary (NaN / inverted rects never
 //! reach the engine), and stable error codes (`UnknownKey`,
 //! `InvalidQuery`, `Overloaded`, …). The first transport ships in [`net`]
@@ -149,8 +150,8 @@
 //! * sliding-window queries resolve and sum the covering epoch
 //!   surfaces through [`serve::answer_window`] against any
 //!   [`serve::QueryService`], or in one round trip over TCP via
-//!   [`net::TcpClient::window`] (wire kind `Window`, additive in both
-//!   codecs). Answers report exactly which epoch ranges were summed,
+//!   [`net::TcpClient::window`] (wire kind `Window`, in both codecs).
+//!   Answers report exactly which epoch ranges were summed,
 //!   so compaction's coarsening stays visible.
 //!
 //! See `examples/streaming_window.rs` for the loop (ingest → seal →
@@ -170,8 +171,9 @@
 //!   (unary encoding with per-bit flips, packed into `u64` words) —
 //!   behind the one [`mech::FrequencyOracle`] trait;
 //! * batches of perturbed reports travel as the `Report` wire kind
-//!   (JSON v1 and binary v2; [`net::TcpClient::submit_reports`]
-//!   pipelines them, [`net::ReportRouter`] scatters them to the shard
+//!   (the server takes it in both codecs;
+//!   [`net::TcpClient::submit_reports`] pipelines binary frames,
+//!   [`net::ReportRouter`] scatters them to the shard
 //!   that will serve the epoch, by the same rendezvous placement the
 //!   read side routes with);
 //! * a [`ldp::ReportCollector`] behind [`ldp::CollectingService`]

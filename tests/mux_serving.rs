@@ -7,18 +7,15 @@
 //! concurrent connections (answers must match the in-process engine to
 //! ≤ 1e-9 under both codecs), shutdown under live load, the
 //! wire-visible transport counters and exact frame counts, and the
-//! remote shard's single-frame window path with its keys-based
-//! fallback against a pre-`Window` peer.
+//! remote shard's single-frame window path.
 
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use dpgrid::prelude::*;
-use dpgrid::serve::wire::{
-    self, binary, ErrorCode, RequestBody, WireError, WireRequest, WireResponse,
-};
+use dpgrid::serve::wire::{self, binary, RequestBody, ResponseBody, WireRequest, WireResponse};
 
 fn engine(keys: &[(&str, u64)]) -> QueryEngine {
     let dataset = PaperDataset::Storage.generate_n(63, 2_000).unwrap();
@@ -64,6 +61,33 @@ fn read_json_frame(reader: &mut BufReader<TcpStream>) -> WireResponse {
     let mut line = String::new();
     reader.read_line(&mut line).unwrap();
     WireResponse::decode(line.trim_end()).unwrap()
+}
+
+/// Writes `requests` as raw JSON lines in one burst — the server's
+/// JSON codec as a script or `nc` speaks it, no `Hello` — then reads
+/// one response line per request, in order.
+fn json_burst(stream: &mut BufReader<TcpStream>, requests: &[WireRequest]) -> Vec<ResponseBody> {
+    let mut burst = String::new();
+    for request in requests {
+        burst.push_str(&request.encode());
+        burst.push('\n');
+    }
+    stream.get_mut().write_all(burst.as_bytes()).unwrap();
+    requests
+        .iter()
+        .map(|request| {
+            let response = read_json_frame(stream);
+            assert_eq!(response.id, request.id, "JSON responses out of order");
+            response.body
+        })
+        .collect()
+}
+
+fn wire_query(key: &str, rects: &[Rect]) -> wire::WireQuery {
+    wire::WireQuery {
+        release_key: key.into(),
+        rects: rects.iter().map(Into::into).collect(),
+    }
 }
 
 #[test]
@@ -161,38 +185,83 @@ fn pipelined_frames_interleave_across_concurrent_connections() {
         .collect();
 
     let checked = AtomicU64::new(0);
+    let check = |j: usize, answers: &[f64]| {
+        assert_eq!(answers.len(), rects.len());
+        for (a, e) in answers.iter().zip(&reference[j]) {
+            assert!(
+                (a - e).abs() <= 1e-9 * (1.0 + e.abs()),
+                "{}: remote {a} vs in-process {e}",
+                keys[j].0
+            );
+        }
+        checked.fetch_add(answers.len() as u64, Ordering::Relaxed);
+    };
     std::thread::scope(|scope| {
-        // 8 concurrent connections; even threads speak negotiated v2
-        // and pipeline every key as its own frame, odd threads pin
-        // JSON v1. Frames from all of them interleave on the server's
-        // small worker pool.
+        // 8 concurrent connections; even threads speak binary v2 and
+        // pipeline every key as its own frame, odd threads write raw
+        // JSON lines — one Query line per key in a single burst, or
+        // one Batch line, on alternate iterations. Frames from all of
+        // them interleave on the server's small worker pool.
         for t in 0..8usize {
             let keys = &keys;
             let rects = &rects;
-            let reference = &reference;
-            let checked = &checked;
+            let check = &check;
             scope.spawn(move || {
-                let max_protocol = if t % 2 == 0 { 2 } else { 1 };
-                let mut client = TcpClient::connect_with_protocol(addr, max_protocol).unwrap();
-                for i in 0..15 {
-                    let order: Vec<usize> =
-                        (0..keys.len()).map(|j| (j + t + i) % keys.len()).collect();
-                    let batch: Vec<QueryRequest> = order
-                        .iter()
-                        .map(|&j| QueryRequest::new(keys[j].0.clone(), rects.clone()))
-                        .collect();
-                    let outcomes = client.query_pipelined(&batch).unwrap();
-                    for (&j, outcome) in order.iter().zip(outcomes) {
-                        let response = outcome.unwrap();
-                        assert_eq!(response.release_key, keys[j].0, "responses out of order");
-                        for (a, e) in response.answers.iter().zip(&reference[j]) {
-                            assert!(
-                                (a - e).abs() <= 1e-9 * (1.0 + e.abs()),
-                                "{}: remote {a} vs in-process {e}",
-                                keys[j].0
-                            );
+                let order = |i: usize| -> Vec<usize> {
+                    (0..keys.len()).map(|j| (j + t + i) % keys.len()).collect()
+                };
+                if t % 2 == 0 {
+                    let mut client = TcpClient::connect(addr).unwrap();
+                    for i in 0..15 {
+                        let order = order(i);
+                        let batch: Vec<QueryRequest> = order
+                            .iter()
+                            .map(|&j| QueryRequest::new(keys[j].0.clone(), rects.clone()))
+                            .collect();
+                        let outcomes = client.query_pipelined(&batch).unwrap();
+                        for (&j, outcome) in order.iter().zip(outcomes) {
+                            let response = outcome.unwrap();
+                            assert_eq!(response.release_key, keys[j].0, "responses out of order");
+                            check(j, &response.answers);
                         }
-                        checked.fetch_add(response.answers.len() as u64, Ordering::Relaxed);
+                    }
+                    return;
+                }
+                let mut json = BufReader::new(TcpStream::connect(addr).unwrap());
+                for i in 0..15 {
+                    let order = order(i);
+                    let queries: Vec<wire::WireQuery> = order
+                        .iter()
+                        .map(|&j| wire_query(&keys[j].0, rects))
+                        .collect();
+                    let answers: Vec<wire::WireAnswers> = if i % 2 == 0 {
+                        let lines: Vec<WireRequest> = (0..)
+                            .zip(queries)
+                            .map(|(id, q)| WireRequest::new(id, RequestBody::Query(q)))
+                            .collect();
+                        json_burst(&mut json, &lines)
+                            .into_iter()
+                            .map(|body| match body {
+                                ResponseBody::Answers(a) => a,
+                                other => panic!("expected answers, got {other:?}"),
+                            })
+                            .collect()
+                    } else {
+                        let batch = WireRequest::new(0, RequestBody::Batch(queries));
+                        match json_burst(&mut json, &[batch]).remove(0) {
+                            ResponseBody::Batch(outcomes) => outcomes
+                                .into_iter()
+                                .map(|outcome| match outcome {
+                                    wire::WireOutcome::Answered(a) => a,
+                                    other => panic!("expected answers, got {other:?}"),
+                                })
+                                .collect(),
+                            other => panic!("expected a batch, got {other:?}"),
+                        }
+                    };
+                    for (&j, a) in order.iter().zip(&answers) {
+                        assert_eq!(a.release_key, keys[j].0, "responses out of order");
+                        check(j, &a.answers);
                     }
                 }
             });
@@ -202,9 +271,10 @@ fn pipelined_frames_interleave_across_concurrent_connections() {
         checked.load(Ordering::Relaxed),
         (8 * 15 * keys.len() * rects.len()) as u64
     );
-    // The 4 v2 clients answer one frame per key per iteration; the 4
-    // v1 clients degrade each pipeline to a single Batch frame.
-    assert!(server.frames_served() >= (4 * 15 * keys.len() + 4 * 15) as u64);
+    // The 4 binary clients answer one frame per key per iteration; the
+    // 4 JSON peers one line per key on 8 iterations and one Batch line
+    // on the other 7.
+    assert!(server.frames_served() >= (4 * 15 * keys.len() + 4 * (8 * keys.len() + 7)) as u64);
     server.shutdown();
 }
 
@@ -253,9 +323,9 @@ fn transport_counters_travel_in_wire_stats() {
     client.query("a", &rects).unwrap();
     client.ping().unwrap();
 
-    // Both codecs carry the tail: the negotiated-v2 client above and a
-    // pinned-v1 client below see the same counters (the v1 read is
-    // strictly later, so its values can only have grown).
+    // Both codecs carry the counters: the binary client above and a
+    // raw JSON line below see the same ones (the JSON read is strictly
+    // later, so its values can only have grown).
     let stats = client.stats().unwrap();
     let transport = stats.transport.expect("server reports transport counters");
     assert!(transport.accepted >= 1);
@@ -263,8 +333,12 @@ fn transport_counters_travel_in_wire_stats() {
     assert!(transport.frames_decoded >= 3, "query + ping + stats");
     assert!(transport.bytes_in > 0 && transport.bytes_out > 0);
 
-    let mut v1 = TcpClient::connect_with_protocol(server.local_addr(), 1).unwrap();
-    let v1_transport = v1.stats().unwrap().transport.unwrap();
+    let mut json = BufReader::new(TcpStream::connect(server.local_addr()).unwrap());
+    let v1_transport =
+        match json_burst(&mut json, &[WireRequest::new(1, RequestBody::Stats)]).remove(0) {
+            ResponseBody::Stats(stats) => stats.transport.expect("JSON stats carry transport"),
+            other => panic!("expected stats, got {other:?}"),
+        };
     assert!(v1_transport.accepted >= 2);
     assert!(v1_transport.frames_decoded > transport.frames_decoded);
 
@@ -290,9 +364,12 @@ fn both_codecs_match_the_engine_and_count_frames() {
         .unwrap()
         .answers;
 
-    let mut v1 = TcpClient::connect_with_protocol(server.local_addr(), 1).unwrap();
-    assert_eq!(v1.protocol_version(), Some(1));
-    assert_eq!(v1.query("a", &q).unwrap().answers, reference);
+    let mut json = BufReader::new(TcpStream::connect(server.local_addr()).unwrap());
+    let query = WireRequest::new(1, RequestBody::Query(wire_query("a", &q)));
+    match json_burst(&mut json, &[query]).remove(0) {
+        ResponseBody::Answers(a) => assert_eq!(a.answers, reference),
+        other => panic!("expected answers, got {other:?}"),
+    }
 
     let mut v2 = TcpClient::connect(server.local_addr()).unwrap();
     assert_eq!(v2.protocol_version(), Some(2));
@@ -300,55 +377,12 @@ fn both_codecs_match_the_engine_and_count_frames() {
 
     let transport = v2.stats().unwrap().transport.unwrap();
     assert!(transport.frames_decoded >= 1);
-    assert_eq!(server.frames_served(), 4); // query + hello + query + stats
+    assert_eq!(server.frames_served(), 4); // JSON query + hello + query + stats
     server.shutdown();
 }
 
-/// A fake pre-`Window` (and pre-`Hello`) JSON-only server: one
-/// accepted connection, answering `Hello` and `Window` with the
-/// `MalformedRequest` an old binary would produce, everything else
-/// through the real dispatch.
-fn spawn_pre_window_server(
-    engine: Arc<QueryEngine>,
-) -> (std::net::SocketAddr, std::thread::JoinHandle<()>) {
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let handle = std::thread::spawn(move || {
-        let (stream, _) = listener.accept().unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let mut writer = stream;
-        let mut line = String::new();
-        loop {
-            line.clear();
-            match reader.read_line(&mut line) {
-                Ok(0) | Err(_) => break,
-                Ok(_) => {}
-            }
-            let trimmed = line.trim_end();
-            let response = match WireRequest::decode(trimmed) {
-                Ok(request) => match request.body {
-                    RequestBody::Hello(_) => WireResponse::error(
-                        request.id,
-                        WireError::new(ErrorCode::MalformedRequest, "unknown variant `Hello`"),
-                    ),
-                    RequestBody::Window(_) => WireResponse::error(
-                        request.id,
-                        WireError::new(ErrorCode::MalformedRequest, "unknown variant `Window`"),
-                    ),
-                    body => wire::dispatch(engine.as_ref(), request.id, body),
-                },
-                Err(e) => WireResponse::error(e.id, e.error),
-            };
-            writer.write_all(response.encode().as_bytes()).unwrap();
-            writer.write_all(b"\n").unwrap();
-            writer.flush().unwrap();
-        }
-    });
-    (addr, handle)
-}
-
 #[test]
-fn remote_window_is_native_with_keys_fallback_for_old_peers() {
+fn remote_window_is_native_and_maps_uncovered_ranges_typed() {
     let keys: Vec<String> = (0..4)
         .map(|e| epoch_key("taxi", EpochRange::single(e)))
         .collect();
@@ -366,9 +400,9 @@ fn remote_window_is_native_with_keys_fallback_for_old_peers() {
     };
     let expected = answer_window(&*engine, &query).unwrap();
 
-    // Modern peer: the shard's `window` override sends one native
-    // `Window` frame, and the server-side resolution matches the
-    // in-process one exactly.
+    // The shard's `window` override sends one native `Window` frame,
+    // and the server-side resolution matches the in-process one
+    // exactly.
     let server = TcpServer::bind(Arc::clone(&engine), "127.0.0.1:0").unwrap();
     let baseline = server.frames_served();
     let shard = RemoteShard::connect(server.local_addr()).unwrap();
@@ -385,26 +419,28 @@ fn remote_window_is_native_with_keys_fallback_for_old_peers() {
         "window fanned out: {} frames",
         server.frames_served() - baseline
     );
-    server.shutdown();
 
-    // Pre-`Window` peer: the override's offer is rejected as
-    // `MalformedRequest` and the shard falls back to keys-based
-    // resolution — same answer, just more round trips.
-    let (addr, _old_server) = spawn_pre_window_server(Arc::clone(&engine));
-    let shard = RemoteShard::connect(addr).unwrap();
-    let fallback = shard.window(&query).unwrap();
-    assert_eq!(fallback.covered, expected.covered);
-    for (a, e) in fallback.answers.iter().zip(&expected.answers) {
-        assert!((a - e).abs() <= 1e-9 * (1.0 + e.abs()));
-    }
-    // An uncovered range still degrades typed through the fallback.
+    // An uncovered range comes back as the typed error a local shard
+    // raises, named by the window's own epoch key.
+    let range = EpochRange::new(90, 95).unwrap();
     let missing = WindowQuery {
         keyspace: "taxi".into(),
-        range: dpgrid::core::EpochRange::new(90, 95).unwrap(),
+        range,
         rects: q,
     };
     assert!(matches!(
-        shard.window(&missing),
+        answer_window(&*engine, &missing),
         Err(ServeError::UnknownRelease(_))
+    ));
+    match shard.window(&missing) {
+        Err(ServeError::UnknownRelease(key)) => assert_eq!(key, epoch_key("taxi", range)),
+        other => panic!("expected UnknownRelease, got {other:?}"),
+    }
+
+    // With the server gone, the transport failure is Unavailable.
+    server.shutdown();
+    assert!(matches!(
+        shard.window(&query),
+        Err(ServeError::Unavailable { .. })
     ));
 }

@@ -6,15 +6,17 @@
 //! `CompiledSurface::answer` reference to ≤ 1e-9 while the engine's
 //! memory-budgeted catalog churns below its byte budget. A second
 //! server demonstrates that an over-budget burst is shed with typed
-//! `Overloaded` frames instead of hanging, and a raw socket checks the
-//! protocol-version guard.
+//! `Overloaded` frames instead of hanging, raw sockets check the
+//! protocol-version guard, and a JSON-only peer is refused typed by
+//! every client-side entry point.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
-use dpgrid::net::{NetError, TcpClient, TcpServer};
+use dpgrid::net::{NetError, RemoteShard, TcpClient, TcpClientPool, TcpServer, DEFAULT_IO_TIMEOUT};
 use dpgrid::prelude::*;
 use dpgrid::serve::wire::{
     self, binary, ErrorCode, HelloAck, HelloOffer, RequestBody, ResponseBody, WireError,
@@ -461,10 +463,10 @@ fn raw_socket_binary_garbage_probes_get_typed_rejects_and_clean_close() {
     server.shutdown();
 }
 
-/// A minimal JSON-v1-only server on one accepted connection. Like any
-/// server that predates the handshake, its decoder has no `Hello`
-/// variant — the offer comes back as a `MalformedRequest` error, which
-/// is exactly the signal a v2 client falls back on.
+/// A minimal JSON-v1-only server on one accepted connection. Its
+/// decoder has no `Hello` variant, so the binary offer comes back as a
+/// `MalformedRequest` error — which the binary-only client must refuse
+/// typed, never downgrade past.
 fn spawn_v1_only_server(
     listener: TcpListener,
     engine: Arc<QueryEngine>,
@@ -496,81 +498,139 @@ fn spawn_v1_only_server(
     })
 }
 
-#[test]
-fn version_negotiation_works_both_directions() {
-    let dataset = PaperDataset::Storage.generate_n(46, 1_500).unwrap();
+/// Publishes one 8×8 UG release of 1,500 `Storage` points under key
+/// `storage`, and returns its engine with a query workload.
+fn storage_engine(data_seed: u64, publish_seed: u64) -> (Arc<QueryEngine>, Vec<Rect>) {
+    let dataset = PaperDataset::Storage.generate_n(data_seed, 1_500).unwrap();
     let rects = workload(dataset.domain().rect());
     let mut catalog = Catalog::new();
     Pipeline::new(&dataset)
         .epsilon(1.0)
         .method(Method::ug(8))
-        .seed(2)
+        .seed(publish_seed)
         .publish_into(&mut catalog, "storage")
         .unwrap();
-    let engine = Arc::new(QueryEngine::new(catalog));
+    (Arc::new(QueryEngine::new(catalog)), rects)
+}
 
-    // A v2-capable server answers a pinned v1-only client (no Hello
-    // sent at all) and a default v2 client identically.
+/// Asserts a dial against `spawn_v1_only_server` failed as a typed
+/// protocol error carrying that peer's message.
+fn expect_refusal(e: NetError) {
+    match e {
+        NetError::Protocol(why) => assert!(why.contains("unknown variant `Hello`"), "{why}"),
+        other => panic!("expected a typed refusal, got {other:?}"),
+    }
+}
+
+#[test]
+fn version_negotiation_works_both_directions() {
+    let (engine, rects) = storage_engine(46, 2);
+
+    // A real server negotiates binary v2 with the client, and still
+    // answers a raw JSON v1 line (no `Hello` sent at all, as a script
+    // or `nc` speaks it) identically.
     let server = TcpServer::bind(Arc::clone(&engine), "127.0.0.1:0").unwrap();
-    let mut v2 = TcpClient::connect(server.local_addr()).unwrap();
-    assert_eq!(v2.protocol_version(), Some(2));
-    let reference = v2.query("storage", &rects).unwrap();
-    let mut v1 = TcpClient::connect_with_protocol(server.local_addr(), 1).unwrap();
-    assert_eq!(v1.protocol_version(), Some(1));
-    let answers = v1.query("storage", &rects).unwrap();
-    assert_eq!(answers.answers, reference.answers);
-    server.shutdown();
-
-    // A v2-offering client against a v1-only server: the Hello comes
-    // back MalformedRequest, the client silently falls back to JSON v1,
-    // and both single queries and the pipelined path (one Batch frame
-    // under v1) still answer correctly.
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let v1_server = spawn_v1_only_server(listener, Arc::clone(&engine));
-    let mut client = TcpClient::connect(addr).unwrap();
-    assert_eq!(client.protocol_version(), Some(1));
-    let fallback = client.query("storage", &rects).unwrap();
-    assert_eq!(fallback.answers, reference.answers);
-    let batch = vec![QueryRequest::new("storage", rects.clone()); 3];
-    for outcome in client.query_pipelined(&batch).unwrap() {
-        assert_eq!(outcome.unwrap().answers, reference.answers);
+    let mut client = TcpClient::connect(server.local_addr()).unwrap();
+    assert_eq!(client.protocol_version(), Some(2));
+    let reference = client.query("storage", &rects).unwrap();
+    {
+        let stream = TcpStream::connect(server.local_addr()).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut writer = stream;
+        let request = WireRequest::new(
+            5,
+            RequestBody::Query(wire::WireQuery {
+                release_key: "storage".into(),
+                rects: rects.iter().map(Into::into).collect(),
+            }),
+        );
+        writer.write_all(request.encode().as_bytes()).unwrap();
+        writer.write_all(b"\n").unwrap();
+        writer.flush().unwrap();
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        let reply = WireResponse::decode(line.trim_end()).unwrap();
+        assert_eq!(reply.id, 5);
+        match reply.body {
+            ResponseBody::Answers(a) => assert_eq!(a.answers, reference.answers),
+            other => panic!("expected answers, got {other:?}"),
+        }
     }
     drop(client);
-    v1_server.join().unwrap();
+    server.shutdown();
+
+    // The other direction: every client-side entry point dials a
+    // JSON-only peer, offers binary v2, and gets the peer's
+    // `MalformedRequest` back — a typed protocol error carrying the
+    // server's message, well within the I/O timeout, never a silent
+    // downgrade.
+    let started = Instant::now();
+    for entry in ["TcpClient", "TcpClientPool", "RemoteShard"] {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = spawn_v1_only_server(listener, Arc::clone(&engine));
+        let dialed = match entry {
+            "TcpClient" => TcpClient::connect(addr).map(drop),
+            "TcpClientPool" => TcpClientPool::connect(addr).map(drop),
+            _ => RemoteShard::connect(addr).map(drop),
+        };
+        expect_refusal(dialed.expect_err(entry));
+        peer.join().unwrap();
+    }
+    assert!(started.elapsed() < DEFAULT_IO_TIMEOUT);
 }
 
 #[test]
 fn reconnect_renegotiates_instead_of_reusing_stale_protocol_state() {
-    let dataset = PaperDataset::Storage.generate_n(47, 1_500).unwrap();
-    let rects = workload(dataset.domain().rect());
-    let mut catalog = Catalog::new();
-    Pipeline::new(&dataset)
-        .epsilon(1.0)
-        .method(Method::ug(8))
-        .seed(3)
-        .publish_into(&mut catalog, "storage")
-        .unwrap();
-    let engine = Arc::new(QueryEngine::new(catalog));
+    let (engine, rects) = storage_engine(47, 3);
 
     // Negotiate binary v2 against a real server...
     let server = TcpServer::bind(Arc::clone(&engine), "127.0.0.1:0").unwrap();
     let addr = server.local_addr();
     let mut client = TcpClient::connect(addr).unwrap();
     assert_eq!(client.protocol_version(), Some(2));
-    let reference = client.query("storage", &rects).unwrap();
+    client.query("storage", &rects).unwrap();
     server.shutdown();
 
-    // ...then restart the same port as a v1-only server. The stranded
-    // client's one-shot reconnect must re-handshake from scratch — a
-    // client that replayed its remembered v2 state would write binary
-    // frames at a peer that only reads JSON lines and hang or poison
-    // the connection. Instead the redial renegotiates down to v1 and
-    // the resent query succeeds.
-    let v1_server = spawn_v1_only_server(TcpListener::bind(addr).unwrap(), Arc::clone(&engine));
-    let healed = client.query("storage", &rects).unwrap();
-    assert_eq!(client.protocol_version(), Some(1));
-    assert_eq!(healed.answers, reference.answers);
+    // ...then restart the same port as a JSON-only peer. The stranded
+    // client's one-shot redial must repeat the handshake from scratch —
+    // a client that replayed its remembered v2 state would write binary
+    // frames at a peer that only reads lines and hang or poison the
+    // connection. Instead the redial's `Hello` is refused and the call
+    // fails typed, leaving no negotiated version behind.
+    let peer = spawn_v1_only_server(TcpListener::bind(addr).unwrap(), Arc::clone(&engine));
+    let started = Instant::now();
+    expect_refusal(client.query("storage", &rects).unwrap_err());
+    assert!(started.elapsed() < DEFAULT_IO_TIMEOUT);
+    assert_eq!(client.protocol_version(), None);
     drop(client);
-    v1_server.join().unwrap();
+    peer.join().unwrap();
+}
+
+#[test]
+fn over_cap_request_fails_typed_before_a_byte_is_sent() {
+    let engine = Arc::new(QueryEngine::new(Catalog::new()));
+    let server = TcpServer::bind(engine, "127.0.0.1:0").unwrap();
+    let mut client = TcpClient::connect(server.local_addr()).unwrap();
+
+    // 2¹⁹ + 1 rects at 32 bytes each are past the binary payload cap:
+    // the client's encoder refuses them, naming the cap, and the
+    // server never sees a frame.
+    let q = Rect::new(-100.0, 30.0, -90.0, 40.0).unwrap();
+    let rects = vec![q; 524_289];
+    assert!(rects.len() * 32 > binary::MAX_PAYLOAD_BYTES);
+    let served = server.frames_served();
+    match client.query("storage", &rects) {
+        Err(NetError::Protocol(why)) => {
+            assert!(
+                why.contains(&binary::MAX_PAYLOAD_BYTES.to_string()),
+                "{why}"
+            );
+        }
+        other => panic!("expected a typed over-cap refusal, got {other:?}"),
+    }
+    assert_eq!(server.frames_served(), served);
+    // The same client keeps working.
+    client.ping().unwrap();
+    server.shutdown();
 }

@@ -7,13 +7,15 @@
 //! through an ordinary `Keys` request.
 
 use std::collections::BTreeMap;
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::sync::Arc;
 
 use dpgrid::core::{epoch_key, merge_releases, EpochLayout, EpochRange};
 use dpgrid::mech::BudgetSchedule;
 use dpgrid::net::{NetError, TcpClient, TcpServer};
 use dpgrid::prelude::*;
-use dpgrid::serve::wire::ErrorCode;
+use dpgrid::serve::wire::{ErrorCode, RequestBody, ResponseBody, WireRequest, WireResponse};
 use dpgrid::stream::{Compactor, StreamIngestor};
 
 /// A [`ReleaseSink`] view of a shared, live [`QueryEngine`]: what a
@@ -124,13 +126,28 @@ fn stream_to_tcp_window_queries_match_per_epoch_sums() {
         }
     }
 
-    // A JSON-pinned client gets bit-identical answers: codec choice
-    // never changes what the engine computes.
-    let mut v1 = TcpClient::connect_with_protocol(server.local_addr(), 1).unwrap();
-    assert_eq!(v1.protocol_version(), Some(1));
+    // The same window as a raw JSON line gets bit-identical answers:
+    // codec choice never changes what the engine computes.
     let a2 = client.window("taxi", 1, 4, &rects).unwrap();
-    let a1 = v1.window("taxi", 1, 4, &rects).unwrap();
-    assert_eq!(a1, a2);
+    let window = WireRequest::new(
+        1,
+        RequestBody::Window(dpgrid::serve::wire::WireWindow {
+            keyspace: "taxi".into(),
+            epoch_start: 1,
+            epoch_end: 4,
+            rects: rects.iter().map(Into::into).collect(),
+        }),
+    );
+    let mut json = BufReader::new(TcpStream::connect(server.local_addr()).unwrap());
+    json.get_mut()
+        .write_all(format!("{}\n", window.encode()).as_bytes())
+        .unwrap();
+    let mut line = String::new();
+    json.read_line(&mut line).unwrap();
+    match WireResponse::decode(line.trim_end()).unwrap().body {
+        ResponseBody::Window(a1) => assert_eq!(a1.into_answer().unwrap(), a2),
+        other => panic!("expected a window answer, got {other:?}"),
+    }
 
     // Window-edge semantics through the wire, all typed:
     // entirely after the retained epochs → UnknownKey naming the range;

@@ -1,8 +1,9 @@
 //! Wire-protocol regression: proptest round-trips of every frame
 //! variant through *both* codecs (one-line JSON v1 and the binary v2
 //! frame format), single-line framing under adversarial strings,
-//! cross-codec dispatch equivalence, and the boundary validation that
-//! keeps malformed rectangles out of the engine.
+//! byte-mutated binary payloads, cross-codec dispatch equivalence, and
+//! the boundary validation that keeps malformed rectangles out of the
+//! engine.
 
 use dpgrid::prelude::*;
 use dpgrid::serve::wire::{
@@ -95,8 +96,8 @@ fn arb_error(rng: &mut StdRng) -> WireError {
     };
     let mut error = WireError::new(code, arb_key(rng));
     if code == ErrorCode::Overloaded {
-        // Overload errors carry structured counters (additive field);
-        // they must survive the round trip bit-exactly too.
+        // Overload errors carry structured counters; they must survive
+        // the round trip bit-exactly too.
         error.overload = Some(dpgrid::serve::wire::OverloadInfo {
             inflight_rects: rng.random::<u64>() >> 12,
             limit: rng.random::<u64>() >> 12,
@@ -146,8 +147,8 @@ fn arb_stats(rng: &mut StdRng) -> EngineStats {
             compilations: rng.random::<u64>() >> 12,
             evictions: rng.random::<u64>() >> 12,
         },
-        // The transport tail is optional-additive: both absence and
-        // presence must round-trip bit-exactly through both codecs.
+        // Transport counters are optional: both absence and presence
+        // must round-trip bit-exactly through both codecs.
         transport: if rng.random::<bool>() {
             Some(dpgrid::serve::TransportStats {
                 accepted: rng.random::<u64>() >> 12,
@@ -162,8 +163,8 @@ fn arb_stats(rng: &mut StdRng) -> EngineStats {
         } else {
             None
         },
-        // The kernel-backend byte is also optional-additive, and every
-        // combination with the transport tail must round-trip.
+        // The kernel backend is optional too, and every combination
+        // with the transport counters must round-trip.
         kernel_backend: match rng.random_range(0..4u8) {
             0 => None,
             1 => Some(dpgrid::serve::KernelBackend::Scalar),
@@ -262,6 +263,41 @@ fn binary_roundtrip_response(response: &WireResponse) -> WireResponse {
     let header = binary::decode_header(&head).unwrap();
     assert_eq!(header.payload_len, buf.len() - binary::HEADER_BYTES);
     binary::decode_response(&header, &buf[binary::HEADER_BYTES..]).unwrap()
+}
+
+/// Truncates `frame`'s payload at sampled points and flips single
+/// bits of it, feeding each mutant to `decode` under the frame's own
+/// header. Every binary payload grammar consumes all of its bytes, so
+/// a cut must fail typed; a flip may decode or fail typed. Neither may
+/// panic.
+fn mutate_and_decode<T>(
+    rng: &mut StdRng,
+    frame: &[u8],
+    decode: fn(&binary::FrameHeader, &[u8]) -> Result<T, WireError>,
+) {
+    let head: [u8; binary::HEADER_BYTES] = frame[..binary::HEADER_BYTES].try_into().unwrap();
+    let header = binary::decode_header(&head).unwrap();
+    let payload = &frame[binary::HEADER_BYTES..];
+    if payload.is_empty() {
+        return;
+    }
+    for _ in 0..8 {
+        let cut = rng.random_range(0..payload.len());
+        let short = binary::FrameHeader {
+            payload_len: cut,
+            ..header
+        };
+        match decode(&short, &payload[..cut]) {
+            Err(e) => assert_eq!(e.code, ErrorCode::MalformedRequest, "{e}"),
+            Ok(_) => panic!("payload cut at {cut} of {} bytes decoded", payload.len()),
+        }
+        let mut flipped = payload.to_vec();
+        let at = rng.random_range(0..flipped.len());
+        flipped[at] ^= 1 << rng.random_range(0..8u32);
+        if let Err(e) = decode(&header, &flipped) {
+            assert_eq!(e.code, ErrorCode::MalformedRequest, "{e}");
+        }
+    }
 }
 
 proptest! {
@@ -391,6 +427,19 @@ proptest! {
         prop_assert_eq!(back.id, response.id);
         prop_assert_eq!(back.body, response.body);
         prop_assert_eq!(back.protocol_version, binary::PROTOCOL_VERSION);
+    }
+
+    /// Byte-mutated binary payloads — truncated or with one bit
+    /// flipped — decode to `Ok` or a typed `MalformedRequest`, never a
+    /// panic. Stats responses included: a cut inside their tail fails.
+    #[test]
+    fn mutated_binary_payloads_decode_or_fail_typed(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut frame = Vec::new();
+        binary::encode_request(&arb_request(&mut rng), &mut frame).unwrap();
+        mutate_and_decode(&mut rng, &frame, binary::decode_request);
+        binary::encode_response(&arb_response(&mut rng), &mut frame).unwrap();
+        mutate_and_decode(&mut rng, &frame, binary::decode_response);
     }
 
     /// The two codecs agree: a frame encoded through JSON v1 and the
@@ -692,9 +741,9 @@ fn malformed_report_batches_are_rejected_typed_before_any_collector() {
 }
 
 /// The write-path acceptance contract at the dispatch seam: a
-/// read-only service answers `Report` with `MalformedRequest`
-/// (indistinguishable from a pre-`Report` server), a collecting
-/// service acks it — and both answers are codec-independent.
+/// read-only service, which has no collector, answers `Report` with
+/// `MalformedRequest`; a collecting service acks it — and both answers
+/// are codec-independent.
 #[test]
 fn report_dispatch_agrees_across_codecs_and_server_generations() {
     use dpgrid::ldp::{CollectingService, CollectorConfig, ReportCollector};
@@ -710,7 +759,7 @@ fn report_dispatch_agrees_across_codecs_and_server_generations() {
     };
     let request = WireRequest::new(3, RequestBody::Report(batch.clone()));
 
-    // Read-only service (no write path): typed "feature unsupported".
+    // Read-only service (no write path): a typed rejection.
     let engine = QueryEngine::new(Catalog::new());
     let v1 = wire::handle_frame(&engine, &request.encode());
     let decoded = binary_roundtrip_request(&request);
