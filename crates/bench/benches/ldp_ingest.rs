@@ -12,24 +12,21 @@
 //! * **pipelining**: binary v2 batches one round trip at a time, or
 //!   all of a pass's batches written in one burst (`submit_reports`).
 //!
-//! GRR rows carry 4-byte reports and measure framing + fold overhead;
-//! the `oue` rows ship `⌈cells/64⌉` packed words per report, so their
-//! trajectory tracks payload bandwidth. Medians are recorded to
-//! `BENCH_ldp_ingest.json` at the workspace root (same shape as the
-//! other `BENCH_*.json` trajectory files).
+//! A pass is 16 batches of 256 reports, and every row is in reports
+//! per second. GRR rows carry 4-byte reports and measure framing + fold
+//! overhead; the `oue` rows ship `⌈cells/64⌉` packed words per report,
+//! so their trajectory tracks payload bandwidth.
 //!
-//! A second section measures the fold **in-process** — no socket in
+//! The `fold_*` rows measure the fold **in-process** — no socket in
 //! the way — comparing the seed's naive folds (per-bit walk for OUE,
 //! find-validate + scatter for GRR) against the `dpgrid-kernels`
 //! scalar reference and the runtime-dispatched backend, at 64 / 256 /
-//! 1024 / 4096 cells. These `micro_rows` isolate the kernel-layer
-//! speedup the end-to-end rows ride on.
+//! 1024 / 4096 cells, one pass worth (4,096 reports) per fold. They
+//! isolate the kernel-layer speedup the end-to-end rows ride on.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use std::sync::Arc;
-use std::time::Instant;
 
-use dpgrid_bench::bench_rng;
+use dpgrid_bench::{bench_rng, Bench, Unit};
 use dpgrid_geo::Domain;
 use dpgrid_ldp::{CollectingService, CollectorConfig, ReportCollector};
 use dpgrid_mech::{oue_words, BudgetSchedule};
@@ -142,10 +139,8 @@ fn pass_batches(cells: u32, oracle: &str) -> Vec<ReportBatch> {
         .collect()
 }
 
-/// One pass: submit every batch and check its ack. Returns elapsed
-/// nanoseconds.
-fn pass_ns(client: &mut TcpClient, batches: &[ReportBatch], pipelined: bool) -> f64 {
-    let t = Instant::now();
+/// One pass: submit every batch and check its ack.
+fn pass(client: &mut TcpClient, batches: &[ReportBatch], pipelined: bool) {
     if pipelined {
         for ack in client.submit_reports(batches).expect("pipelined submit") {
             assert_eq!(
@@ -159,32 +154,6 @@ fn pass_ns(client: &mut TcpClient, batches: &[ReportBatch], pipelined: bool) -> 
             assert_eq!(ack.accepted, REPORTS_PER_BATCH as u64);
         }
     }
-    t.elapsed().as_nanos() as f64
-}
-
-/// Median nanoseconds per pass within a small time budget.
-fn measure_ns(client: &mut TcpClient, batches: &[ReportBatch], pipelined: bool) -> f64 {
-    let mut samples = Vec::new();
-    let budget = std::time::Duration::from_millis(800);
-    let start = Instant::now();
-    while start.elapsed() < budget || samples.len() < 5 {
-        samples.push(pass_ns(client, batches, pipelined));
-        if samples.len() >= 40 {
-            break;
-        }
-    }
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
-
-struct Row {
-    label: String,
-    cells: u32,
-    oracle: &'static str,
-    protocol: u32,
-    pipelined: bool,
-    elapsed_ms: f64,
-    reports_per_sec: f64,
 }
 
 // --- in-process fold microbenchmarks ---------------------------------
@@ -194,15 +163,6 @@ struct Row {
 const MICRO_CELLS: [u32; 4] = [64, 256, 1024, 4096];
 /// Reports per measured fold — one TCP pass worth.
 const MICRO_REPORTS: usize = BATCHES_PER_PASS * REPORTS_PER_BATCH;
-
-struct MicroRow {
-    label: String,
-    cells: u32,
-    oracle: &'static str,
-    backend: &'static str,
-    elapsed_ms: f64,
-    reports_per_sec: f64,
-}
 
 /// The seed's OUE fold this PR replaced: clear one set bit per
 /// iteration, scatter an increment for each.
@@ -229,41 +189,13 @@ fn naive_fold_grr(acc: &mut [u64], cells: u32, reports: &[u32]) {
     }
 }
 
-/// Median nanoseconds per fold within a small time budget.
-fn measure_fold_ns(mut fold: impl FnMut()) -> f64 {
-    fold(); // warmup
-    let mut samples = Vec::new();
-    let budget = std::time::Duration::from_millis(200);
-    let start = Instant::now();
-    while start.elapsed() < budget || samples.len() < 9 {
-        let t = Instant::now();
-        fold();
-        samples.push(t.elapsed().as_nanos() as f64);
-        if samples.len() >= 400 {
-            break;
-        }
-    }
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
-
-fn micro_rows() -> Vec<MicroRow> {
+fn fold_rows(bench: &mut Bench) {
     use dpgrid_kernels::{
         fold_grr_checked, fold_grr_checked_with, fold_oue, fold_oue_with, Backend,
     };
 
     let mut rng = bench_rng();
-    let mut rows = Vec::new();
-    let mut push = |cells: u32, oracle: &'static str, backend: &'static str, ns: f64| {
-        rows.push(MicroRow {
-            label: format!("fold_{oracle}_{cells}c_{backend}"),
-            cells,
-            oracle,
-            backend,
-            elapsed_ms: ns / 1e6,
-            reports_per_sec: MICRO_REPORTS as f64 / (ns / 1e9),
-        });
-    };
+    let unit = Unit::PerSec("reports", MICRO_REPORTS);
     for cells in MICRO_CELLS {
         let words = oue_words(cells as usize);
         let grr: Vec<u32> = (0..MICRO_REPORTS)
@@ -289,28 +221,30 @@ fn micro_rows() -> Vec<MicroRow> {
         }
         let mut acc = vec![0u64; cells as usize];
 
-        let ns = measure_fold_ns(|| naive_fold_grr(&mut acc, cells, &grr));
-        push(cells, "grr", "naive", ns);
-        let ns = measure_fold_ns(|| {
+        bench.time(format!("fold_grr_{cells}c_naive"), unit, || {
+            naive_fold_grr(&mut acc, cells, &grr)
+        });
+        bench.time(format!("fold_grr_{cells}c_scalar"), unit, || {
             fold_grr_checked_with(Backend::Scalar, &mut acc, cells, &grr).unwrap()
         });
-        push(cells, "grr", "scalar", ns);
-        let ns = measure_fold_ns(|| fold_grr_checked(&mut acc, cells, &grr).unwrap());
-        push(cells, "grr", "dispatch", ns);
-
-        let ns = measure_fold_ns(|| naive_fold_oue(&mut acc, words, &bits));
-        push(cells, "oue", "naive", ns);
-        let ns = measure_fold_ns(|| fold_oue_with(Backend::Scalar, &mut acc, words, &bits));
-        push(cells, "oue", "scalar", ns);
-        let ns = measure_fold_ns(|| fold_oue(&mut acc, words, &bits));
-        push(cells, "oue", "dispatch", ns);
+        bench.time(format!("fold_grr_{cells}c_dispatch"), unit, || {
+            fold_grr_checked(&mut acc, cells, &grr).unwrap()
+        });
+        bench.time(format!("fold_oue_{cells}c_naive"), unit, || {
+            naive_fold_oue(&mut acc, words, &bits)
+        });
+        bench.time(format!("fold_oue_{cells}c_scalar"), unit, || {
+            fold_oue_with(Backend::Scalar, &mut acc, words, &bits)
+        });
+        bench.time(format!("fold_oue_{cells}c_dispatch"), unit, || {
+            fold_oue(&mut acc, words, &bits)
+        });
     }
-    rows
 }
 
-fn bench_ldp_ingest(c: &mut Criterion) {
-    let mut rows: Vec<Row> = Vec::new();
-    let mut group = c.benchmark_group("ldp_ingest");
+fn main() {
+    let mut bench = Bench::new("ldp_ingest");
+    let unit = Unit::PerSec("reports", BATCHES_PER_PASS * REPORTS_PER_BATCH);
     for (cols, grid_rows) in GRIDS {
         let cells = (cols * grid_rows) as u32;
         let service = Arc::new(collecting(cols, grid_rows));
@@ -319,118 +253,13 @@ fn bench_ldp_ingest(c: &mut Criterion) {
         for variant in VARIANTS {
             let batches = pass_batches(cells, variant.oracle);
             let mut client = TcpClient::connect(addr).expect("connect");
-            let protocol = client.protocol_version().expect("connected");
-            pass_ns(&mut client, &batches, variant.pipelined); // warmup
             let label = format!("{}x{}_{}", cols, grid_rows, variant.tag);
-            let ns = measure_ns(&mut client, &batches, variant.pipelined);
-            group.bench_function(&label, |b| {
-                b.iter(|| pass_ns(&mut client, &batches, variant.pipelined));
-            });
-            let reports = (BATCHES_PER_PASS * REPORTS_PER_BATCH) as f64;
-            rows.push(Row {
-                label,
-                cells,
-                oracle: variant.oracle,
-                protocol,
-                pipelined: variant.pipelined,
-                elapsed_ms: ns / 1e6,
-                reports_per_sec: reports / (ns / 1e9),
+            bench.time(label, unit, || {
+                pass(&mut client, &batches, variant.pipelined)
             });
         }
         server.shutdown();
     }
-    group.finish();
-
-    let baseline = rows.first().map(|r| r.reports_per_sec).unwrap_or(f64::NAN);
-    for r in &rows {
-        println!(
-            "ldp_ingest/{}: {} cells, proto v{}{}, {} batches x {} reports, \
-             {:.2} ms/pass, {:.0} reports/s ({:.2}x vs 8x8_grr_v2)",
-            r.label,
-            r.cells,
-            r.protocol,
-            if r.pipelined { " pipelined" } else { "" },
-            BATCHES_PER_PASS,
-            REPORTS_PER_BATCH,
-            r.elapsed_ms,
-            r.reports_per_sec,
-            r.reports_per_sec / baseline
-        );
-    }
-
-    let micro = micro_rows();
-    for m in &micro {
-        // Speedup is against the same shape's naive fold.
-        let naive = micro
-            .iter()
-            .find(|n| n.cells == m.cells && n.oracle == m.oracle && n.backend == "naive")
-            .map(|n| n.reports_per_sec)
-            .unwrap_or(f64::NAN);
-        println!(
-            "ldp_ingest/{}: {:.3} ms/fold, {:.0} reports/s ({:.2}x vs naive)",
-            m.label,
-            m.elapsed_ms,
-            m.reports_per_sec,
-            m.reports_per_sec / naive
-        );
-    }
-    write_json(&rows, baseline, &micro);
+    fold_rows(&mut bench);
+    bench.write();
 }
-
-/// Records the measurements to `BENCH_ldp_ingest.json` at the
-/// workspace root (perf-trajectory files live in-repo).
-fn write_json(rows: &[Row], baseline: f64, micro: &[MicroRow]) {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_ldp_ingest.json");
-    let mut out = format!(
-        "{{\n  \"bench\": \"ldp_ingest\",\n  \"unit\": \"reports_per_sec\",\n  \
-         \"transport\": \"tcp_loopback\",\n  \
-         \"kernel_backend\": \"{}\",\n  \
-         \"reports_per_batch\": {REPORTS_PER_BATCH},\n  \
-         \"batches_per_pass\": {BATCHES_PER_PASS},\n  \"rows\": [\n",
-        dpgrid_kernels::active_backend()
-    );
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"label\": \"{}\", \"cells\": {}, \"oracle\": \"{}\", \"protocol\": {}, \
-             \"pipelined\": {}, \"elapsed_ms\": {:.2}, \"reports_per_sec\": {:.0}, \
-             \"speedup_vs_8x8_grr_v2\": {:.2}}}{}\n",
-            r.label,
-            r.cells,
-            r.oracle,
-            r.protocol,
-            r.pipelined,
-            r.elapsed_ms,
-            r.reports_per_sec,
-            r.reports_per_sec / baseline,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n  \"micro_reports_per_fold\": ");
-    out.push_str(&format!("{MICRO_REPORTS},\n  \"micro_rows\": [\n"));
-    for (i, m) in micro.iter().enumerate() {
-        let naive = micro
-            .iter()
-            .find(|n| n.cells == m.cells && n.oracle == m.oracle && n.backend == "naive")
-            .map(|n| n.reports_per_sec)
-            .unwrap_or(f64::NAN);
-        out.push_str(&format!(
-            "    {{\"label\": \"{}\", \"cells\": {}, \"oracle\": \"{}\", \"backend\": \"{}\", \
-             \"elapsed_ms\": {:.3}, \"reports_per_sec\": {:.0}, \"speedup_vs_naive\": {:.2}}}{}\n",
-            m.label,
-            m.cells,
-            m.oracle,
-            m.backend,
-            m.elapsed_ms,
-            m.reports_per_sec,
-            m.reports_per_sec / naive,
-            if i + 1 < micro.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    if let Err(e) = std::fs::write(path, out) {
-        eprintln!("ldp_ingest: could not write {path}: {e}");
-    }
-}
-
-criterion_group!(benches, bench_ldp_ingest);
-criterion_main!(benches);

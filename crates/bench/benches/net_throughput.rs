@@ -16,21 +16,17 @@
 //! * **pipelining**: binary v2 frames one round trip at a time, or
 //!   all of a connection's frames written in one burst.
 //!
-//! Every row records the protocol version its clients actually
-//! negotiated. Medians are recorded to `BENCH_net_throughput.json` at
-//! the workspace root (same shape as `BENCH_serve_throughput.json`) so
-//! the transport perf trajectory is tracked in-repo. The in-process
-//! `warm_w1` row of `BENCH_serve_throughput.json` is the natural
-//! baseline: the gap between the two files is the price of the wire.
+//! Each connection sends 8 frames of 512 rectangles per pass, and every
+//! row is in queries (rects) per second. The in-process `warm_w1` row
+//! of `BENCH_serve_throughput.json` is the natural baseline: the gap
+//! between the two files is the price of the wire.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::Instant;
 
-use dpgrid_bench::{bench_dataset, bench_rng};
+use dpgrid_bench::{bench_dataset, bench_rng, Bench, Unit};
 use dpgrid_core::{AdaptiveGrid, AgConfig, Release, UgConfig, UniformGrid};
-use dpgrid_geo::{available_parallelism, Rect};
+use dpgrid_geo::Rect;
 use dpgrid_net::{TcpClient, TcpServer};
 use dpgrid_serve::{Catalog, QueryEngine, QueryRequest};
 use rand::Rng;
@@ -99,16 +95,14 @@ const LADDER: [(usize, &[Variant]); 3] =
 
 /// One pass: `conns` client threads, each sending `FRAMES_PER_CONN`
 /// query frames round-robin across the release keys — one round trip
-/// per frame, or all frames in one pipelined burst. Returns elapsed
-/// nanoseconds for the whole pass.
-fn pass_ns(
+/// per frame, or all frames in one pipelined burst.
+fn pass(
     addr: std::net::SocketAddr,
     keys: &[String],
     rects: &[Rect],
     conns: usize,
     variant: Variant,
-) -> f64 {
-    let t = Instant::now();
+) {
     std::thread::scope(|scope| {
         for c in 0..conns {
             scope.spawn(move || {
@@ -132,42 +126,9 @@ fn pass_ns(
             });
         }
     });
-    t.elapsed().as_nanos() as f64
 }
 
-/// Median nanoseconds per pass within a small time budget.
-fn measure_ns(
-    addr: std::net::SocketAddr,
-    keys: &[String],
-    rects: &[Rect],
-    conns: usize,
-    variant: Variant,
-) -> f64 {
-    let mut samples = Vec::new();
-    let budget = std::time::Duration::from_millis(1_200);
-    let start = Instant::now();
-    while start.elapsed() < budget || samples.len() < 5 {
-        samples.push(pass_ns(addr, keys, rects, conns, variant));
-        if samples.len() >= 40 {
-            break;
-        }
-    }
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
-
-struct Row {
-    label: String,
-    conns: usize,
-    idle_conns: usize,
-    protocol: u32,
-    pipelined: bool,
-    qps: f64,
-    elapsed_ms: f64,
-}
-
-fn bench_net_throughput(c: &mut Criterion) {
-    let parallelism = available_parallelism();
+fn main() {
     let mut catalog = Catalog::new();
     let mut keys = Vec::new();
     for (key, release) in serve_releases() {
@@ -177,20 +138,14 @@ fn bench_net_throughput(c: &mut Criterion) {
     let engine = Arc::new(QueryEngine::new(catalog));
     let rects = request_rects();
 
-    let mut rows = Vec::new();
-    let mut group = c.benchmark_group("net_throughput");
+    let mut bench = Bench::new("net_throughput");
     let server = TcpServer::bind(Arc::clone(&engine), "127.0.0.1:0").expect("bind");
     let addr = server.local_addr();
 
     // Warmup: compile every surface once so all rows measure warm.
-    pass_ns(addr, &keys, &rects, 1, V2);
+    pass(addr, &keys, &rects, 1, V2);
 
     let mut measure = |conns: usize, idle_conns: usize, variant: Variant| {
-        // Record the protocol the clients actually speak.
-        let protocol = TcpClient::connect(addr)
-            .expect("connect")
-            .protocol_version()
-            .expect("connected");
         let idle_tag = if idle_conns > 0 {
             format!("_idle{idle_conns}")
         } else {
@@ -198,20 +153,8 @@ fn bench_net_throughput(c: &mut Criterion) {
         };
         // The `mux_` prefix keeps labels comparable with earlier files.
         let label = format!("mux_{}_c{conns}{idle_tag}", variant.tag);
-        let ns = measure_ns(addr, &keys, &rects, conns, variant);
-        group.bench_function(&label, |b| {
-            b.iter(|| pass_ns(addr, &keys, &rects, conns, variant));
-        });
-        let rects_per_pass = (conns * FRAMES_PER_CONN * RECTS_PER_REQUEST) as f64;
-        rows.push(Row {
-            label,
-            conns,
-            idle_conns,
-            protocol,
-            pipelined: variant.pipelined,
-            qps: rects_per_pass / (ns / 1e9),
-            elapsed_ms: ns / 1e6,
-        });
+        let unit = Unit::PerSec("queries", conns * FRAMES_PER_CONN * RECTS_PER_REQUEST);
+        bench.time(label, unit, || pass(addr, &keys, &rects, conns, variant));
     };
 
     for (conns, variants) in LADDER {
@@ -231,63 +174,5 @@ fn bench_net_throughput(c: &mut Criterion) {
     drop(idle);
 
     server.shutdown();
-    group.finish();
-
-    let c1 = rows.first().map(|r| r.qps).unwrap_or(f64::NAN);
-    for r in &rows {
-        println!(
-            "net_throughput/{}: {} conns (+{} idle), proto v{}{}, {} frames x {} rects, \
-             {:.1} ms/pass, {:.0} q/s ({:.2}x vs mux_v2_c1)",
-            r.label,
-            r.conns,
-            r.idle_conns,
-            r.protocol,
-            if r.pipelined { " pipelined" } else { "" },
-            r.conns * FRAMES_PER_CONN,
-            RECTS_PER_REQUEST,
-            r.elapsed_ms,
-            r.qps,
-            r.qps / c1
-        );
-    }
-    write_json(&rows, keys.len(), parallelism, c1);
+    bench.write();
 }
-
-/// Records the measurements to `BENCH_net_throughput.json` at the
-/// workspace root (perf-trajectory files live in-repo).
-fn write_json(rows: &[Row], releases: usize, parallelism: usize, c1: f64) {
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../BENCH_net_throughput.json"
-    );
-    let mut out = format!(
-        "{{\n  \"bench\": \"net_throughput\",\n  \"unit\": \"queries_per_sec\",\n  \
-         \"transport\": \"tcp_loopback\",\n  \"releases\": {releases},\n  \
-         \"rects_per_request\": {RECTS_PER_REQUEST},\n  \
-         \"frames_per_conn\": {FRAMES_PER_CONN},\n  \
-         \"parallelism\": {parallelism},\n  \"rows\": [\n"
-    );
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"label\": \"{}\", \"conns\": {}, \"idle_conns\": {}, \
-             \"protocol\": {}, \"pipelined\": {}, \
-             \"elapsed_ms\": {:.2}, \"qps\": {:.0}, \"speedup_vs_mux_v2_c1\": {:.2}}}{}\n",
-            r.label,
-            r.conns,
-            r.idle_conns,
-            r.protocol,
-            r.pipelined,
-            r.elapsed_ms,
-            r.qps,
-            r.qps / c1,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    if let Err(e) = std::fs::write(path, out) {
-        eprintln!("net_throughput: could not write {path}: {e}");
-    }
-}
-
-criterion_group!(benches, bench_net_throughput);
-criterion_main!(benches);

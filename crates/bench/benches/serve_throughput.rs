@@ -10,19 +10,16 @@
 //! * **cold vs warm cache** — the first batch pays the per-release
 //!   surface compilations, every later batch runs off the LRU;
 //! * **1 vs N worker threads** — the pinned sequential baseline
-//!   against scoped-thread sharding (the recorded `parallelism` field
+//!   against scoped-thread sharding (the fingerprint's `parallelism`
 //!   says how many hardware threads the measuring machine actually
 //!   had; worker scaling is necessarily flat on a 1-CPU box).
 //!
-//! Medians are recorded to `BENCH_serve_throughput.json` at the
-//! workspace root (same shape as `BENCH_release_query.json`) so the
-//! serving perf trajectory is tracked in-repo.
+//! Each batch holds 2 requests of 2,048 rectangles per release (12,288
+//! rects), and every row is in queries (rects) per second.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use std::time::Instant;
 
-use dpgrid_bench::{bench_dataset, bench_rng};
+use dpgrid_bench::{bench_dataset, bench_rng, Bench, Unit};
 use dpgrid_core::{AdaptiveGrid, AgConfig, Release, UgConfig, UniformGrid};
 use dpgrid_geo::{available_parallelism, Rect};
 use dpgrid_serve::{Catalog, QueryEngine, QueryRequest};
@@ -87,64 +84,32 @@ fn cold_engine(masters: &[(String, Release)], workers: usize) -> QueryEngine {
     QueryEngine::new(catalog).with_workers(workers)
 }
 
-/// One full batch pass; returns the elapsed nanoseconds.
-fn pass_ns(engine: &QueryEngine, requests: &[QueryRequest]) -> f64 {
-    let t = Instant::now();
+/// One full batch pass.
+fn pass(engine: &QueryEngine, requests: &[QueryRequest]) {
     for response in engine.answer_batch(requests) {
         black_box(response.expect("all keys known"));
     }
-    t.elapsed().as_nanos() as f64
 }
 
-/// Median nanoseconds per warm pass, within a time budget.
-fn measure_warm_ns(engine: &QueryEngine, requests: &[QueryRequest]) -> f64 {
-    // Warmup compiles every surface (and pre-faults the answer paths).
-    pass_ns(engine, requests);
-    let mut samples = Vec::new();
-    let budget = std::time::Duration::from_millis(1_500);
-    let start = Instant::now();
-    while start.elapsed() < budget || samples.len() < 5 {
-        samples.push(pass_ns(engine, requests));
-        if samples.len() >= 60 {
-            break;
-        }
-    }
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
-
-struct Row {
-    label: String,
-    workers: usize,
-    cache: &'static str,
-    qps: f64,
-    elapsed_ms: f64,
-}
-
-fn bench_serve_throughput(c: &mut Criterion) {
+fn main() {
     let parallelism = available_parallelism();
     let masters = master_releases();
     let keys: Vec<String> = masters.iter().map(|(k, _)| k.clone()).collect();
     let requests = batch(&keys);
-    let total_rects: usize = requests.iter().map(|r| r.rects.len()).sum();
-    let mut rows = Vec::new();
+    let rects = Unit::PerSec("queries", requests.iter().map(|r| r.rects.len()).sum());
+    let mut bench = Bench::new("serve_throughput");
 
     // Cold: every pass compiles all three surfaces from fresh clones.
     for workers in [1usize, parallelism.max(2)] {
-        let mut samples = Vec::new();
-        for _ in 0..3 {
-            let engine = cold_engine(&masters, workers);
-            samples.push(pass_ns(&engine, &requests));
-        }
-        samples.sort_by(f64::total_cmp);
-        let ns = samples[samples.len() / 2];
-        rows.push(Row {
-            label: format!("cold_w{workers}"),
-            workers,
-            cache: "cold",
-            qps: total_rects as f64 / (ns / 1e9),
-            elapsed_ms: ns / 1e6,
-        });
+        bench.time_with_setup(
+            format!("cold_w{workers}"),
+            rects,
+            || cold_engine(&masters, workers),
+            |engine| {
+                pass(&engine, &requests);
+                engine
+            },
+        );
     }
 
     // Warm: surfaces resident, 1 worker vs scoped-thread sharding vs
@@ -152,79 +117,14 @@ fn bench_serve_throughput(c: &mut Criterion) {
     // does not measure the same width twice.
     let mut worker_settings = vec![1usize, 2, parallelism.max(2), 0];
     worker_settings.dedup();
-    let mut group = c.benchmark_group("serve_throughput");
     for workers in worker_settings {
         let engine = cold_engine(&masters, workers);
-        let ns = measure_warm_ns(&engine, &requests);
         let label = if workers == 0 {
             "warm_adaptive".to_string()
         } else {
             format!("warm_w{workers}")
         };
-        group.bench_function(&label, |b| {
-            b.iter(|| pass_ns(&engine, &requests));
-        });
-        rows.push(Row {
-            label,
-            workers,
-            cache: "warm",
-            qps: total_rects as f64 / (ns / 1e9),
-            elapsed_ms: ns / 1e6,
-        });
+        bench.time(label, rects, || pass(&engine, &requests));
     }
-    group.finish();
-
-    let warm_w1 = rows
-        .iter()
-        .find(|r| r.label == "warm_w1")
-        .map(|r| r.qps)
-        .unwrap_or(f64::NAN);
-    for r in &rows {
-        println!(
-            "serve_throughput/{}: {} releases, {} rects/batch, workers {}, \
-             {:.1} ms/batch, {:.0} q/s ({:.2}x vs warm_w1)",
-            r.label,
-            keys.len(),
-            total_rects,
-            r.workers,
-            r.elapsed_ms,
-            r.qps,
-            r.qps / warm_w1
-        );
-    }
-    write_json(&rows, keys.len(), total_rects, parallelism, warm_w1);
+    bench.write();
 }
-
-/// Records the measurements to `BENCH_serve_throughput.json` at the
-/// workspace root (perf-trajectory files live in-repo).
-fn write_json(rows: &[Row], releases: usize, rects: usize, parallelism: usize, warm_w1: f64) {
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../BENCH_serve_throughput.json"
-    );
-    let mut out = format!(
-        "{{\n  \"bench\": \"serve_throughput\",\n  \"unit\": \"queries_per_sec\",\n  \
-         \"releases\": {releases},\n  \"rects_per_batch\": {rects},\n  \
-         \"parallelism\": {parallelism},\n  \"rows\": [\n"
-    );
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"label\": \"{}\", \"workers\": {}, \"cache\": \"{}\", \
-             \"elapsed_ms\": {:.2}, \"qps\": {:.0}, \"speedup_vs_warm_w1\": {:.2}}}{}\n",
-            r.label,
-            r.workers,
-            r.cache,
-            r.elapsed_ms,
-            r.qps,
-            r.qps / warm_w1,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    if let Err(e) = std::fs::write(path, out) {
-        eprintln!("serve_throughput: could not write {path}: {e}");
-    }
-}
-
-criterion_group!(benches, bench_serve_throughput);
-criterion_main!(benches);

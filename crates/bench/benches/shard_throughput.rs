@@ -15,19 +15,17 @@
 //!   each sub-batch as id-correlated frames in one burst (routed-over-
 //!   TCP vs direct: the price of the wire on the scatter path).
 //!
-//! Medians are recorded to `BENCH_shard_throughput.json` at the
-//! workspace root. Honest-parallelism note: on a 1-hardware-thread
-//! container every configuration is ultimately serialised by the CPU,
-//! so local shard counts cannot show speedups — the `parallelism`
-//! field records what the measuring machine had, and the local-shard
-//! rows are expected flat (or slightly below `direct`, the routing
-//! overhead) unless it is > 1.
+//! Each batch is 16 requests of 256 rectangles, and every row is in
+//! queries (rects) per second. Honest-parallelism note: on a
+//! 1-hardware-thread container every configuration is ultimately
+//! serialised by the CPU, so local shard counts cannot show speedups —
+//! the fingerprint's `parallelism` records what the measuring machine
+//! had, and the local-shard rows are expected flat (or slightly below
+//! `direct`, the routing overhead) unless it is > 1.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use std::sync::Arc;
-use std::time::Instant;
 
-use dpgrid_bench::{bench_dataset, bench_rng};
+use dpgrid_bench::{bench_dataset, bench_rng, Bench, Unit};
 use dpgrid_core::{rendezvous_route, Release, UgConfig, UniformGrid};
 use dpgrid_geo::{available_parallelism, Rect};
 use dpgrid_net::{RemoteShard, TcpServer};
@@ -101,48 +99,21 @@ fn sharded_engines(names: &[String]) -> Vec<Arc<QueryEngine>> {
 }
 
 /// One measured pass: answer the whole mixed batch once; every
-/// response is asserted answered. Returns elapsed nanoseconds.
-fn pass_ns<S: QueryService + ?Sized>(service: &S, requests: &[QueryRequest]) -> f64 {
-    let t = Instant::now();
+/// response is asserted answered.
+fn pass<S: QueryService + ?Sized>(service: &S, requests: &[QueryRequest]) {
     for result in service.answer_batch(requests) {
         let response = result.expect("answered");
         assert_eq!(response.answers.len(), RECTS_PER_REQUEST);
     }
-    t.elapsed().as_nanos() as f64
 }
 
-fn measure_ns<S: QueryService + ?Sized>(service: &S, requests: &[QueryRequest]) -> f64 {
-    // Warm every surface first so all rows measure steady state.
-    pass_ns(service, requests);
-    let mut samples = Vec::new();
-    let budget = std::time::Duration::from_millis(1_500);
-    let start = Instant::now();
-    while start.elapsed() < budget || samples.len() < 5 {
-        samples.push(pass_ns(service, requests));
-        if samples.len() >= 40 {
-            break;
-        }
-    }
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
-
-struct Row {
-    label: String,
-    shards: usize,
-    transport: &'static str,
-    qps: f64,
-    elapsed_ms: f64,
-}
-
-fn bench_shard_throughput(c: &mut Criterion) {
+fn main() {
     let parallelism = available_parallelism();
     let rects = request_rects();
     let keys: Vec<String> = (0..RELEASES).map(|i| format!("release-{i}")).collect();
     let requests = batch(&keys, &rects);
-    let rects_per_batch = (REQUESTS_PER_BATCH * RECTS_PER_REQUEST) as f64;
-    let mut rows: Vec<Row> = Vec::new();
-    let mut group = c.benchmark_group("shard_throughput");
+    let unit = Unit::PerSec("queries", REQUESTS_PER_BATCH * RECTS_PER_REQUEST);
+    let mut bench = Bench::new("shard_throughput");
 
     // Baseline: one engine holding everything.
     let direct = {
@@ -152,15 +123,7 @@ fn bench_shard_throughput(c: &mut Criterion) {
         }
         QueryEngine::new(catalog)
     };
-    let ns = measure_ns(&direct, &requests);
-    group.bench_function("direct", |b| b.iter(|| pass_ns(&direct, &requests)));
-    rows.push(Row {
-        label: "direct".into(),
-        shards: 1,
-        transport: "in_process",
-        qps: rects_per_batch / (ns / 1e9),
-        elapsed_ms: ns / 1e6,
-    });
+    bench.time("direct", unit, || pass(&direct, &requests));
 
     // Routed over 1 and N local shards.
     let local_counts = if parallelism > 2 {
@@ -178,94 +141,26 @@ fn bench_shard_throughput(c: &mut Criterion) {
                 .map(|(name, engine)| (name.clone(), LocalShard::new(Arc::clone(engine)))),
         )
         .unwrap();
-        let label = format!("router_local_s{shards}");
-        let ns = measure_ns(&router, &requests);
-        group.bench_function(&label, |b| b.iter(|| pass_ns(&router, &requests)));
-        rows.push(Row {
-            label,
-            shards,
-            transport: "in_process",
-            qps: rects_per_batch / (ns / 1e9),
-            elapsed_ms: ns / 1e6,
+        bench.time(format!("router_local_s{shards}"), unit, || {
+            pass(&router, &requests)
         });
     }
 
     // Routed over TCP: two remote shards behind loopback servers.
-    {
-        let names = vec!["s0".to_string(), "s1".to_string()];
-        let engines = sharded_engines(&names);
-        let servers: Vec<TcpServer> = engines
-            .iter()
-            .map(|engine| TcpServer::bind(Arc::clone(engine), "127.0.0.1:0").unwrap())
-            .collect();
-        let router = ShardRouter::new();
-        for (name, server) in names.iter().zip(&servers) {
-            let shard = RemoteShard::connect(server.local_addr()).unwrap();
-            router.add_shard(name.clone(), shard).unwrap();
-        }
-        let label = "router_tcp_s2_binary";
-        let ns = measure_ns(&router, &requests);
-        group.bench_function(label, |b| b.iter(|| pass_ns(&router, &requests)));
-        rows.push(Row {
-            label: label.into(),
-            shards: 2,
-            transport: "tcp_loopback_v2_binary_pipelined",
-            qps: rects_per_batch / (ns / 1e9),
-            elapsed_ms: ns / 1e6,
-        });
-        for server in servers {
-            server.shutdown();
-        }
+    let names = vec!["s0".to_string(), "s1".to_string()];
+    let engines = sharded_engines(&names);
+    let servers: Vec<TcpServer> = engines
+        .iter()
+        .map(|engine| TcpServer::bind(Arc::clone(engine), "127.0.0.1:0").unwrap())
+        .collect();
+    let router = ShardRouter::new();
+    for (name, server) in names.iter().zip(&servers) {
+        let shard = RemoteShard::connect(server.local_addr()).unwrap();
+        router.add_shard(name.clone(), shard).unwrap();
     }
-    group.finish();
-
-    let direct_qps = rows.first().map(|r| r.qps).unwrap_or(f64::NAN);
-    for r in &rows {
-        println!(
-            "shard_throughput/{}: {} shards ({}), {:.1} ms/batch, {:.0} q/s ({:.2}x vs direct)",
-            r.label,
-            r.shards,
-            r.transport,
-            r.elapsed_ms,
-            r.qps,
-            r.qps / direct_qps
-        );
+    bench.time("router_tcp_s2_binary", unit, || pass(&router, &requests));
+    for server in servers {
+        server.shutdown();
     }
-    write_json(&rows, parallelism, direct_qps);
+    bench.write();
 }
-
-/// Records the measurements to `BENCH_shard_throughput.json` at the
-/// workspace root (perf-trajectory files live in-repo).
-fn write_json(rows: &[Row], parallelism: usize, direct_qps: f64) {
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../BENCH_shard_throughput.json"
-    );
-    let mut out = format!(
-        "{{\n  \"bench\": \"shard_throughput\",\n  \"unit\": \"queries_per_sec\",\n  \
-         \"releases\": {RELEASES},\n  \"requests_per_batch\": {REQUESTS_PER_BATCH},\n  \
-         \"rects_per_request\": {RECTS_PER_REQUEST},\n  \"parallelism\": {parallelism},\n  \
-         \"note\": \"local shard counts can only show speedups when parallelism > 1; \
-         router_tcp vs direct is the price of the wire on the scatter path\",\n  \"rows\": [\n"
-    );
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"label\": \"{}\", \"shards\": {}, \"transport\": \"{}\", \
-             \"elapsed_ms\": {:.2}, \"qps\": {:.0}, \"speedup_vs_direct\": {:.2}}}{}\n",
-            r.label,
-            r.shards,
-            r.transport,
-            r.elapsed_ms,
-            r.qps,
-            r.qps / direct_qps,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    if let Err(e) = std::fs::write(path, out) {
-        eprintln!("shard_throughput: could not write {path}: {e}");
-    }
-}
-
-criterion_group!(benches, bench_shard_throughput);
-criterion_main!(benches);

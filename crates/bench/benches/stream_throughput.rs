@@ -4,23 +4,19 @@
 //! Three axes, matching how the subsystem is deployed:
 //!
 //! * **ingest points/sec** — staging throughput of
-//!   `StreamIngestor::push` with the watermark held inside one epoch
-//!   (no seals), the hot path every arriving point takes;
+//!   `StreamIngestor::push` over 200,000 points with the watermark held
+//!   inside one epoch (no seals), the hot path every arriving point
+//!   takes;
 //! * **epoch-close latency** — the milliseconds one seal costs
-//!   (`seal_through`: grid build + noise + publish) at several staged
-//!   epoch sizes;
+//!   (`seal_through`: grid build + noise + publish) at 10k, 50k and
+//!   200k staged points;
 //! * **windowed vs single-release query rate** — `answer_window`
-//!   fanning one batch over the covering epoch surfaces, against the
-//!   same rectangles answered on a single release — the read-side
-//!   price of epoch slicing.
-//!
-//! Medians are recorded to `BENCH_stream_throughput.json` at the
-//! workspace root (same shape as the other `BENCH_*.json` files).
+//!   fanning one batch of 1,024 rectangles over 8 epoch surfaces
+//!   (20,000 points each), against the same rectangles answered on a
+//!   single release — the read-side price of epoch slicing. Their
+//!   ratio is `window_8_epochs / single_release`.
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use std::hint::black_box;
-use std::time::Instant;
-
+use dpgrid_bench::{Bench, Unit};
 use dpgrid_core::{EpochLayout, Release};
 use dpgrid_geo::{Domain, Point, Rect};
 use dpgrid_mech::BudgetSchedule;
@@ -57,66 +53,47 @@ fn point(i: u64) -> Point {
     )
 }
 
-fn median(samples: &mut [f64]) -> f64 {
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
-
-struct Row {
-    label: String,
-    value: f64,
-    unit: &'static str,
-}
-
-fn bench_stream_throughput(c: &mut Criterion) {
-    let mut rows = Vec::new();
-    let mut group = c.benchmark_group("stream_throughput");
+fn main() {
+    let mut bench = Bench::new("stream_throughput");
 
     // --- Ingest: staging throughput, no seals (all timestamps land in
     // one epoch; the sink never sees a release).
     const BATCH: u64 = 200_000;
-    let mut samples = Vec::new();
-    for _ in 0..5 {
-        let mut ing = ingestor(4);
-        let mut sink: Vec<(String, Release)> = Vec::new();
-        let t = Instant::now();
-        for i in 0..BATCH {
-            let ts = (i % 59) as f64;
-            ing.push(point(i), ts, &mut sink).unwrap();
-        }
-        black_box(ing.open_epochs());
-        assert!(sink.is_empty(), "no epoch may seal mid-measurement");
-        samples.push(t.elapsed().as_nanos() as f64);
-    }
-    let ns = median(&mut samples);
-    let ingest_pps = BATCH as f64 / (ns / 1e9);
-    rows.push(Row {
-        label: "ingest".into(),
-        value: ingest_pps,
-        unit: "points_per_sec",
-    });
+    bench.time_with_setup(
+        "ingest",
+        Unit::PerSec("points", BATCH as usize),
+        || ingestor(4),
+        |mut ing| {
+            let mut sink: Vec<(String, Release)> = Vec::new();
+            for i in 0..BATCH {
+                let ts = (i % 59) as f64;
+                ing.push(point(i), ts, &mut sink).unwrap();
+            }
+            assert!(sink.is_empty(), "no epoch may seal mid-measurement");
+            ing
+        },
+    );
 
     // --- Epoch close: seal latency at three staged sizes.
     for staged in [10_000u64, 50_000, 200_000] {
-        let mut samples = Vec::new();
-        for _ in 0..3 {
-            let mut ing = ingestor(4);
-            let mut sink: Vec<(String, Release)> = Vec::new();
-            for i in 0..staged {
-                ing.push(point(i), (i % 59) as f64, &mut sink).unwrap();
-            }
-            let t = Instant::now();
-            let sealed = ing.seal_through(0, &mut sink).unwrap();
-            samples.push(t.elapsed().as_nanos() as f64);
-            assert_eq!(sealed.len(), 1);
-            assert_eq!(sealed[0].points, staged as usize);
-        }
-        let ns = median(&mut samples);
-        rows.push(Row {
-            label: format!("epoch_close_{staged}"),
-            value: ns / 1e6,
-            unit: "ms",
-        });
+        bench.time_with_setup(
+            format!("epoch_close_{staged}"),
+            Unit::Ms,
+            || {
+                let mut ing = ingestor(4);
+                let mut sink: Vec<(String, Release)> = Vec::new();
+                for i in 0..staged {
+                    ing.push(point(i), (i % 59) as f64, &mut sink).unwrap();
+                }
+                (ing, sink)
+            },
+            |(mut ing, mut sink)| {
+                let sealed = ing.seal_through(0, &mut sink).unwrap();
+                assert_eq!(sealed.len(), 1);
+                assert_eq!(sealed[0].points, staged as usize);
+                (ing, sink)
+            },
+        );
     }
 
     // --- Read path: windowed vs single-release query rate over the
@@ -142,85 +119,13 @@ fn bench_stream_throughput(c: &mut Criterion) {
             Rect::new(x, y, x + 1.5, y + 1.5).unwrap()
         })
         .collect();
+    let unit = Unit::PerSec("queries", RECTS);
 
     let window = WindowQuery::new("bench", 0, EPOCHS, rects.clone()).unwrap();
-    // Warm every surface once before timing.
-    black_box(answer_window(&engine, &window).unwrap());
-    let mut samples = Vec::new();
-    for _ in 0..15 {
-        let t = Instant::now();
-        black_box(answer_window(&engine, &window).unwrap());
-        samples.push(t.elapsed().as_nanos() as f64);
-    }
-    let window_ns = median(&mut samples);
-    let window_qps = RECTS as f64 / (window_ns / 1e9);
-    rows.push(Row {
-        label: format!("window_{EPOCHS}_epochs"),
-        value: window_qps,
-        unit: "queries_per_sec",
+    bench.time(format!("window_{EPOCHS}_epochs"), unit, || {
+        answer_window(&engine, &window).unwrap()
     });
-
-    let single = QueryRequest::new("bench@epoch:0", rects.clone());
-    black_box(engine.answer(&single).unwrap());
-    let mut samples = Vec::new();
-    for _ in 0..15 {
-        let t = Instant::now();
-        black_box(engine.answer(&single).unwrap());
-        samples.push(t.elapsed().as_nanos() as f64);
-    }
-    let single_ns = median(&mut samples);
-    let single_qps = RECTS as f64 / (single_ns / 1e9);
-    rows.push(Row {
-        label: "single_release".into(),
-        value: single_qps,
-        unit: "queries_per_sec",
-    });
-
-    // Criterion-visible wrappers for trend tracking.
-    group.bench_function("window_8_epochs", |b| {
-        b.iter(|| black_box(answer_window(&engine, &window).unwrap()))
-    });
-    group.bench_function("single_release", |b| {
-        b.iter(|| black_box(engine.answer(&single).unwrap()))
-    });
-    group.finish();
-
-    for r in &rows {
-        println!("stream_throughput/{}: {:.1} {}", r.label, r.value, r.unit);
-    }
-    println!(
-        "stream_throughput: window/single rate ratio {:.3}",
-        window_qps / single_qps
-    );
-    write_json(&rows, window_qps / single_qps);
+    let single = QueryRequest::new("bench@epoch:0", rects);
+    bench.time("single_release", unit, || engine.answer(&single).unwrap());
+    bench.write();
 }
-
-/// Records the measurements to `BENCH_stream_throughput.json` at the
-/// workspace root (perf-trajectory files live in-repo).
-fn write_json(rows: &[Row], window_ratio: f64) {
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../BENCH_stream_throughput.json"
-    );
-    let mut out = format!(
-        "{{\n  \"bench\": \"stream_throughput\",\n  \
-         \"epochs\": {EPOCHS},\n  \"rects_per_batch\": {RECTS},\n  \
-         \"window_vs_single_ratio\": {window_ratio:.3},\n  \"rows\": [\n"
-    );
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"label\": \"{}\", \"value\": {:.1}, \"unit\": \"{}\"}}{}\n",
-            r.label,
-            r.value,
-            r.unit,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    if let Err(e) = std::fs::write(path, out) {
-        eprintln!("stream_throughput: could not write {path}: {e}");
-    }
-}
-
-criterion_group!(benches, bench_stream_throughput);
-criterion_main!(benches);

@@ -199,6 +199,47 @@ mod tests {
     }
 
     #[test]
+    fn guideline2_rounds_up_where_dpcomp_truncates() {
+        // dpcomp's AG (SNIPPETS.md): m2 = 1 for a noisy count ≤ 0, else
+        // int(sqrt(noisycnt·(1−α)·ε/c2) − 1) + 1, where Python's int
+        // truncates toward zero: ⌊s⌋ for a root s ≥ 1, 1 below it.
+        let dpcomp = |n_prime: f64, remaining_epsilon: f64, c2: f64| -> usize {
+            if n_prime <= 0.0 {
+                1
+            } else {
+                ((n_prime * remaining_epsilon / c2).sqrt() - 1.0) as usize + 1
+            }
+        };
+        // They agree for N′ ≤ 0, for roots below 1, and for perfect
+        // squares (√100 = 10, √1 = 1).
+        for (n_prime, eps) in [
+            (0.0, 0.5),
+            (-50.0, 0.5),
+            (3.0, 0.5),
+            (9.9, 0.5),
+            (10.0, 0.5),
+            (1000.0, 0.5),
+        ] {
+            assert_eq!(
+                guideline2(n_prime, eps, DEFAULT_C2),
+                dpcomp(n_prime, eps, DEFAULT_C2),
+                "N′ = {n_prime}"
+            );
+        }
+        // Between perfect squares guideline2 takes ⌈s⌉ and dpcomp ⌊s⌋:
+        // √101 ≈ 10.05 gives 11 against 10.
+        assert_eq!(guideline2(1010.0, 0.5, DEFAULT_C2), 11);
+        assert_eq!(dpcomp(1010.0, 0.5, DEFAULT_C2), 10);
+        for n_prime in [11.0, 25.0, 999.0, 12_345.0] {
+            assert_eq!(
+                guideline2(n_prime, 0.5, DEFAULT_C2),
+                dpcomp(n_prime, 0.5, DEFAULT_C2) + 1,
+                "N′ = {n_prime}"
+            );
+        }
+    }
+
+    #[test]
     fn guideline2_monotone_in_count_and_budget() {
         let mut last = 0;
         for n in [0.0, 10.0, 100.0, 1_000.0, 10_000.0, 100_000.0] {

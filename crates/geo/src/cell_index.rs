@@ -59,22 +59,17 @@ const LATTICE_SAMPLE_CELLS: usize = 4096;
 /// Relative tolerance for float drift in derived subdivision edges.
 ///
 /// Adaptive-grid level-2 subdivision computes cell edges as
-/// `parent_y0 + i · (height / m₂)`, so two cells meant to share a row
-/// can disagree by a few ULPs of float drift. Snapping such extents
-/// into the first-seen band keeps the index tight (one band per
-/// logical row instead of one per drifted bit pattern) while
-/// perturbing any answer by at most the same relative amount — far
-/// below the 1e-9 equivalence budget the compiled surface is tested
-/// against. For the same reason the coarse sweep lets a cell end this
-/// far past a coarse line without straddling it; that only shapes the
-/// slots, since the two-level index answers such a cell exactly.
+/// `parent_y0 + i · (height / m₂)`, so a cell meant to end on a coarse
+/// line can overshoot it by a few ULPs. The coarse sweep lets a cell
+/// end this far past a coarse line without straddling it; that only
+/// shapes the slots, since the two-level index answers such a cell
+/// exactly.
 ///
-/// The tolerance scales with `max(band height, |y|)`: ULP drift is
-/// relative to the coordinate's *magnitude*, so a thin band far from
-/// the origin (projected coordinates, e.g. UTM metres around 10⁶)
-/// drifts by far more than its own height. At 1e-12 (~4 ULPs of the
-/// magnitude) genuinely distinct rows — separated by at least a cell
-/// height — stay far outside the snap.
+/// The tolerance scales with the coordinate's magnitude, as ULP drift
+/// does (projected coordinates, e.g. UTM metres around 10⁶, drift by
+/// far more than a thin cell's height). At 1e-12 (~4 ULPs of the
+/// magnitude) genuinely distinct lines — separated by at least a cell
+/// height — stay far outside it.
 const SNAP_REL: f64 = 1e-12;
 
 /// A compiled index over a rectangle partition, ready to answer
@@ -601,10 +596,6 @@ fn slot_cover(lower: &[f64], reach: &[f64], q0: f64, q1: f64) -> (Range<usize>, 
     (t0..t1, f0..f1)
 }
 
-/// A snap group under construction: the band's y-extent plus the
-/// member cells collected before the per-band x-sort.
-type BandGroup<'a> = (f64, f64, Vec<&'a (Rect, f64)>);
-
 /// One band: all cells sharing the same y-extent, sorted by `x0`.
 #[derive(Debug, Clone)]
 struct Band {
@@ -761,7 +752,8 @@ impl BandIndex {
     /// (zero-area) cells are dropped — they cannot contribute to any
     /// query.
     pub fn build(cells: &[(Rect, f64)]) -> BandIndex {
-        // Group by exact y-extent.
+        // Group by exact y-extent; the (y0, y1, x0) sort leaves each
+        // band's members adjacent and x-sorted.
         let mut sorted: Vec<&(Rect, f64)> = cells.iter().filter(|(r, _)| !r.is_empty()).collect();
         sorted.sort_by(|a, b| {
             a.0.y0()
@@ -769,39 +761,21 @@ impl BandIndex {
                 .then(a.0.y1().total_cmp(&b.0.y1()))
                 .then(a.0.x0().total_cmp(&b.0.x0()))
         });
-        // Group into bands. The tolerance snap treats y-extents within a
-        // few ULPs of the current band (float drift from derived
-        // subdivision edges) as the same row; sorting by (y0, y1) makes
-        // drifted twins adjacent, so comparing against the last group
-        // suffices. Snapped members may arrive out of x-order (the sort
-        // key ranked their drifted y0 first), so cells are grouped
-        // first and each band x-sorted afterwards.
-        let mut groups: Vec<BandGroup> = Vec::new();
-        for cell in sorted {
-            let rect = &cell.0;
-            let same_band = groups.last().is_some_and(|(y0, y1, _)| {
-                let scale = (y1 - y0).abs().max(y0.abs()).max(y1.abs());
-                let tol = scale * SNAP_REL;
-                (y0 - rect.y0()).abs() <= tol && (y1 - rect.y1()).abs() <= tol
-            });
-            if !same_band {
-                groups.push((rect.y0(), rect.y1(), Vec::new()));
-            }
-            groups.last_mut().expect("group exists").2.push(cell);
-        }
-        let mut bands: Vec<Band> = Vec::with_capacity(groups.len());
-        for (y0, y1, mut members) in groups {
-            members.sort_by(|a, b| a.0.x0().total_cmp(&b.0.x0()));
+        let mut bands: Vec<Band> = Vec::new();
+        let same_extent = |a: &&(Rect, f64), b: &&(Rect, f64)| {
+            a.0.y0().total_cmp(&b.0.y0()).is_eq() && a.0.y1().total_cmp(&b.0.y1()).is_eq()
+        };
+        for members in sorted.chunk_by(same_extent) {
             let mut band = Band {
-                y0,
-                y1,
+                y0: members[0].0.y0(),
+                y1: members[0].0.y1(),
                 x0s: Vec::with_capacity(members.len()),
                 x1s: Vec::with_capacity(members.len()),
                 values: Vec::with_capacity(members.len()),
                 prefix: vec![0.0],
                 overlapping: false,
             };
-            for (rect, v) in members {
+            for (rect, v) in members.iter().copied() {
                 if let Some(&prev_x1) = band.x1s.last() {
                     if rect.x0() < prev_x1 {
                         band.overlapping = true;
@@ -1112,75 +1086,8 @@ mod tests {
     }
 
     #[test]
-    fn near_equal_bands_snap_into_one() {
-        // AG level-2 subdivision derives row edges as
-        // `y0 + i · (h / m₂)`, so logically identical rows drift by a
-        // few ULPs. The band index must snap them together instead of
-        // opening one band per drifted bit pattern — and must keep its
-        // sorted-x invariant even though drifted twins arrive out of
-        // x-order from the (y0, y1, x0) sort.
-        let rows = 6;
-        let cols = 8;
-        let mut cells = Vec::new();
-        for r in 0..rows {
-            for c in 0..cols {
-                // Per-cell drift of ~1 ULP on both row edges, varying
-                // with the column so x-order and y-order disagree.
-                let drift = ((c % 3) as f64 - 1.0) * 2e-16;
-                let y0 = r as f64 * (1.0 + drift);
-                let y1 = (r + 1) as f64 * (1.0 + drift);
-                let x0 = c as f64;
-                cells.push((
-                    Rect::new(x0, y0, x0 + 1.0, y1.max(y0 + 0.5)).unwrap(),
-                    (r * cols + c) as f64 - 10.0,
-                ));
-            }
-        }
-        let index = BandIndex::build(&cells);
-        assert_eq!(
-            index.band_count(),
-            rows,
-            "drifted rows must merge into one band each"
-        );
-        // Row 0 drifts multiplicatively from y0 = 0, so its members all
-        // share y0 = 0 exactly: the merge there exercises the x-resort,
-        // while later rows exercise the y-tolerance.
-        let wrapped = CellIndex::Bands(index);
-        let domain = Rect::new(0.0, 0.0, cols as f64, rows as f64).unwrap();
-        assert_matches_scan(&cells, &wrapped, &query_mix(&domain));
-    }
-
-    #[test]
-    fn thin_bands_far_from_origin_still_snap() {
-        // Projected coordinates (UTM-like): rows of height 0.1 around
-        // y = 10⁶. ULP drift there is ~1.2e-10 — larger than a
-        // height-relative tolerance would allow, so the snap must
-        // scale with the coordinate magnitude.
-        let base = 1.0e6;
-        let rows = 4;
-        let mut cells = Vec::new();
-        for r in 0..rows {
-            for c in 0..6 {
-                let drift = ((c % 3) as f64 - 1.0) * 2.0e-10;
-                let y0 = base + r as f64 * 0.1 + drift;
-                let x0 = c as f64;
-                cells.push((
-                    Rect::new(x0, y0, x0 + 1.0, y0 + 0.1).unwrap(),
-                    (r + c) as f64,
-                ));
-            }
-        }
-        let index = BandIndex::build(&cells);
-        assert_eq!(index.band_count(), rows, "ULP-drifted UTM rows must merge");
-        let wrapped = CellIndex::Bands(index);
-        let domain = Rect::new(0.0, base, 6.0, base + 0.1 * rows as f64).unwrap();
-        assert_matches_scan(&cells, &wrapped, &query_mix(&domain));
-    }
-
-    #[test]
     fn clearly_distinct_bands_do_not_snap() {
-        // The tolerance is relative and tiny: rows 1e-6 apart (huge
-        // compared to ULP drift) must stay separate bands.
+        // Bands group by exact y-extent: rows 1e-6 apart stay separate.
         let cells = vec![
             (Rect::new(0.0, 0.0, 1.0, 1.0).unwrap(), 1.0),
             (Rect::new(0.0, 1e-6, 1.0, 1.0 + 1e-6).unwrap(), 2.0),

@@ -258,11 +258,12 @@ impl ReportCollector {
         })
     }
 
-    /// Seals the open epoch: charges its ε through the schedule
-    /// (exactly once — a double charge is a hard error), debiases both
-    /// families' tallies into per-cell estimates, and returns the
-    /// release ready to publish under `{keyspace}@epoch:{i}`. The next
-    /// epoch opens with empty accumulators.
+    /// Seals the open epoch: debiases both families' tallies at the
+    /// schedule's ε share into per-cell estimates, then charges that
+    /// share (exactly once — a double charge is a hard error), and
+    /// returns the release ready to publish under `{keyspace}@epoch:{i}`.
+    /// Building before charging means nothing fallible follows the
+    /// charge. The next epoch opens with empty accumulators.
     ///
     /// The estimate is raw (negative cells are kept, the paper's
     /// convention — noise cancels when summing over query rectangles),
@@ -271,7 +272,7 @@ impl ReportCollector {
     /// held the underlying points.
     pub fn seal_open_epoch(&mut self) -> Result<SealedEpoch> {
         let epoch = self.open;
-        let epsilon = self.config.schedule.spend_epoch(epoch)?;
+        let epsilon = self.config.schedule.epsilon_for(epoch)?;
         let k = self.cells as usize;
         let grr = Grr::new(k, epsilon)?;
         let oue = Oue::new(k, epsilon)?;
@@ -291,6 +292,7 @@ impl ReportCollector {
             ReleaseMetadata::legacy(format!("ldp-{cols}x{rows}-grr+oue"), epsilon).local();
         let release =
             Release::from_parts_with_metadata(metadata, epsilon, self.config.domain, cells)?;
+        self.config.schedule.spend_epoch(epoch)?;
         let key = epoch_key(&self.config.keyspace, EpochRange::single(epoch));
         let summary = SealSummary {
             key,

@@ -16,9 +16,9 @@
 //! * [`ReportCollector`] — bounded per-epoch accumulators (flat `u64`
 //!   tally vectors, no per-report allocation), all-or-nothing batch
 //!   folding with typed rejections ([`LdpError`]), and epoch sealing:
-//!   charge the epoch's ε through [`dpgrid_mech::BudgetSchedule`]
-//!   (exactly once), debias, publish as an ordinary
-//!   [`dpgrid_core::Release`] tagged
+//!   debias at the epoch's ε share, charge that share through
+//!   [`dpgrid_mech::BudgetSchedule`] (exactly once), publish as an
+//!   ordinary [`dpgrid_core::Release`] tagged
 //!   [`dpgrid_core::TrustModel::Local`].
 //! * [`CollectingService`] — wraps any [`dpgrid_serve::QueryService`]
 //!   and exposes the collector through

@@ -424,8 +424,11 @@ impl StreamIngestor {
     }
 
     /// Builds and publishes one sealed epoch: dataset from the staged
-    /// points, ε from the schedule (charged once per epoch), release
-    /// under the epoch key, a retained clone for future compaction.
+    /// points, the release built at the schedule's ε share, then the
+    /// share charged (once per epoch) and the release published under
+    /// the epoch key, with a retained clone for future compaction.
+    /// Nothing fallible runs between the charge and the publish, so a
+    /// failed build charges nothing and a retry can succeed.
     fn publish_epoch<S: ReleaseSink>(
         &mut self,
         epoch: u64,
@@ -433,7 +436,7 @@ impl StreamIngestor {
         sink: &mut S,
     ) -> Result<PublishedEpoch> {
         let dataset = dpgrid_geo::GeoDataset::from_points(points.to_vec(), self.domain)?;
-        let epsilon = self.schedule.spend_epoch(epoch)?;
+        let epsilon = self.schedule.epsilon_for(epoch)?;
         let mut pipeline = Pipeline::new(&dataset).epsilon(epsilon).method(self.method);
         if let Some(base) = self.base_seed {
             // splitmix64-style odd-constant mix keeps per-epoch seeds
@@ -441,6 +444,7 @@ impl StreamIngestor {
             pipeline = pipeline.seed(base ^ epoch.wrapping_mul(0x9e37_79b9_7f4a_7c15));
         }
         let release = pipeline.publish()?;
+        self.schedule.spend_epoch(epoch)?;
         let key = epoch_key(&self.keyspace, EpochRange::single(epoch));
         self.retained.insert(epoch, release.clone());
         sink.accept_release(key.clone(), release);
@@ -725,6 +729,24 @@ mod tests {
         ));
         assert_eq!(ing.open_epochs(), vec![2]);
         assert!(!sink.contains_key("s@epoch:2"));
+    }
+
+    #[test]
+    fn failed_builds_charge_nothing_and_stay_retryable() {
+        let mut ing = ingestor(BudgetSchedule::uniform(1.0, 4).unwrap()).with_method(Method::ug(0));
+        let mut sink = HashMap::new();
+        fill_epoch(&mut ing, &mut sink, 0, 10);
+        let first = ing.flush(&mut sink).unwrap_err();
+        assert!(first.to_string().contains("grid size"), "{first}");
+        // The build failed before the charge: no ε spent, the points
+        // stay staged, and a retry fails the same way instead of with
+        // `EpochAlreadyCharged`.
+        assert!(ing.schedule().charged_epochs().is_empty());
+        assert_eq!(ing.schedule().spent(), 0.0);
+        assert_eq!(ing.open_epochs(), vec![0]);
+        let retry = ing.flush(&mut sink).unwrap_err();
+        assert_eq!(retry.to_string(), first.to_string());
+        assert!(sink.is_empty());
     }
 
     #[test]

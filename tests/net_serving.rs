@@ -282,6 +282,13 @@ fn raw_socket_version_mismatch_and_garbage_get_typed_errors() {
     // framing means a bad frame never desynchronises the stream.
     let reply = roundtrip(&mut reader, &mut writer, &[0xFF, 0xFE, 0x80]);
     assert!(reply.contains("\"MalformedRequest\""), "{reply}");
+    // ~100 KB of nesting, far under the frame cap and with no `Hello`:
+    // the parser's depth cap answers it typed instead of overflowing a
+    // worker's stack and aborting the server.
+    let mut deep = br#"{"protocol_version":1,"id":1,"body":"#.to_vec();
+    deep.extend(std::iter::repeat_n(b'[', 100_000));
+    let reply = roundtrip(&mut reader, &mut writer, &deep);
+    assert!(reply.contains("\"MalformedRequest\""), "{reply}");
     let reply = roundtrip(
         &mut reader,
         &mut writer,
