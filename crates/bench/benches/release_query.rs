@@ -10,16 +10,26 @@
 //! reference) and `<release>/compiled` (`Release::answer`), both in ns
 //! per query over a mixed six-query workload, and `<release>/compile`,
 //! the milliseconds one fresh compile of the surface takes.
+//!
+//! The AG release also gets one row per query class at both ends of
+//! Table II's range, `ag_guideline/q1` and `ag_guideline/q6`: ns per
+//! query over 1,000 rects of that class, landmark's q1 size scaled by
+//! 2^(class − 1) and placed uniformly in the domain. A two-level answer
+//! costs a few strip lookups and corner slots whatever the rect's size,
+//! so q6 should cost about what q1 does.
 
 use std::hint::black_box;
 
 use dpgrid_baselines::{KdConfig, KdStandard};
 use dpgrid_bench::{bench_dataset, bench_rng, Bench, Unit};
 use dpgrid_core::{AdaptiveGrid, AgConfig, Release, Synopsis, UgConfig, UniformGrid};
+use dpgrid_geo::generators::PaperDataset;
 use dpgrid_geo::Rect;
+use rand::Rng;
 
 const N: usize = 100_000;
 const EPS: f64 = 1.0;
+const RECTS_PER_CLASS: usize = 1_000;
 
 /// Mixed workload over the landmark domain `[-130, -70] × [10, 50]`:
 /// spanning, mid, small and sliver queries.
@@ -32,6 +42,25 @@ fn workload() -> Vec<Rect> {
         Rect::new(-100.1, 10.0, -99.9, 50.0).unwrap(),
         Rect::new(-130.0, 29.9, -70.0, 30.1).unwrap(),
     ]
+}
+
+/// [`RECTS_PER_CLASS`] rects of query class `class` (1 to 6) inside
+/// `domain`: landmark's q1 extents doubled `class − 1` times.
+fn class_rects(domain: &Rect, class: u32) -> Vec<Rect> {
+    let (w1, h1) = PaperDataset::Landmark.q1_size();
+    let scale = f64::from(1u32 << (class - 1));
+    let (w, h) = (
+        (w1 * scale).min(domain.width()),
+        (h1 * scale).min(domain.height()),
+    );
+    let mut rng = bench_rng();
+    (0..RECTS_PER_CLASS)
+        .map(|_| {
+            let x0 = rng.random_range(domain.x0()..=domain.x1() - w);
+            let y0 = rng.random_range(domain.y0()..=domain.y1() - h);
+            Rect::new(x0, y0, x0 + w, y0 + h).unwrap()
+        })
+        .collect()
 }
 
 fn releases() -> Vec<(String, Release)> {
@@ -59,7 +88,8 @@ fn main() {
     let queries = workload();
     let per_query = Unit::NsPer("query", queries.len());
     let mut bench = Bench::new("release_query");
-    for (label, release) in releases() {
+    let releases = releases();
+    for (label, release) in &releases {
         bench.time(format!("{label}/linear"), per_query, || {
             queries
                 .iter()
@@ -85,6 +115,16 @@ fn main() {
                 fresh
             },
         );
+    }
+    let (_, ag) = (releases.iter())
+        .find(|(label, _)| label == "ag_guideline")
+        .expect("the AG release is built");
+    for class in [1, 6] {
+        let rects = class_rects(ag.domain().rect(), class);
+        let per_rect = Unit::NsPer("query", rects.len());
+        bench.time(format!("ag_guideline/q{class}"), per_rect, || {
+            rects.iter().map(|q| ag.answer(black_box(q))).sum::<f64>()
+        });
     }
     bench.write();
 }

@@ -221,6 +221,57 @@ impl Bench {
     }
 }
 
+/// One label of two runs of one bench, as [`diff`] pairs them.
+#[derive(Debug, Clone, Copy)]
+pub struct RowDiff<'a> {
+    /// The row's label.
+    pub label: &'a str,
+    /// Its row in the old run, if measured there.
+    pub old: Option<&'a Row>,
+    /// Its row in the new run, if measured there.
+    pub new: Option<&'a Row>,
+}
+
+impl RowDiff<'_> {
+    /// New median over old, when both runs have the row.
+    pub fn ratio(&self) -> Option<f64> {
+        Some(self.new?.median / self.old?.median)
+    }
+
+    /// Whether the row moved beyond its spread: each run's median lies
+    /// outside the other run's p10–p90.
+    pub fn moved(&self) -> bool {
+        let (Some(old), Some(new)) = (self.old, self.new) else {
+            return false;
+        };
+        let outside = |x: f64, row: &Row| x < row.p10 || x > row.p90;
+        outside(old.median, new) && outside(new.median, old)
+    }
+}
+
+/// Pairs the rows of two runs of one bench by label: `old`'s labels in
+/// its order, then the labels only `new` has.
+pub fn diff<'a>(old: &'a Bench, new: &'a Bench) -> Vec<RowDiff<'a>> {
+    let find = |bench: &'a Bench, label: &str| bench.rows.iter().find(|r| r.label == label);
+    let mut rows: Vec<RowDiff<'a>> = (old.rows.iter())
+        .map(|row| RowDiff {
+            label: &row.label,
+            old: Some(row),
+            new: find(new, &row.label),
+        })
+        .collect();
+    rows.extend(
+        (new.rows.iter())
+            .filter(|row| find(old, &row.label).is_none())
+            .map(|row| RowDiff {
+                label: &row.label,
+                old: None,
+                new: Some(row),
+            }),
+    );
+    rows
+}
+
 /// The workspace root, where the `BENCH_*.json` files live.
 pub fn workspace_root() -> PathBuf {
     PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."))
@@ -299,6 +350,39 @@ mod tests {
             |()| (),
         );
         assert!(bench.rows[0].p90 < 1.0, "{:?}", bench.rows[0]);
+    }
+
+    #[test]
+    fn diff_flags_only_rows_whose_medians_leave_each_others_spread() {
+        let row = |label: &str, median: f64, p10: f64, p90: f64| Row {
+            label: label.into(),
+            unit: "ns".into(),
+            median,
+            p10,
+            p90,
+            samples: 10,
+        };
+        let mut old = Bench::new("unit");
+        old.rows = vec![
+            row("faster", 100.0, 90.0, 110.0),
+            row("overlap", 100.0, 90.0, 110.0),
+            row("gone", 5.0, 4.0, 6.0),
+        ];
+        let mut new = Bench::new("unit");
+        new.rows = vec![
+            row("added", 7.0, 6.0, 8.0),
+            // The new median sits inside the old spread: not a move.
+            row("overlap", 108.0, 95.0, 140.0),
+            row("faster", 50.0, 45.0, 55.0),
+        ];
+        let rows = diff(&old, &new);
+        let labels: Vec<&str> = rows.iter().map(|r| r.label).collect();
+        assert_eq!(labels, ["faster", "overlap", "gone", "added"]);
+        let moved: Vec<bool> = rows.iter().map(RowDiff::moved).collect();
+        assert_eq!(moved, [true, false, false, false]);
+        assert_eq!(rows[0].ratio(), Some(0.5));
+        assert_eq!(rows[2].ratio(), None);
+        assert!(rows[3].old.is_none() && rows[3].new.is_some());
     }
 
     #[test]

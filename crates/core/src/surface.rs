@@ -14,8 +14,10 @@
 //! * two-level partitions (larger AG outputs, whose leaves align only
 //!   within each first-level cell) become a coarse lattice whose slots
 //!   each hold their own sub-lattice: one coarse prefix-sum lookup for
-//!   the slots a query fully covers plus one sub-lattice lookup per rim
-//!   slot;
+//!   the slots a query fully covers, one strip lookup per coarse column
+//!   or row its edges cut (over the 1-D marginals of the slots there),
+//!   and one sub-lattice lookup per corner slot — a cost that does not
+//!   grow with the query's size;
 //! * irregular partitions (KD trees, adversarial releases) fall back to
 //!   a sorted row-band / interval index with per-band prefix sums.
 //!

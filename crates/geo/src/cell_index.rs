@@ -18,10 +18,12 @@
 //! 2. [`TwoLevelIndex`] — two-level partitions (larger adaptive grids,
 //!    whose first-level cells are each split into their own `m₂ × m₂`
 //!    grid). One sweep per axis finds the *coarse lines* no cell
-//!    straddles, and each coarse slot's cells get their own
-//!    [`LatticeIndex`]. A summed-area table over the slot totals
-//!    answers the slots a query fully covers in one lookup; only the
-//!    rim slots, which it covers partly, ask their own lattice.
+//!    straddles, and each coarse slot's cells get their own lattice. A
+//!    summed-area table over the slot totals answers the slots a query
+//!    fully covers in one lookup. The rim slots cut by one query edge
+//!    are answered through per-column and per-row *strips* of their
+//!    1-D marginals, one lookup per cut column or row whatever the run's
+//!    length; only the ≤ 4 corner slots ask their own lattice.
 //! 3. [`BandIndex`] — the general path (KD trees, adversarial releases).
 //!    Cells are bucketed into *bands* of identical y-extent, each band
 //!    keeping its cells sorted by `x0` with prefix sums; bands
@@ -140,17 +142,34 @@ fn collect_edges(
     lo: impl Fn(&Rect) -> f64,
     hi: impl Fn(&Rect) -> f64,
 ) -> Vec<f64> {
-    let mut keys: Vec<i64> = Vec::with_capacity(cells.len() * 2);
-    for (rect, _) in cells {
-        keys.push(total_key(lo(rect)));
-        keys.push(total_key(hi(rect)));
-    }
+    lattice_lines(lower_keys(cells, lo), cells, hi)
+}
+
+/// Sorted, deduplicated [`total_key`]s of the cells' lower edges along
+/// one axis. `-0.0` is read as `0.0`, so equal coordinates share one
+/// key. Only the distinct keys stay allocated: both axes' are held at
+/// once, while a large list is judged on them.
+fn lower_keys(cells: &[&(Rect, f64)], lo: impl Fn(&Rect) -> f64) -> Vec<i64> {
+    let mut keys: Vec<i64> = cells.iter().map(|(r, _)| total_key(lo(r) + 0.0)).collect();
+    keys.sort_unstable();
+    keys.dedup();
+    keys.shrink_to_fit();
+    keys
+}
+
+/// The ascending lines of one lattice axis: the [`lower_keys`] `keys`
+/// together with the cells' upper edges.
+fn lattice_lines(
+    mut keys: Vec<i64>,
+    cells: &[&(Rect, f64)],
+    hi: impl Fn(&Rect) -> f64,
+) -> Vec<f64> {
+    keys.reserve_exact(cells.len());
+    keys.extend(cells.iter().map(|(r, _)| total_key(hi(r) + 0.0)));
     keys.sort_unstable();
     keys.dedup();
     let mut edges: Vec<f64> = keys.into_iter().map(total_key_inv).collect();
-    // `-0.0 == 0.0`: keep one of them, as a float sort would.
-    edges.dedup_by(|a, b| a == b);
-    // The edges outlive the build: drop the 2-per-cell capacity.
+    // The edges outlive the build: drop the spare capacity.
     edges.shrink_to_fit();
     edges
 }
@@ -224,7 +243,8 @@ fn axis_segments(edges: &[f64], q0: f64, q1: f64) -> [Option<(usize, usize, f64)
 /// block leaves every touched slot on the rim.
 ///
 /// The walk costs O(rim), not O(touched): a wide query over an
-/// `m × m` lattice visits O(m) slots, never the O(m²) interior.
+/// `m × m` lattice visits O(m) slots, never the O(m²) interior. The
+/// adaptive grid's native `answer` walks its rim this way.
 pub fn for_each_rim_slot(
     touched: [Range<usize>; 2],
     full: [Range<usize>; 2],
@@ -290,11 +310,19 @@ impl LatticeIndex {
         }
         // Edges come from the live cells only: a degenerate cell off the
         // lattice must not inflate the slot grid or stretch its bounds.
-        let xs = collect_edges(&live, |r| r.x0(), |r| r.x1());
-        let ys = collect_edges(&live, |r| r.y0(), |r| r.y1());
-        if xs.len() < 2 || ys.len() < 2 {
+        let x_lows = lower_keys(&live, |r| r.x0());
+        let y_lows = lower_keys(&live, |r| r.y0());
+        // Exact early exit: every lower edge is a lattice line, and so is
+        // the largest upper edge, which exceeds them all. So the lattice
+        // has at least as many columns as distinct lower x-edges (exactly
+        // as many when the cells tile their bounding box), and as many
+        // rows as distinct lower y-edges: past the cap on these alone,
+        // decline before sorting the upper edges.
+        if x_lows.len().saturating_mul(y_lows.len()) > blowup_cap(live.len()) {
             return None;
         }
+        let xs = lattice_lines(x_lows, &live, |r| r.x1());
+        let ys = lattice_lines(y_lows, &live, |r| r.y1());
         let (cols, rows) = (xs.len() - 1, ys.len() - 1);
         if cols.checked_mul(rows)? > blowup_cap(live.len()) {
             return None;
@@ -331,21 +359,7 @@ impl LatticeIndex {
 
     /// Answers a query in O(log cols + log rows).
     pub fn answer(&self, query: &Rect) -> f64 {
-        let xsegs = axis_segments(&self.xs, query.x0(), query.x1());
-        let ysegs = axis_segments(&self.ys, query.y0(), query.y1());
-        let mut sum = 0.0;
-        for &(r0, r1, wy) in ysegs.iter().flatten() {
-            if wy <= 0.0 {
-                continue;
-            }
-            for &(c0, c1, wx) in xsegs.iter().flatten() {
-                let w = wx * wy;
-                if w > 0.0 {
-                    sum += w * self.sat.sum(c0, r0, c1, r1);
-                }
-            }
-        }
-        sum
+        lattice_answer(&self.xs, &self.ys, &self.sat, query)
     }
 
     /// Sum of all values.
@@ -362,6 +376,27 @@ impl LatticeIndex {
             + (self.xs.len() + self.ys.len()) * std::mem::size_of::<f64>()
             + (self.sat.memory_bytes() - std::mem::size_of::<crate::SummedAreaTable>())
     }
+}
+
+/// Answers a query over a lattice with edges `xs` × `ys` whose
+/// scattered values `sat` sums: one [`LatticeIndex`], or one slot of a
+/// [`TwoLevelIndex`], which keeps its edges in its strips.
+fn lattice_answer(xs: &[f64], ys: &[f64], sat: &crate::SummedAreaTable, query: &Rect) -> f64 {
+    let xsegs = axis_segments(xs, query.x0(), query.x1());
+    let ysegs = axis_segments(ys, query.y0(), query.y1());
+    let mut sum = 0.0;
+    for &(r0, r1, wy) in ysegs.iter().flatten() {
+        if wy <= 0.0 {
+            continue;
+        }
+        for &(c0, c1, wx) in xsegs.iter().flatten() {
+            let w = wx * wy;
+            if w > 0.0 {
+                sum += w * sat.sum(c0, r0, c1, r1);
+            }
+        }
+    }
+    sum
 }
 
 /// Most lattice slots `live` cells may be scattered onto.
@@ -434,18 +469,29 @@ impl AxisSweep {
     }
 }
 
-/// The two-level path: a coarse lattice whose slots each hold a
-/// [`LatticeIndex`] over their own cells.
+/// The two-level path: a coarse lattice whose slots each hold the
+/// summed-area table of their own cells' lattice.
 ///
 /// This is the shape of the paper's adaptive grid: an `m₁ × m₁` grid
 /// whose cells are each split into their own `m₂ × m₂` grid. Its leaves
 /// induce no affordable common lattice (each first-level column mixes
 /// many `m₂`), but no leaf straddles a first-level line. A summed-area
-/// table over the slot totals answers the slots a query fully covers;
-/// only the rim slots, which it covers partly, ask their own lattice.
+/// table over the slot totals answers the slots a query fully covers.
+///
+/// A rim slot cut by only one query edge needs just a 1-D marginal of
+/// its cells. So each coarse column keeps a *strip*: its slots grouped
+/// by bitwise-identical x-edges (in an adaptive grid, one group per
+/// `m₂`), each group with a prefix table over its members' cumulative
+/// x-marginals. The mass of any run of the column's slots between two
+/// x-coordinates is then a few lookups per group, whatever the run's
+/// length. Coarse rows keep the same along y. Only the corner slots,
+/// cut on both axes (4 in the common case), are answered in 2-D.
+///
 /// A query costs two binary searches per axis over the coarse lines,
-/// one coarse lookup, and one [`LatticeIndex::answer`] per rim slot —
-/// O(perimeter) slots, never O(area).
+/// one coarse lookup, one strip lookup per coarse column or row it cuts,
+/// and its corner slots: the cost does not grow with the query's size.
+/// Each slot's edges are stored once, in its groups; memory stays linear
+/// in the cells even when no two slots share edges.
 #[derive(Debug, Clone)]
 pub struct TwoLevelIndex {
     /// Coarse lines and the prefix sums of the slot totals.
@@ -455,8 +501,193 @@ pub struct TwoLevelIndex {
     x_reach: Vec<f64>,
     /// Per coarse row, the same bound along y.
     y_reach: Vec<f64>,
-    /// Row-major per-slot lattices; `None` for a slot with no cells.
-    slots: Vec<Option<LatticeIndex>>,
+    /// Row-major per-slot tables; `None` for a slot with no cells.
+    slots: Vec<Option<Slot>>,
+    /// One strip per coarse column (its slots' x-marginals, over rows),
+    /// then one per coarse row (their y-marginals, over columns); boxed,
+    /// so the index is no larger than the other [`CellIndex`] variants.
+    strips: Box<[Strips; 2]>,
+}
+
+/// One non-empty coarse slot: the prefix sums over its own lattice.
+/// Its edges live once, in its groups' blocks: `sat.cols() + 1` x-edges
+/// at `x_edges` of the column strips' blocks, and `sat.rows() + 1`
+/// y-edges at `y_edges` of the row strips'.
+#[derive(Debug, Clone)]
+struct Slot {
+    sat: crate::SummedAreaTable,
+    x_edges: u32,
+    y_edges: u32,
+}
+
+/// The strips of one axis of a two-level index, one per coarse line,
+/// each its slots grouped by edges across the strip, in shared arrays.
+#[derive(Debug, Clone, Default)]
+struct Strips {
+    /// Strip `line`'s groups are `groups[starts[line]..starts[line + 1]]`.
+    starts: Vec<u32>,
+    /// Every group, then a sentinel that ends the last one's members.
+    groups: Vec<StripGroup>,
+    /// Each group's member positions along its strip, ascending.
+    members: Vec<u32>,
+    /// Each group's block (see [`StripGroup`]).
+    blocks: Vec<f64>,
+}
+
+/// The slots of one strip whose edges across it are bitwise identical:
+/// in an adaptive grid, the slots of one first-level column (or row)
+/// with the same `m₂`.
+///
+/// Its block holds those `edges` ascending edges, then a member-major
+/// prefix table of `members × edges` entries: entry `(i, k)` is the
+/// mass below edge `k` of its first `i + 1` members. The mass of any
+/// run of its members between two coordinates is then two rank searches
+/// and, per coordinate, one edge search and four loads.
+#[derive(Debug, Clone, Copy)]
+struct StripGroup {
+    /// Start of its block in [`Strips::blocks`].
+    block: u32,
+    /// Its edge count.
+    edges: u32,
+    /// Start of its members in [`Strips::members`]; they end where the
+    /// next group's start.
+    members: u32,
+}
+
+impl Strips {
+    /// Groups each strip's slots by bitwise-identical edges and builds
+    /// the groups' blocks. `[lines, len]` is the strip count and the
+    /// positions along each; `slot(line, pos)` is a slot's row-major
+    /// index; `edges(lattice)` are a slot's edges across the strip and
+    /// `below(lattice, k)` its mass below the `k`-th of them. Where each
+    /// slot's edges start in the blocks goes to `edges_at`. `None` when
+    /// the blocks outgrow `u32` offsets; the other arrays hold a few
+    /// entries per slot, and slots number at most `MAX_GRID_CELLS`.
+    fn build(
+        lattices: &[Option<LatticeIndex>],
+        [lines, len]: [usize; 2],
+        slot: impl Fn(usize, usize) -> usize,
+        edges: impl Fn(&LatticeIndex) -> &[f64],
+        below: impl Fn(&LatticeIndex, usize) -> f64,
+        edges_at: &mut [u32],
+    ) -> Option<Strips> {
+        let mut strips = Strips {
+            starts: Vec::with_capacity(lines + 1),
+            ..Strips::default()
+        };
+        let mut order: Vec<(usize, &LatticeIndex)> = Vec::with_capacity(len);
+        for line in 0..lines {
+            strips.starts.push(strips.groups.len() as u32);
+            order.clear();
+            order.extend(
+                (0..len).filter_map(|pos| Some((pos, lattices[slot(line, pos)].as_ref()?))),
+            );
+            // Stable: each group's members stay in ascending position.
+            order.sort_by(|a, b| edge_bits(edges(a.1)).cmp(edge_bits(edges(b.1))));
+            for run in order.chunk_by(|a, b| edge_bits(edges(a.1)).eq(edge_bits(edges(b.1)))) {
+                let shared = edges(run[0].1);
+                let block = strips.blocks.len() as u32;
+                strips.groups.push(StripGroup {
+                    block,
+                    edges: shared.len() as u32,
+                    members: strips.members.len() as u32,
+                });
+                strips.blocks.extend_from_slice(shared);
+                let (table, e) = (strips.blocks.len(), shared.len());
+                for (i, &(pos, lattice)) in run.iter().enumerate() {
+                    for k in 0..e {
+                        let before = if i == 0 {
+                            0.0
+                        } else {
+                            strips.blocks[table + (i - 1) * e + k]
+                        };
+                        strips.blocks.push(before + below(lattice, k));
+                    }
+                    strips.members.push(pos as u32);
+                    edges_at[slot(line, pos)] = block;
+                }
+            }
+        }
+        strips.starts.push(strips.groups.len() as u32);
+        strips.groups.push(StripGroup {
+            block: u32::try_from(strips.blocks.len()).ok()?,
+            edges: 0,
+            members: strips.members.len() as u32,
+        });
+        // The arrays outlive the build: drop the spare capacity.
+        strips.groups.shrink_to_fit();
+        strips.members.shrink_to_fit();
+        strips.blocks.shrink_to_fit();
+        Some(strips)
+    }
+
+    /// Mass of strip `line`'s slots at positions in `run` between `q0`
+    /// and `q1`, each slot's mass spread uniformly within its edges:
+    /// a few lookups per group, whatever the run's length.
+    fn mass(
+        &self,
+        line: usize,
+        run: &Range<usize>,
+        q0: f64,
+        q1: f64,
+        stats: &mut TwoLevelStats,
+    ) -> f64 {
+        let mut sum = 0.0;
+        let groups = self.starts[line] as usize..self.starts[line + 1] as usize;
+        for (group, next) in self.groups[groups.start..=groups.end]
+            .iter()
+            .zip(&self.groups[groups.start + 1..=groups.end])
+        {
+            stats.strip_groups += 1;
+            let members = &self.members[group.members as usize..next.members as usize];
+            let rank = |pos: usize| members.partition_point(|&m| (m as usize) < pos);
+            let (ia, ib) = (rank(run.start), rank(run.end));
+            if ia == ib {
+                continue;
+            }
+            let e = group.edges as usize;
+            let (edges, table) = self.blocks[group.block as usize..].split_at(e);
+            // Prefix row `i` covers the first `i` members; row 0 is zero.
+            let row = |i: usize, k: usize| if i == 0 { 0.0 } else { table[(i - 1) * e + k] };
+            let run_below = |k: usize| row(ib, k) - row(ia, k);
+            let at = |q: f64| {
+                if q <= edges[0] {
+                    return 0.0;
+                }
+                if q >= edges[e - 1] {
+                    return run_below(e - 1);
+                }
+                let k = edges.partition_point(|&x| x <= q) - 1;
+                let (a, b) = (run_below(k), run_below(k + 1));
+                a + (b - a) * ((q - edges[k]) / (edges[k + 1] - edges[k]))
+            };
+            sum += at(q1) - at(q0);
+        }
+        sum
+    }
+
+    /// Estimated resident size in bytes: the struct and its arrays.
+    fn memory_bytes(&self) -> usize {
+        std::mem::size_of::<Self>()
+            + (self.starts.len() + self.members.len()) * std::mem::size_of::<u32>()
+            + self.groups.len() * std::mem::size_of::<StripGroup>()
+            + self.blocks.len() * std::mem::size_of::<f64>()
+    }
+}
+
+/// Lookup counts of one [`TwoLevelIndex`] query: how much of the index
+/// the answer touched beyond its one coarse prefix-sum lookup.
+///
+/// Exposed so regression tests can assert the constant-cost bound: a
+/// query whose edges fall inside slots answers exactly its 4 corner
+/// slots in 2-D and visits a few strip groups, however many rim slots
+/// it cuts.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct TwoLevelStats {
+    /// Non-empty slots cut on both axes, answered in 2-D.
+    pub corner_slots: usize,
+    /// Strip groups visited for the runs of slots cut on one axis only.
+    pub strip_groups: usize,
 }
 
 impl TwoLevelIndex {
@@ -465,7 +696,8 @@ impl TwoLevelIndex {
     /// by the snap tolerance), the cells are counting-sorted into the
     /// slots those lines bound, and each slot's cells go through
     /// [`LatticeIndex::try_build`]. `None` when the coarse lattice alone
-    /// exceeds the blow-up cap or some slot's lattice is declined.
+    /// exceeds the blow-up cap or some slot's lattice is declined. Only
+    /// then are the strips built, from the slots' lattices.
     pub fn try_build(cells: &[(Rect, f64)]) -> Option<TwoLevelIndex> {
         let live: Vec<&(Rect, f64)> = cells.iter().filter(|(r, _)| !r.is_empty()).collect();
         if live.is_empty() || u32::try_from(live.len()).is_err() {
@@ -509,6 +741,32 @@ impl TwoLevelIndex {
             totals.add(s % cols, s / cols, lattice.total());
             lattices.push(Some(lattice));
         }
+        let (mut x_edges, mut y_edges) = (vec![0u32; slots], vec![0u32; slots]);
+        let col_strips = Strips::build(
+            &lattices,
+            [cols, rows],
+            |c, r| r * cols + c,
+            |l| &l.xs,
+            |l, k| l.sat.sum(0, 0, k, l.sat.rows()),
+            &mut x_edges,
+        )?;
+        let row_strips = Strips::build(
+            &lattices,
+            [rows, cols],
+            |r, c| r * cols + c,
+            |l| &l.ys,
+            |l, k| l.sat.sum(0, 0, l.sat.cols(), k),
+            &mut y_edges,
+        )?;
+        let slots = (lattices.into_iter().enumerate())
+            .map(|(s, lattice)| {
+                lattice.map(|l| Slot {
+                    sat: l.sat,
+                    x_edges: x_edges[s],
+                    y_edges: y_edges[s],
+                })
+            })
+            .collect();
         Some(TwoLevelIndex {
             coarse: LatticeIndex {
                 sat: totals.sat(),
@@ -517,7 +775,8 @@ impl TwoLevelIndex {
             },
             x_reach: x.reach,
             y_reach: y.reach,
-            slots: lattices,
+            slots,
+            strips: Box::new([col_strips, row_strips]),
         })
     }
 
@@ -527,8 +786,16 @@ impl TwoLevelIndex {
     }
 
     /// Answers a query: one coarse prefix-sum lookup for the slots it
-    /// fully covers, one slot lattice answer per rim slot.
+    /// fully covers, one strip lookup per coarse column or row it cuts,
+    /// and one 2-D slot answer per corner slot, cut on both axes.
     pub fn answer(&self, query: &Rect) -> f64 {
+        self.answer_with_stats(query).0
+    }
+
+    /// [`TwoLevelIndex::answer`] plus the [`TwoLevelStats`] counting the
+    /// corner slots and strip groups it took.
+    pub fn answer_with_stats(&self, query: &Rect) -> (f64, TwoLevelStats) {
+        let mut stats = TwoLevelStats::default();
         let (cols, _) = self.shape();
         let xs = &self.coarse.xs;
         let ys = &self.coarse.ys;
@@ -536,22 +803,42 @@ impl TwoLevelIndex {
             slot_cover(&xs[..xs.len() - 1], &self.x_reach, query.x0(), query.x1());
         let (touched_rows, full_rows) =
             slot_cover(&ys[..ys.len() - 1], &self.y_reach, query.y0(), query.y1());
+        // The touched block splits into the full block, the cut columns
+        // over the full rows, the cut rows over the full columns, and
+        // the corners: each slot counted once.
         let mut sum = self.coarse.sat.sum(
             full_cols.start,
             full_rows.start,
             full_cols.end,
             full_rows.end,
         );
-        for_each_rim_slot(
-            [touched_cols, touched_rows],
-            [full_cols, full_rows],
-            |c, r| {
-                if let Some(lattice) = &self.slots[r * cols + c] {
-                    sum += lattice.answer(query);
+        let cut_cols = (touched_cols.start..full_cols.start).chain(full_cols.end..touched_cols.end);
+        let cut_rows = (touched_rows.start..full_rows.start).chain(full_rows.end..touched_rows.end);
+        let [col_strips, row_strips] = &*self.strips;
+        // A slot of a full row lies inside the query along y, drift
+        // overhang included, so its x-marginal is all it needs; likewise
+        // a slot of a full column along x.
+        if !full_rows.is_empty() {
+            for c in cut_cols.clone() {
+                sum += col_strips.mass(c, &full_rows, query.x0(), query.x1(), &mut stats);
+            }
+        }
+        if !full_cols.is_empty() {
+            for r in cut_rows.clone() {
+                sum += row_strips.mass(r, &full_cols, query.y0(), query.y1(), &mut stats);
+            }
+        }
+        for r in cut_rows {
+            for c in cut_cols.clone() {
+                if let Some(slot) = &self.slots[r * cols + c] {
+                    stats.corner_slots += 1;
+                    let xs = &col_strips.blocks[slot.x_edges as usize..][..slot.sat.cols() + 1];
+                    let ys = &row_strips.blocks[slot.y_edges as usize..][..slot.sat.rows() + 1];
+                    sum += lattice_answer(xs, ys, &slot.sat, query);
                 }
-            },
-        );
-        sum
+            }
+        }
+        (sum, stats)
     }
 
     /// Sum of all values.
@@ -560,17 +847,24 @@ impl TwoLevelIndex {
     }
 
     /// Estimated resident size in bytes: the struct, the coarse lattice,
-    /// the reach bounds, and every slot's lattice.
+    /// the reach bounds, every slot's table and every strip.
     pub fn memory_bytes(&self) -> usize {
         let slot_heap: usize = (self.slots.iter().flatten())
-            .map(|l| l.memory_bytes() - std::mem::size_of::<LatticeIndex>())
+            .map(|s| s.sat.memory_bytes() - std::mem::size_of::<crate::SummedAreaTable>())
             .sum();
         std::mem::size_of::<Self>() - std::mem::size_of::<LatticeIndex>()
             + self.coarse.memory_bytes()
             + (self.x_reach.len() + self.y_reach.len()) * std::mem::size_of::<f64>()
-            + self.slots.len() * std::mem::size_of::<Option<LatticeIndex>>()
+            + self.slots.len() * std::mem::size_of::<Option<Slot>>()
             + slot_heap
+            + self.strips.iter().map(Strips::memory_bytes).sum::<usize>()
     }
+}
+
+/// An edge array as bit patterns: equal iff the arrays are bitwise
+/// identical.
+fn edge_bits(edges: &[f64]) -> impl Iterator<Item = u64> + '_ {
+    edges.iter().map(|x| x.to_bits())
 }
 
 /// Per-axis slot ranges of the query interval `[q0, q1]` over coarse
@@ -753,14 +1047,16 @@ impl BandIndex {
     /// query.
     pub fn build(cells: &[(Rect, f64)]) -> BandIndex {
         // Group by exact y-extent; the (y0, y1, x0) sort leaves each
-        // band's members adjacent and x-sorted.
-        let mut sorted: Vec<&(Rect, f64)> = cells.iter().filter(|(r, _)| !r.is_empty()).collect();
-        sorted.sort_by(|a, b| {
-            a.0.y0()
-                .total_cmp(&b.0.y0())
-                .then(a.0.y1().total_cmp(&b.0.y1()))
-                .then(a.0.x0().total_cmp(&b.0.x0()))
-        });
+        // band's members adjacent and x-sorted. It sorts the coordinates'
+        // `total_key`s, with the index breaking ties as a stable sort
+        // would: the order `total_cmp` gives, without a float compare
+        // through two cell pointers per step.
+        let live: Vec<&(Rect, f64)> = cells.iter().filter(|(r, _)| !r.is_empty()).collect();
+        let mut order: Vec<([i64; 3], usize)> = (live.iter().enumerate())
+            .map(|(i, (r, _))| ([r.y0(), r.y1(), r.x0()].map(total_key), i))
+            .collect();
+        order.sort_unstable();
+        let sorted: Vec<&(Rect, f64)> = order.iter().map(|&(_, i)| live[i]).collect();
         let mut bands: Vec<Band> = Vec::new();
         let same_extent = |a: &&(Rect, f64), b: &&(Rect, f64)| {
             a.0.y0().total_cmp(&b.0.y0()).is_eq() && a.0.y1().total_cmp(&b.0.y1()).is_eq()
@@ -1402,6 +1698,45 @@ mod tests {
         (cells, all_x, all_y)
     }
 
+    /// A random AG-shaped partition (see [`ag_cells`]): `m₁ × m₁`
+    /// first-level cells over a random domain, each split `m₂ × m₂` with
+    /// `m₂` drawn from {1, 2, 3}, so the slots of one column or row that
+    /// share `m₂` share their edges across it. Returns the cells and
+    /// every edge, and adds to `queries` rects with edges on first-level
+    /// lines and rects inside one first-level cell.
+    fn ag_shaped_cells(
+        seed: u64,
+        queries: &mut Vec<Rect>,
+    ) -> (Vec<(Rect, f64)>, Vec<f64>, Vec<f64>) {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xA6);
+        let (x0, y0) = (rng.random_range(-50.0..50.0), rng.random_range(-50.0..50.0));
+        let (w, h) = (rng.random_range(1.0..30.0), rng.random_range(1.0..30.0));
+        let domain = Domain::from_corners(x0, y0, x0 + w, y0 + h).unwrap();
+        let m1 = rng.random_range(2..10usize);
+        let salt = rng.random_range(0..1000usize);
+        let (cells, xs, ys) = ag_cells(domain, m1, |c, r| 1 + (c * 7 + r * 13 + salt) % 3);
+        for _ in 0..20 {
+            let mut pick =
+                || domain.cell_rect(m1, m1, rng.random_range(0..m1), rng.random_range(0..m1));
+            let (a, b) = (pick(), pick());
+            queries.push(
+                Rect::new(
+                    a.x0().min(b.x0()),
+                    a.y0().min(b.y0()),
+                    a.x1().max(b.x1()),
+                    a.y1().max(b.y1()),
+                )
+                .unwrap(),
+            );
+            let (sx, sy) = (rng.random_range(0.0..1.0), rng.random_range(0.0..1.0));
+            let (ex, ey) = (rng.random_range(sx..1.0), rng.random_range(sy..1.0));
+            let (qx0, qy0) = (a.x0() + sx * a.width(), a.y0() + sy * a.height());
+            let (qx1, qy1) = (a.x0() + ex * a.width(), a.y0() + ey * a.height());
+            queries.push(Rect::new(qx0, qy0, qx1, qy1).unwrap());
+        }
+        (cells, xs, ys)
+    }
+
     /// Random queries over `[x0, x1] × [y0, y1]` and beyond, half of them
     /// with edges snapped to given lattice lines.
     fn random_queries(seed: u64, xs: &[f64], ys: &[f64], count: usize) -> Vec<Rect> {
@@ -1425,15 +1760,22 @@ mod tests {
     }
 
     proptest! {
-        /// Random two-level partitions: the two-level index (and
-        /// whichever path `CellIndex` picks) matches the linear scan,
-        /// and one cell per slot compiles to the lattice, bit for bit
-        /// what `LatticeIndex::try_build` answers.
+        /// Random two-level partitions, and AG-shaped ones whose slots
+        /// share edges, so strips have multi-member groups: the
+        /// two-level index (and whichever path `CellIndex` picks)
+        /// matches the linear scan, and one cell per slot compiles to
+        /// the lattice, bit for bit what `LatticeIndex::try_build`
+        /// answers.
         #[test]
-        fn two_level_partitions_match_the_scan(seed in 0u64..1_000_000, shape in 0u8..4) {
+        fn two_level_partitions_match_the_scan(seed in 0u64..1_000_000, shape in 0u8..5) {
             let one_per_slot = shape == 0;
-            let (cells, xs, ys) = two_level_cells(seed, one_per_slot);
-            let queries = random_queries(seed, &xs, &ys, 40);
+            let mut queries = Vec::new();
+            let (cells, xs, ys) = if shape == 4 {
+                ag_shaped_cells(seed, &mut queries)
+            } else {
+                two_level_cells(seed, one_per_slot)
+            };
+            queries.extend(random_queries(seed, &xs, &ys, 40));
             let index = CellIndex::build(&cells);
             if cells.is_empty() {
                 prop_assert!(TwoLevelIndex::try_build(&cells).is_none());
@@ -1570,10 +1912,117 @@ mod tests {
             .slots
             .iter()
             .flatten()
-            .map(|l| l.memory_bytes())
+            .map(|s| s.sat.memory_bytes())
             .sum();
         assert!(two_level.memory_bytes() > slots + two_level.coarse.memory_bytes());
         assert!(index.memory_bytes() < BandIndex::build(&cells).memory_bytes());
         assert_matches_scan(&cells, &index, &random_queries(11, &xs, &ys, 100));
+    }
+
+    #[test]
+    fn two_level_rims_cost_four_corners_and_a_few_strip_groups() {
+        // A wide query with its edges inside slots cuts O(m₁) rim slots.
+        // Each cut line is one strip lookup over at most k groups (one per
+        // m₂), and only the 4 corner slots are answered in 2-D, whatever
+        // m₁ is. The domain and m₁ are powers of two, so no leaf drifts
+        // off a first-level line.
+        let m2s = [1, 2, 3];
+        let domain = Domain::from_corners(0.0, 0.0, 256.0, 256.0).unwrap();
+        for m1 in [16usize, 64, 256] {
+            let (cells, _, _) = ag_cells(domain, m1, |c, r| m2s[(c * 5 + r * 7) % m2s.len()]);
+            let index = TwoLevelIndex::try_build(&cells).expect("an AG partition compiles");
+            assert_eq!(index.shape(), (m1, m1));
+            let w = 256.0 / m1 as f64;
+            let wide = Rect::new(1.37 * w, 2.61 * w, 256.0 - 2.29 * w, 256.0 - 1.53 * w).unwrap();
+            let (got, stats) = index.answer_with_stats(&wide);
+            let expect = linear_scan(&cells, &wide);
+            assert!(
+                (got - expect).abs() <= 1e-9 * (1.0 + expect.abs()),
+                "m1 = {m1}: {got} vs {expect}"
+            );
+            assert_eq!(stats.corner_slots, 4, "m1 = {m1}");
+            assert!(stats.strip_groups <= 4 * m2s.len(), "m1 = {m1}: {stats:?}");
+        }
+    }
+
+    /// A KD-tree-like tiling of `[0, 10]²`: `depth` rounds that split
+    /// every cell in two at a random point, alternating x and y.
+    fn kd_cells(seed: u64, depth: u32) -> Vec<(Rect, f64)> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rects = vec![Rect::new(0.0, 0.0, 10.0, 10.0).unwrap()];
+        for level in 0..depth {
+            let mut next = Vec::with_capacity(2 * rects.len());
+            for r in rects {
+                let t = rng.random_range(0.2..0.8);
+                let halves = if level % 2 == 0 {
+                    let x = r.x0() + t * r.width();
+                    [(r.x0(), r.y0(), x, r.y1()), (x, r.y0(), r.x1(), r.y1())]
+                } else {
+                    let y = r.y0() + t * r.height();
+                    [(r.x0(), r.y0(), r.x1(), y), (r.x0(), y, r.x1(), r.y1())]
+                };
+                next.extend(halves.map(|(a, b, c, d)| Rect::new(a, b, c, d).unwrap()));
+            }
+            rects = next;
+        }
+        (rects.into_iter().enumerate())
+            .map(|(i, r)| (r, (i % 9) as f64 - 3.0))
+            .collect()
+    }
+
+    #[test]
+    fn lower_edge_exit_declines_only_what_the_full_check_declines() {
+        // `LatticeIndex::try_build` declines on the distinct lower edges
+        // before it sorts the upper ones. On a tiling they are exactly the
+        // lattice's shape; on any list the full check decides the rest.
+        let live = |cells: &[(Rect, f64)]| -> Vec<(Rect, f64)> {
+            cells
+                .iter()
+                .filter(|(r, _)| !r.is_empty())
+                .copied()
+                .collect()
+        };
+        let full_fits = |cells: &[(Rect, f64)]| {
+            let live: Vec<&(Rect, f64)> = cells.iter().collect();
+            let cols = collect_edges(&live, |r| r.x0(), |r| r.x1()).len() - 1;
+            let rows = collect_edges(&live, |r| r.y0(), |r| r.y1()).len() - 1;
+            cols * rows <= blowup_cap(live.len())
+        };
+        // Power-of-two sides: no leaf drifts off its first-level cell.
+        let domain = Domain::from_corners(0.0, 0.0, 256.0, 128.0).unwrap();
+        let tilings = [
+            kd_cells(5, 10),
+            staircase_cells(300),
+            ag_cells(domain, 16, |c, r| 1 + (c * 7 + r * 5) % 11).0,
+            ag_cells(domain, 4, |c, r| 1 + (c + r) % 2).0,
+            uniform_cells(40, 30),
+        ];
+        let mut outcomes = Vec::new();
+        for cells in &tilings {
+            let refs: Vec<&(Rect, f64)> = cells.iter().collect();
+            let lows = [lower_keys(&refs, |r| r.x0()), lower_keys(&refs, |r| r.y0())];
+            let shape = [
+                collect_edges(&refs, |r| r.x0(), |r| r.x1()).len() - 1,
+                collect_edges(&refs, |r| r.y0(), |r| r.y1()).len() - 1,
+            ];
+            assert_eq!([lows[0].len(), lows[1].len()], shape);
+            let fits = LatticeIndex::try_build(cells).is_some();
+            assert_eq!(fits, full_fits(cells));
+            outcomes.push(fits);
+        }
+        assert_eq!(outcomes, [false, false, false, true, true]);
+        // Random two-level partitions leave slots empty, so they are not
+        // tilings: the lower edges undercount, and the full check runs.
+        for seed in 0..64 {
+            for one_per_slot in [false, true] {
+                let cells = live(&two_level_cells(seed, one_per_slot).0);
+                if !cells.is_empty() {
+                    let fits = LatticeIndex::try_build(&cells).is_some();
+                    assert_eq!(fits, full_fits(&cells), "seed {seed}");
+                }
+            }
+            let cells = ag_shaped_cells(seed, &mut Vec::new()).0;
+            assert_eq!(LatticeIndex::try_build(&cells).is_some(), full_fits(&cells));
+        }
     }
 }

@@ -65,6 +65,7 @@ mod synopsis;
 
 pub use cell_index::{
     for_each_rim_slot, BandIndex, BandStabStats, CellIndex, LatticeIndex, TwoLevelIndex,
+    TwoLevelStats,
 };
 pub use dataset::GeoDataset;
 pub use domain::Domain;

@@ -4,10 +4,24 @@
 //! ```sh
 //! cargo run --release --example publish_and_consume
 //! ```
+//!
+//! It is also a check of the served AG path end to end: every answer
+//! from the loaded release's compiled surface must match the linear
+//! scan over its cells within 1e-9 · (1 + |scan|), or the run fails.
 
 use dpgrid::core::{synthetic, Release};
 use dpgrid::prelude::*;
 use rand::SeedableRng;
+
+/// Panics unless the compiled-surface `answer` to `query` matches the
+/// release's linear scan.
+fn assert_matches_scan(release: &Release, query: &Rect, answer: f64) {
+    let scan = release.answer_linear_scan(query);
+    assert!(
+        (answer - scan).abs() <= 1e-9 * (1.0 + scan.abs()),
+        "{query:?}: compiled surface {answer} vs linear scan {scan}"
+    );
+}
 
 fn main() {
     let path = std::env::temp_dir().join("dpgrid_demo_release.json");
@@ -62,6 +76,9 @@ fn main() {
             release.answer(&europe),
             release.answer(&na)
         );
+        for region in [europe, na] {
+            assert_matches_scan(&release, &region, release.answer(&region));
+        }
         println!(
             "analyst: release compiled to {:?} over {} cells",
             release.surface().kind(),
@@ -75,9 +92,13 @@ fn main() {
             .flat_map(|i| (0..20).map(move |j| d.grid_cell(40, 20, i, j)))
             .collect();
         let estimates = release.answer_all(&tiles);
+        for (tile, &estimate) in tiles.iter().zip(&estimates) {
+            assert_matches_scan(&release, tile, estimate);
+        }
         let busiest = estimates.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         println!(
-            "analyst: answered {} dashboard tiles in one batch; busiest tile ≈ {:.0} check-ins",
+            "analyst: answered {} dashboard tiles in one batch, each equal to the linear scan; \
+             busiest tile ≈ {:.0} check-ins",
             tiles.len(),
             busiest
         );

@@ -39,7 +39,8 @@
 //! lattice + summed-area table (grid-shaped partitions: O(log cells)
 //! per query); a coarse lattice whose slots each hold their own
 //! sub-lattice (two-level partitions such as AG: one coarse lookup for
-//! the fully covered slots plus one per rim slot); or a sorted row-band
+//! the fully covered slots, one strip lookup per coarse column or row
+//! the query's edges cut, and one per corner slot); or a sorted row-band
 //! / interval index (irregular partitions such as KD trees; its band
 //! segment tree doubles as a coarse y-skip-list, so wide queries absorb
 //! whole fully-covered band runs in O(log bands) instead of stabbing
