@@ -90,8 +90,7 @@ pub use release::{Release, ReleaseMetadata, TrustModel};
 pub use routing::{rendezvous_route, rendezvous_score, ShardedSink};
 pub use surface::{CompiledSurface, SurfaceKind};
 pub use temporal::{
-    epoch_key, merge_releases, parse_epoch_key, parse_epoch_key_strict, EpochKeyError, EpochLayout,
-    EpochRange,
+    epoch_key, merge_releases, parse_epoch_key, EpochLayout, EpochPublisher, EpochRange,
 };
 pub use uniform_grid::{UgConfig, UniformGrid};
 

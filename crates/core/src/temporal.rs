@@ -1,9 +1,10 @@
-//! The time axis: epoch keys, window→epoch arithmetic, and exact
-//! release merging for compaction.
+//! The time axis: epoch keys, window→epoch arithmetic, the one epoch
+//! publishing lifecycle, and exact release merging for compaction.
 //!
 //! Streaming ingestion slices a point stream into fixed-length
-//! **epochs** and publishes one release per epoch through the ordinary
-//! [`crate::Pipeline`]/[`crate::ReleaseSink`] path. Everything
+//! **epochs**, and LDP collection seals its report tallies epoch by
+//! epoch; both publish one release per epoch through the ordinary
+//! [`crate::ReleaseSink`] path. Everything
 //! temporal about such a release lives in its *key*, so catalogs,
 //! engines, routers and the wire protocol carry epochs without
 //! changes:
@@ -22,6 +23,11 @@
 //! smallest epoch-aligned window containing it (never silently
 //! narrowed).
 //!
+//! [`EpochPublisher`] is the lifecycle both kinds of epoch share: read
+//! the epoch's ε share, build at it, charge it, publish under the epoch
+//! key — in that order, with nothing fallible between the charge and
+//! the publish.
+//!
 //! [`merge_releases`] is the compaction primitive: merging released
 //! grids is privacy-free post-processing, and under the uniformity
 //! answer model the merged release answers every rectangle exactly as
@@ -32,9 +38,10 @@
 //! users' data once more.
 
 use dpgrid_geo::Rect;
+use dpgrid_mech::{BudgetSchedule, MechError};
 
 use crate::release::ReleaseMetadata;
-use crate::{CoreError, Release, Result};
+use crate::{CoreError, Release, ReleaseSink, Result};
 
 /// A half-open range of epoch indices `[start, end)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -111,137 +118,31 @@ pub fn epoch_key(keyspace: &str, range: EpochRange) -> String {
 /// parser doubles as the "is this key temporal?" predicate.
 ///
 /// The keyspace is everything before the *last* `@epoch:` marker, so
-/// keyspaces containing the marker themselves still round-trip. When
-/// the rejection *reason* matters (an operator pasted a key into a
-/// tool, an ingestor refused a keyspace), use
-/// [`parse_epoch_key_strict`], whose typed errors all name the
-/// offending key.
+/// keyspaces containing the marker themselves still round-trip. The
+/// keyspace must be non-empty, indices are strictly decimal `u64`s,
+/// ranges must be non-empty, and a single epoch must not be
+/// `u64::MAX` (its half-open end would overflow).
 pub fn parse_epoch_key(key: &str) -> Option<(&str, EpochRange)> {
-    parse_epoch_key_strict(key).ok()
-}
-
-/// Why a key failed [`parse_epoch_key_strict`]. Every variant carries
-/// the offending key verbatim, so the error is attributable wherever
-/// it surfaces — batch rejects, logs, wire errors — without the caller
-/// re-threading the input.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum EpochKeyError {
-    /// The key has no `@epoch:` marker at all — a plain, non-temporal
-    /// release key.
-    MissingMarker {
-        /// The key that was parsed.
-        key: String,
-    },
-    /// The marker is present but nothing precedes it (`@epoch:3`).
-    EmptyKeyspace {
-        /// The key that was parsed.
-        key: String,
-    },
-    /// An epoch index is not a strictly-decimal `u64` (empty, signed,
-    /// spaced, fractional, or overflowing).
-    BadIndex {
-        /// The key that was parsed.
-        key: String,
-        /// The offending index text, verbatim.
-        index: String,
-    },
-    /// A range suffix is empty or inverted (`start >= end` under the
-    /// half-open convention).
-    EmptyRange {
-        /// The key that was parsed.
-        key: String,
-        /// The parsed range start.
-        start: u64,
-        /// The parsed range end.
-        end: u64,
-    },
-    /// A single-epoch key at `u64::MAX`, whose half-open end would
-    /// overflow.
-    EpochOverflow {
-        /// The key that was parsed.
-        key: String,
-    },
-}
-
-impl EpochKeyError {
-    /// The offending key, whichever way the parse failed.
-    pub fn key(&self) -> &str {
-        match self {
-            EpochKeyError::MissingMarker { key }
-            | EpochKeyError::EmptyKeyspace { key }
-            | EpochKeyError::BadIndex { key, .. }
-            | EpochKeyError::EmptyRange { key, .. }
-            | EpochKeyError::EpochOverflow { key } => key,
-        }
-    }
-}
-
-impl std::fmt::Display for EpochKeyError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            EpochKeyError::MissingMarker { key } => {
-                write!(f, "key {key:?} has no @epoch: marker")
-            }
-            EpochKeyError::EmptyKeyspace { key } => {
-                write!(f, "key {key:?} has an empty keyspace before @epoch:")
-            }
-            EpochKeyError::BadIndex { key, index } => write!(
-                f,
-                "key {key:?} has epoch index {index:?}; indices are strictly decimal u64"
-            ),
-            EpochKeyError::EmptyRange { key, start, end } => write!(
-                f,
-                "key {key:?} has empty epoch range {start}-{end} (half-open needs start < end)"
-            ),
-            EpochKeyError::EpochOverflow { key } => write!(
-                f,
-                "key {key:?} names epoch u64::MAX, whose half-open end would overflow"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for EpochKeyError {}
-
-/// The typed twin of [`parse_epoch_key`]: same grammar, but every
-/// rejection says *why* and names the offending key.
-pub fn parse_epoch_key_strict(key: &str) -> std::result::Result<(&str, EpochRange), EpochKeyError> {
-    let owned = || key.to_string();
-    let Some((keyspace, suffix)) = key.rsplit_once("@epoch:") else {
-        return Err(EpochKeyError::MissingMarker { key: owned() });
-    };
+    let (keyspace, suffix) = key.rsplit_once("@epoch:")?;
     if keyspace.is_empty() {
-        return Err(EpochKeyError::EmptyKeyspace { key: owned() });
+        return None;
     }
-    let parse_index = |s: &str| {
-        // `u64::from_str` tolerates a leading `+`; the grammar is
-        // strictly decimal digits.
-        (!s.is_empty() && s.bytes().all(|b| b.is_ascii_digit()))
+    // `u64::from_str` tolerates a leading `+`; the grammar is strictly
+    // decimal digits.
+    let index = |s: &str| {
+        s.bytes()
+            .all(|b| b.is_ascii_digit())
             .then(|| s.parse::<u64>().ok())
             .flatten()
-            .ok_or_else(|| EpochKeyError::BadIndex {
-                key: owned(),
-                index: s.to_string(),
-            })
     };
     let range = match suffix.split_once('-') {
-        Some((a, b)) => {
-            let (start, end) = (parse_index(a)?, parse_index(b)?);
-            EpochRange::new(start, end).ok_or(EpochKeyError::EmptyRange {
-                key: owned(),
-                start,
-                end,
-            })?
-        }
+        Some((a, b)) => EpochRange::new(index(a)?, index(b)?)?,
         None => {
-            let epoch = parse_index(suffix)?;
-            if epoch == u64::MAX {
-                return Err(EpochKeyError::EpochOverflow { key: owned() });
-            }
-            EpochRange::single(epoch)
+            let epoch = index(suffix)?;
+            EpochRange::new(epoch, epoch.checked_add(1)?)?
         }
     };
-    Ok((keyspace, range))
+    Some((keyspace, range))
 }
 
 /// Maps wall-clock timestamps onto epoch indices: epoch `i` covers
@@ -290,13 +191,17 @@ impl EpochLayout {
     }
 
     /// The epoch index containing timestamp `t`, or `None` for
-    /// non-finite timestamps and timestamps before the origin.
+    /// non-finite timestamps, timestamps before the origin, and
+    /// timestamps past the last epoch: an index of `u64::MAX` or more
+    /// has no epoch key.
     pub fn epoch_of(&self, t: f64) -> Option<u64> {
         if !t.is_finite() || t < self.origin {
             return None;
         }
         let idx = ((t - self.origin) / self.epoch_seconds).floor();
-        (idx >= 0.0 && idx <= u64::MAX as f64).then_some(idx as u64)
+        // `u64::MAX as f64` is 2^64, so the strict bound also keeps the
+        // cast below from saturating.
+        (idx >= 0.0 && idx < u64::MAX as f64).then_some(idx as u64)
     }
 
     /// The inclusive start time of `epoch`.
@@ -321,6 +226,76 @@ impl EpochLayout {
             return None;
         }
         EpochRange::new(start, (last as u64).max(start + 1))
+    }
+}
+
+/// The one epoch lifecycle: every per-epoch release — a streamed
+/// UG/AG epoch, a sealed LDP epoch — is built, charged and published
+/// through [`EpochPublisher::publish`].
+///
+/// Each epoch's release is ε-DP at its [`BudgetSchedule`] share, and
+/// under sequential composition the shares of all published epochs
+/// add up, so charging the share is part of publishing. The publisher
+/// owns the keyspace (checked non-empty once) and the schedule, and
+/// [`EpochPublisher::publish`] is the only place either is used to
+/// release an epoch. The charges live in the in-memory schedule: a
+/// restarted process does not remember which epochs it already spent.
+#[derive(Debug, Clone)]
+pub struct EpochPublisher {
+    keyspace: String,
+    schedule: BudgetSchedule,
+}
+
+impl EpochPublisher {
+    /// A publisher keying releases under `keyspace` and charging them
+    /// to `schedule`; `None` for an empty keyspace, whose epoch keys
+    /// would not round-trip through [`parse_epoch_key`].
+    pub fn new(keyspace: impl Into<String>, schedule: BudgetSchedule) -> Option<Self> {
+        let keyspace = keyspace.into();
+        (!keyspace.is_empty()).then_some(EpochPublisher { keyspace, schedule })
+    }
+
+    /// The keyspace epoch releases publish under.
+    pub fn keyspace(&self) -> &str {
+        &self.keyspace
+    }
+
+    /// The per-epoch budget schedule, accounting state included.
+    pub fn schedule(&self) -> &BudgetSchedule {
+        &self.schedule
+    }
+
+    /// Publishes `epoch`'s release: reads the epoch's share, runs
+    /// `build` at it, charges the share
+    /// ([`BudgetSchedule::spend_epoch`], which refuses a second charge
+    /// of one epoch), and hands the release to `sink` under
+    /// `{keyspace}@epoch:{epoch}`. Returns that key and the ε spent.
+    ///
+    /// Nothing fallible runs between the charge and the publish, so an
+    /// epoch is either charged and published or neither: a failed
+    /// share lookup, build or charge publishes nothing, and a failed
+    /// build charges nothing, so the call can be retried. Epoch
+    /// `u64::MAX` has no key and fails before anything else.
+    pub fn publish<S, E>(
+        &mut self,
+        epoch: u64,
+        sink: &mut S,
+        build: impl FnOnce(f64) -> std::result::Result<Release, E>,
+    ) -> std::result::Result<(String, f64), E>
+    where
+        S: ReleaseSink + ?Sized,
+        E: From<MechError> + From<CoreError>,
+    {
+        let range = epoch
+            .checked_add(1)
+            .and_then(|end| EpochRange::new(epoch, end))
+            .ok_or_else(|| CoreError::InvalidConfig(format!("epoch {epoch} has no epoch key")))?;
+        let epsilon = self.schedule.epsilon_for(epoch)?;
+        let release = build(epsilon)?;
+        self.schedule.spend_epoch(epoch)?;
+        let key = epoch_key(&self.keyspace, range);
+        sink.accept_release(key.clone(), release);
+        Ok((key, epsilon))
     }
 }
 
@@ -492,6 +467,8 @@ mod tests {
             "taxi@epoch:",
             "taxi@epoch:-",
             "taxi@epoch:abc",
+            "taxi@epoch:-3",
+            "taxi@epoch:3-",
             "taxi@epoch:3-2",
             "taxi@epoch:3-3",
             "taxi@epoch:+3",
@@ -499,74 +476,9 @@ mod tests {
             "taxi@epoch:3.5",
             "@epoch:3",
             "taxi@epoch:99999999999999999999999",
+            "taxi@epoch:18446744073709551615",
         ] {
             assert_eq!(parse_epoch_key(key), None, "key {key:?} must not parse");
-        }
-    }
-
-    #[test]
-    fn strict_parse_errors_name_the_offending_key() {
-        // Every rejection class carries the input key, both in the
-        // typed accessor and in the rendered message.
-        type Check = fn(&EpochKeyError) -> bool;
-        let cases: [(&str, Check); 8] = [
-            ("plain", |e| {
-                matches!(e, EpochKeyError::MissingMarker { .. })
-            }),
-            ("@epoch:3", |e| {
-                matches!(e, EpochKeyError::EmptyKeyspace { .. })
-            }),
-            (
-                "taxi@epoch:",
-                |e| matches!(e, EpochKeyError::BadIndex { index, .. } if index.is_empty()),
-            ),
-            (
-                "taxi@epoch:+3",
-                |e| matches!(e, EpochKeyError::BadIndex { index, .. } if index == "+3"),
-            ),
-            ("taxi@epoch:99999999999999999999999", |e| {
-                matches!(e, EpochKeyError::BadIndex { .. })
-            }),
-            ("taxi@epoch:3-2", |e| {
-                matches!(
-                    e,
-                    EpochKeyError::EmptyRange {
-                        start: 3,
-                        end: 2,
-                        ..
-                    }
-                )
-            }),
-            ("taxi@epoch:3-3", |e| {
-                matches!(e, EpochKeyError::EmptyRange { .. })
-            }),
-            ("taxi@epoch:18446744073709551615", |e| {
-                matches!(e, EpochKeyError::EpochOverflow { .. })
-            }),
-        ];
-        for (key, is_expected) in cases {
-            let err = parse_epoch_key_strict(key).unwrap_err();
-            assert!(is_expected(&err), "key {key:?} got {err:?}");
-            assert_eq!(err.key(), key);
-            assert!(
-                err.to_string().contains(key),
-                "message {:?} must name key {key:?}",
-                err.to_string()
-            );
-        }
-    }
-
-    #[test]
-    fn strict_and_optional_parsers_agree() {
-        for key in [
-            "taxi@epoch:5",
-            "taxi@epoch:2-6",
-            "a@epoch:weird@epoch:2",
-            "plain",
-            "taxi@epoch:3-2",
-            "@epoch:1",
-        ] {
-            assert_eq!(parse_epoch_key(key), parse_epoch_key_strict(key).ok());
         }
     }
 
@@ -591,6 +503,11 @@ mod tests {
         assert_eq!(layout.window(250.0, 200.0), None);
         assert_eq!(layout.window(0.0, 50.0), None);
         assert_eq!(layout.window(f64::NAN, 200.0), None);
+        // Past the last epoch: index 2^64 would saturate to u64::MAX,
+        // which has no key.
+        let unit = EpochLayout::new(0.0, 1.0).unwrap();
+        assert_eq!(unit.epoch_of(2f64.powi(64)), None);
+        assert!(unit.epoch_of(2f64.powi(63)).is_some());
     }
 
     #[test]
@@ -611,6 +528,57 @@ mod tests {
         assert!(r.contains_range(&EpochRange::new(3, 5).unwrap()));
         assert!(!r.contains_range(&EpochRange::new(3, 6).unwrap()));
         assert!(EpochRange::new(3, 3).is_none());
+    }
+
+    #[test]
+    fn publisher_charges_each_published_epoch_exactly_once() {
+        use dpgrid_mech::MechError;
+        let build = |seed: u64| {
+            move |epsilon: f64| -> Result<Release> {
+                Pipeline::new(&dataset(seed))
+                    .epsilon(epsilon)
+                    .method(Method::ug(4))
+                    .seed(seed)
+                    .publish()
+            }
+        };
+        assert!(EpochPublisher::new("", BudgetSchedule::uniform(1.0, 2).unwrap()).is_none());
+        let mut publisher =
+            EpochPublisher::new("k", BudgetSchedule::uniform(1.0, 2).unwrap()).unwrap();
+        let mut sink: Vec<(String, Release)> = Vec::new();
+
+        // A failed build charges and publishes nothing.
+        let failed = publisher.publish(0, &mut sink, |_| -> Result<Release> {
+            Err(CoreError::InvalidConfig("no data".into()))
+        });
+        assert!(failed.is_err());
+        assert!(publisher.schedule().charged_epochs().is_empty());
+        assert!(sink.is_empty());
+
+        let (key, epsilon) = publisher.publish(0, &mut sink, build(1)).unwrap();
+        assert_eq!((key.as_str(), epsilon), ("k@epoch:0", 0.5));
+        assert_eq!(sink[0].0, "k@epoch:0");
+        assert_eq!(sink[0].1.epsilon(), 0.5);
+
+        // A second publish of the same epoch fails at the charge and
+        // hands nothing to the sink.
+        assert!(matches!(
+            publisher.publish(0, &mut sink, build(2)),
+            Err(CoreError::Mech(MechError::EpochAlreadyCharged { epoch: 0 }))
+        ));
+        // Past the uniform horizon the share lookup fails first.
+        assert!(matches!(
+            publisher.publish(2, &mut sink, build(3)),
+            Err(CoreError::Mech(MechError::BudgetExhausted { .. }))
+        ));
+        // The last index has no key: typed, nothing charged.
+        assert!(matches!(
+            publisher.publish(u64::MAX, &mut sink, build(4)),
+            Err(CoreError::InvalidConfig(_))
+        ));
+        assert_eq!(sink.len(), 1);
+        assert_eq!(publisher.schedule().charged_epochs(), vec![0]);
+        assert_eq!(publisher.schedule().spent(), 0.5);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The server-side report collector: bounded per-epoch accumulators,
 //! debiased sealing, and publication as ordinary releases.
 
-use dpgrid_core::{epoch_key, EpochRange, Release, ReleaseMetadata, ReleaseSink};
+use dpgrid_core::{EpochPublisher, Release, ReleaseMetadata, ReleaseSink};
 use dpgrid_geo::{Domain, MAX_GRID_CELLS};
 use dpgrid_mech::{BudgetSchedule, FrequencyOracle, Grr, Oue};
 use dpgrid_serve::{ReportAck, ReportBatch, ReportPayload};
@@ -24,11 +24,12 @@ pub const DEFAULT_EPOCH_CAPACITY: u64 = 1 << 20;
 /// that assigns each epoch its per-report ε.
 #[derive(Debug, Clone)]
 pub struct CollectorConfig {
-    keyspace: String,
+    /// Keyspace, budget schedule, and the build → charge → publish
+    /// order every sealed epoch goes through.
+    publisher: EpochPublisher,
     domain: Domain,
     cols: usize,
     rows: usize,
-    schedule: BudgetSchedule,
     capacity: u64,
 }
 
@@ -44,12 +45,9 @@ impl CollectorConfig {
         rows: usize,
         schedule: BudgetSchedule,
     ) -> Result<Self> {
-        let keyspace = keyspace.into();
-        if keyspace.is_empty() {
-            return Err(LdpError::InvalidConfig(
-                "collector keyspace must be non-empty".to_string(),
-            ));
-        }
+        let publisher = EpochPublisher::new(keyspace, schedule).ok_or_else(|| {
+            LdpError::InvalidConfig("collector keyspace must be non-empty".to_string())
+        })?;
         let cells = cols
             .checked_mul(rows)
             .filter(|&c| (2..=MAX_GRID_CELLS).contains(&c))
@@ -64,11 +62,10 @@ impl CollectorConfig {
             )));
         }
         Ok(CollectorConfig {
-            keyspace,
+            publisher,
             domain,
             cols,
             rows,
-            schedule,
             capacity: DEFAULT_EPOCH_CAPACITY,
         })
     }
@@ -97,17 +94,6 @@ pub struct SealSummary {
     pub oue_reports: u64,
 }
 
-/// A sealed epoch before publication: the release plus its key, for
-/// callers that publish through something other than a
-/// [`ReleaseSink`] (e.g. `QueryEngine::insert`, which takes `&self`).
-#[derive(Debug)]
-pub struct SealedEpoch {
-    /// The publication receipt.
-    pub summary: SealSummary,
-    /// The debiased release, ready to serve.
-    pub release: Release,
-}
-
 /// The LDP ingestion accumulator: one open epoch of flat `u64`
 /// tallies per oracle family, sealed on demand into an ordinary
 /// [`Release`] under the epoch-key grammar.
@@ -123,10 +109,18 @@ pub struct SealedEpoch {
 ///
 /// Privacy accounting: each user contributes one report per epoch,
 /// perturbed client-side at the epoch's scheduled ε — the collector
-/// never sees raw points. Sealing charges the epoch through
-/// [`BudgetSchedule::spend_epoch`], which refuses to charge twice, so
-/// an epoch cannot be re-published with fresh reports under the same
-/// budget.
+/// never sees raw points. An epoch spends its ε only in
+/// [`ReportCollector::publish_open_epoch`], which seals through the
+/// one epoch lifecycle shared with streaming,
+/// [`dpgrid_core::EpochPublisher::publish`]: build the estimate at the
+/// share, charge the share ([`BudgetSchedule::spend_epoch`] refuses a
+/// second charge, so an epoch cannot be re-published with fresh
+/// reports under the same budget), publish the release. No call
+/// charges an epoch without publishing it.
+///
+/// Everything here lives in memory: a crash loses the open epoch's
+/// acknowledged reports and the record of spent epochs (the
+/// [crate docs](crate) state the loss contract).
 #[derive(Debug)]
 pub struct ReportCollector {
     config: CollectorConfig,
@@ -155,7 +149,7 @@ impl ReportCollector {
 
     /// The keyspace sealed epochs publish under.
     pub fn keyspace(&self) -> &str {
-        &self.config.keyspace
+        self.config.publisher.keyspace()
     }
 
     /// The grid size clients must perturb over.
@@ -175,12 +169,12 @@ impl ReportCollector {
 
     /// The per-report ε the schedule assigns the open epoch.
     pub fn open_epsilon(&self) -> Result<f64> {
-        Ok(self.config.schedule.epsilon_for(self.open)?)
+        Ok(self.schedule().epsilon_for(self.open)?)
     }
 
     /// The budget schedule (for inspecting spend).
     pub fn schedule(&self) -> &BudgetSchedule {
-        &self.config.schedule
+        self.config.publisher.schedule()
     }
 
     /// The kernel backend folding this collector's batches
@@ -198,10 +192,10 @@ impl ReportCollector {
     /// the first tally is touched, so a failed batch leaves the
     /// accumulator exactly as it was.
     pub fn submit(&mut self, batch: &ReportBatch) -> Result<ReportAck> {
-        if batch.keyspace != self.config.keyspace {
+        if batch.keyspace != self.keyspace() {
             return Err(LdpError::UnknownKeyspace {
                 got: batch.keyspace.clone(),
-                want: self.config.keyspace.clone(),
+                want: self.keyspace().to_string(),
             });
         }
         if batch.epoch < self.open {
@@ -222,8 +216,11 @@ impl ReportCollector {
                 want: self.cells,
             });
         }
-        let want = self.config.schedule.epsilon_for(self.open)?;
-        if (batch.epsilon - want).abs() > EPSILON_RTOL * want.max(1.0) {
+        let want = self.open_epsilon()?;
+        // Written as "not within" so that a NaN ε, within no
+        // tolerance, is rejected too.
+        let within = (batch.epsilon - want).abs() <= EPSILON_RTOL * want.max(1.0);
+        if !within {
             return Err(LdpError::EpsilonMismatch {
                 epoch: self.open,
                 got: batch.epsilon,
@@ -258,42 +255,47 @@ impl ReportCollector {
         })
     }
 
-    /// Seals the open epoch: debiases both families' tallies at the
-    /// schedule's ε share into per-cell estimates, then charges that
-    /// share (exactly once — a double charge is a hard error), and
-    /// returns the release ready to publish under `{keyspace}@epoch:{i}`.
-    /// Building before charging means nothing fallible follows the
-    /// charge. The next epoch opens with empty accumulators.
+    /// Seals the open epoch and publishes it into `sink` — the only
+    /// way an epoch spends ε. Through the one epoch lifecycle
+    /// ([`dpgrid_core::EpochPublisher::publish`]) it debiases both
+    /// families' tallies at the schedule's ε share into per-cell
+    /// estimates, charges that share (exactly once — a double charge
+    /// is a hard error), and publishes the release under
+    /// `{keyspace}@epoch:{i}`. Nothing fallible follows the charge; on
+    /// any failure nothing is published and the epoch stays open. On
+    /// success the next epoch opens with empty accumulators.
     ///
-    /// The estimate is raw (negative cells are kept, the paper's
-    /// convention — noise cancels when summing over query rectangles),
-    /// and the release is labelled [`dpgrid_core::TrustModel::Local`]:
-    /// unlike every central release in the catalog, the server never
-    /// held the underlying points.
-    pub fn seal_open_epoch(&mut self) -> Result<SealedEpoch> {
+    /// `sink` is the same [`ReleaseSink`] seam the central
+    /// [`dpgrid_core::Pipeline`] publishes through, so the read side
+    /// (catalogs, engines, shard routers, windows) serves LDP releases
+    /// without knowing they are different. The estimate is raw
+    /// (negative cells are kept, the paper's convention — noise
+    /// cancels when summing over query rectangles), and the release is
+    /// labelled [`dpgrid_core::TrustModel::Local`]: unlike every
+    /// central release in the catalog, the server never held the
+    /// underlying points.
+    pub fn publish_open_epoch(&mut self, sink: &mut dyn ReleaseSink) -> Result<SealSummary> {
         let epoch = self.open;
-        let epsilon = self.config.schedule.epsilon_for(epoch)?;
-        let k = self.cells as usize;
-        let grr = Grr::new(k, epsilon)?;
-        let oue = Oue::new(k, epsilon)?;
-        let grr_est = grr.estimate(&self.grr_acc, self.grr_n);
-        let oue_est = oue.estimate(&self.oue_acc, self.oue_n);
-
-        let (cols, rows) = (self.config.cols, self.config.rows);
-        let mut cells = Vec::with_capacity(k);
-        for row in 0..rows {
-            for col in 0..cols {
-                let i = row * cols + col;
-                let rect = self.config.domain.cell_rect(cols, rows, col, row);
-                cells.push((rect, grr_est[i] + oue_est[i]));
+        let (cols, rows, domain) = (self.config.cols, self.config.rows, self.config.domain);
+        let publisher = &mut self.config.publisher;
+        let (key, epsilon) = publisher.publish(epoch, sink, |epsilon| -> Result<_> {
+            let k = self.cells as usize;
+            let grr_est = Grr::new(k, epsilon)?.estimate(&self.grr_acc, self.grr_n);
+            let oue_est = Oue::new(k, epsilon)?.estimate(&self.oue_acc, self.oue_n);
+            let mut cells = Vec::with_capacity(k);
+            for row in 0..rows {
+                for col in 0..cols {
+                    let i = row * cols + col;
+                    let rect = domain.cell_rect(cols, rows, col, row);
+                    cells.push((rect, grr_est[i] + oue_est[i]));
+                }
             }
-        }
-        let metadata =
-            ReleaseMetadata::legacy(format!("ldp-{cols}x{rows}-grr+oue"), epsilon).local();
-        let release =
-            Release::from_parts_with_metadata(metadata, epsilon, self.config.domain, cells)?;
-        self.config.schedule.spend_epoch(epoch)?;
-        let key = epoch_key(&self.config.keyspace, EpochRange::single(epoch));
+            let label = format!("ldp-{cols}x{rows}-grr+oue");
+            let metadata = ReleaseMetadata::legacy(label, epsilon).local();
+            Ok(Release::from_parts_with_metadata(
+                metadata, epsilon, domain, cells,
+            )?)
+        })?;
         let summary = SealSummary {
             key,
             epoch,
@@ -307,18 +309,7 @@ impl ReportCollector {
         self.oue_acc.iter_mut().for_each(|t| *t = 0);
         self.grr_n = 0;
         self.oue_n = 0;
-        Ok(SealedEpoch { summary, release })
-    }
-
-    /// Seals the open epoch and publishes it straight into `sink` —
-    /// the same [`ReleaseSink`] seam the central
-    /// [`dpgrid_core::Pipeline`] publishes through, so the read side
-    /// (catalogs, engines, shard routers, windows) serves LDP releases
-    /// without knowing they are different.
-    pub fn publish_open_epoch(&mut self, sink: &mut dyn ReleaseSink) -> Result<SealSummary> {
-        let sealed = self.seal_open_epoch()?;
-        sink.accept_release(sealed.summary.key.clone(), sealed.release);
-        Ok(sealed.summary)
+        Ok(summary)
     }
 }
 
@@ -393,6 +384,10 @@ mod tests {
             c.submit(&grr_batch(0, eps * 2.0, vec![1])),
             Err(LdpError::EpsilonMismatch { .. })
         ));
+        assert!(matches!(
+            c.submit(&grr_batch(0, f64::NAN, vec![1])),
+            Err(LdpError::EpsilonMismatch { .. })
+        ));
         let mut wrong_cells = grr_batch(0, eps, vec![1]);
         wrong_cells.cells = 99;
         assert!(matches!(
@@ -419,7 +414,7 @@ mod tests {
         assert_eq!(c.open_reports(), 8);
 
         // After sealing, the old epoch is late.
-        c.seal_open_epoch().unwrap();
+        c.publish_open_epoch(&mut Vec::new()).unwrap();
         assert!(matches!(
             c.submit(&grr_batch(0, eps, vec![1])),
             Err(LdpError::SealedEpoch { epoch: 0, open: 1 })
@@ -508,18 +503,19 @@ mod tests {
     #[test]
     fn sealing_charges_each_epoch_exactly_once() {
         let mut c = ReportCollector::new(config()).unwrap();
-        c.seal_open_epoch().unwrap();
+        let mut sink = Vec::new();
+        c.publish_open_epoch(&mut sink).unwrap();
         assert_eq!(c.schedule().charged_epochs(), &[0]);
-        c.seal_open_epoch().unwrap();
+        c.publish_open_epoch(&mut sink).unwrap();
         assert_eq!(c.schedule().charged_epochs(), &[0, 1]);
         // The schedule itself refuses a double charge — exercised
         // through a fresh collector sharing the spent schedule.
         let mut replay = ReportCollector::new(
-            CollectorConfig::new("taxi", domain(), 10, 10, c.config.schedule.clone()).unwrap(),
+            CollectorConfig::new("taxi", domain(), 10, 10, c.schedule().clone()).unwrap(),
         )
         .unwrap();
         assert!(matches!(
-            replay.seal_open_epoch(),
+            replay.publish_open_epoch(&mut sink),
             Err(LdpError::Mech(MechError::EpochAlreadyCharged { epoch: 0 }))
         ));
     }

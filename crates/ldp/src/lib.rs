@@ -15,11 +15,16 @@
 //!
 //! * [`ReportCollector`] — bounded per-epoch accumulators (flat `u64`
 //!   tally vectors, no per-report allocation), all-or-nothing batch
-//!   folding with typed rejections ([`LdpError`]), and epoch sealing:
-//!   debias at the epoch's ε share, charge that share through
-//!   [`dpgrid_mech::BudgetSchedule`] (exactly once), publish as an
+//!   folding with typed rejections ([`LdpError`]), and epoch sealing
+//!   through the one epoch lifecycle streaming uses too,
+//!   [`dpgrid_core::EpochPublisher`]:
+//!   [`ReportCollector::publish_open_epoch`] debiases at the epoch's ε
+//!   share, charges that share through
+//!   [`dpgrid_mech::BudgetSchedule`] (exactly once), and publishes an
 //!   ordinary [`dpgrid_core::Release`] tagged
-//!   [`dpgrid_core::TrustModel::Local`].
+//!   [`dpgrid_core::TrustModel::Local`] into a
+//!   [`dpgrid_core::ReleaseSink`]. No call charges an epoch without
+//!   publishing its release.
 //! * [`CollectingService`] — wraps any [`dpgrid_serve::QueryService`]
 //!   and exposes the collector through
 //!   [`dpgrid_serve::QueryService::reports`], so the wire protocol's
@@ -38,6 +43,14 @@
 //! per-dataset. Sealed releases carry
 //! [`dpgrid_core::TrustModel::Local`] in their metadata so consumers
 //! can tell the two apart; nothing else about serving changes.
+//!
+//! # Loss contract
+//!
+//! Reports acknowledged into the open epoch live only in the
+//! collector's memory until the epoch is sealed: a crash loses them,
+//! and their senders are not told. The ε charges live in the
+//! in-memory [`dpgrid_mech::BudgetSchedule`] too, so a restarted
+//! collector does not know which epochs it already spent.
 //!
 //! # Example
 //!
@@ -92,9 +105,7 @@ mod collector;
 mod error;
 mod service;
 
-pub use collector::{
-    CollectorConfig, ReportCollector, SealSummary, SealedEpoch, DEFAULT_EPOCH_CAPACITY,
-};
+pub use collector::{CollectorConfig, ReportCollector, SealSummary, DEFAULT_EPOCH_CAPACITY};
 pub use error::LdpError;
 pub use service::CollectingService;
 

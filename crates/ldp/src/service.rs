@@ -9,7 +9,7 @@ use dpgrid_serve::{
     ServeError, WindowAnswer, WindowQuery,
 };
 
-use crate::collector::{ReportCollector, SealSummary, SealedEpoch};
+use crate::collector::{ReportCollector, SealSummary};
 use crate::error::LdpError;
 
 /// A [`QueryService`] that answers reads through `inner` and absorbs
@@ -48,13 +48,10 @@ impl<S> CollectingService<S> {
         f(&mut self.lock())
     }
 
-    /// Seals the collector's open epoch, returning the release for the
-    /// caller to publish (e.g. through `QueryEngine::insert`).
-    pub fn seal_open_epoch(&self) -> crate::Result<SealedEpoch> {
-        self.lock().seal_open_epoch()
-    }
-
-    /// Seals the open epoch and publishes it into `sink` in one step.
+    /// Seals the open epoch and publishes it into `sink` in one step
+    /// (see [`ReportCollector::publish_open_epoch`]). To publish into
+    /// the wrapped engine itself, pass `&mut service.inner()`: a shared
+    /// `&QueryEngine` is a [`ReleaseSink`].
     pub fn publish_open_epoch(&self, sink: &mut dyn ReleaseSink) -> crate::Result<SealSummary> {
         self.lock().publish_open_epoch(sink)
     }
@@ -194,12 +191,12 @@ mod tests {
             .unwrap()
             .submit_reports(&batch("taxi", eps, vec![5; 40]))
             .unwrap();
-        let sealed = service.seal_open_epoch().unwrap();
-        assert_eq!(sealed.summary.key, "taxi@epoch:0");
-        assert_eq!(sealed.release.metadata().trust, TrustModel::Local);
-        service
+        let summary = service.publish_open_epoch(&mut service.inner()).unwrap();
+        assert_eq!(summary.key, "taxi@epoch:0");
+        let release = service
             .inner()
-            .insert(sealed.summary.key.clone(), sealed.release);
+            .with_catalog(|c| c.release(&summary.key).cloned());
+        assert_eq!(release.unwrap().metadata().trust, TrustModel::Local);
         assert_eq!(service.keys(), vec!["taxi@epoch:0".to_string()]);
     }
 }

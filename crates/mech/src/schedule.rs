@@ -63,25 +63,21 @@ pub struct BudgetSchedule {
 }
 
 impl BudgetSchedule {
-    /// A schedule splitting `epsilon` evenly over `epochs` epochs.
+    /// A schedule splitting `epsilon` evenly over `epochs` epochs
+    /// (≥ 1).
     pub fn uniform(epsilon: f64, epochs: usize) -> Result<Self> {
-        if epochs == 0 {
-            return Err(MechError::ZeroLevels);
-        }
         BudgetSchedule::new(epsilon, SchedulePolicy::Uniform { epochs })
     }
 
     /// A schedule giving epoch `i` the share `ε · (1 − decay) · decayⁱ`
     /// (`decay` strictly inside `(0, 1)`).
     pub fn exponential_decay(epsilon: f64, decay: f64) -> Result<Self> {
-        if !decay.is_finite() || decay <= 0.0 || decay >= 1.0 {
-            return Err(MechError::InvalidFraction(decay));
-        }
         BudgetSchedule::new(epsilon, SchedulePolicy::ExponentialDecay { decay })
     }
 
-    /// A schedule with total `epsilon` under `policy`. Prefer the
-    /// policy-specific constructors, which validate policy parameters.
+    /// A schedule with total `epsilon` under `policy`, validating both:
+    /// a uniform horizon of zero epochs is [`MechError::ZeroLevels`], a
+    /// decay outside `(0, 1)` is [`MechError::InvalidFraction`].
     pub fn new(epsilon: f64, policy: SchedulePolicy) -> Result<Self> {
         match policy {
             SchedulePolicy::Uniform { epochs: 0 } => return Err(MechError::ZeroLevels),

@@ -2,7 +2,8 @@
 
 use std::fmt;
 
-use dpgrid_serve::wire::WireError;
+use dpgrid_serve::wire::{ErrorCode, OverloadInfo, WireError};
+use dpgrid_serve::ServeError;
 
 /// Everything that can go wrong on the network path.
 #[derive(Debug)]
@@ -50,3 +51,37 @@ impl From<std::io::Error> for NetError {
 
 /// Convenience alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, NetError>;
+
+/// Maps one per-request wire error back onto the typed error an
+/// in-process engine or collector raises — the inverse of
+/// [`WireError::from_serve`], used by both the read path
+/// ([`crate::RemoteShard`]) and the write path
+/// ([`crate::ReportRouter`]). An `UnknownKey` is attributed to `key`.
+/// One honest loss of fidelity: codes the caller cannot act on
+/// (`Internal`, `MalformedRequest` — e.g. a read-only peer refusing
+/// reports — and `UnsupportedVersion`) collapse into
+/// [`ServeError::Unavailable`] naming `shard`.
+pub(crate) fn wire_to_serve(e: WireError, shard: &str, key: &str) -> ServeError {
+    match e.code {
+        ErrorCode::UnknownKey => ServeError::UnknownRelease(key.to_string()),
+        ErrorCode::InvalidQuery => ServeError::InvalidQuery(e.message),
+        // The server sends its counters structured in the `overload`
+        // field; an error without them reads as zeroes.
+        ErrorCode::Overloaded => {
+            let info = e.overload.unwrap_or(OverloadInfo {
+                inflight_rects: 0,
+                limit: 0,
+            });
+            ServeError::Overloaded {
+                inflight_rects: info.inflight_rects,
+                limit: info.limit,
+            }
+        }
+        ErrorCode::MalformedRequest | ErrorCode::UnsupportedVersion | ErrorCode::Internal => {
+            ServeError::Unavailable {
+                shard: shard.to_string(),
+                reason: e.to_string(),
+            }
+        }
+    }
+}

@@ -23,10 +23,9 @@
 use std::net::ToSocketAddrs;
 
 use dpgrid_core::{epoch_key, rendezvous_route, EpochRange};
-use dpgrid_serve::wire::{ErrorCode, OverloadInfo, WireError};
 use dpgrid_serve::{ReportAck, ReportBatch, ServeError};
 
-use crate::error::Result;
+use crate::error::{wire_to_serve, Result};
 use crate::pool::TcpClientPool;
 
 /// Fans report batches out to the shard that owns each batch's epoch
@@ -75,17 +74,20 @@ impl ReportRouter {
 
     /// The release key `(keyspace, epoch)`'s sealed release will
     /// publish under — the string placement hashes on both the
-    /// publishing and the ingestion side.
-    pub fn placement_key(keyspace: &str, epoch: u64) -> String {
-        epoch_key(keyspace, EpochRange::single(epoch))
+    /// publishing and the ingestion side. `None` for epoch `u64::MAX`,
+    /// which has no epoch key.
+    pub fn placement_key(keyspace: &str, epoch: u64) -> Option<String> {
+        let range = EpochRange::new(epoch, epoch.checked_add(1)?)?;
+        Some(epoch_key(keyspace, range))
     }
 
     /// Name of the shard that owns `(keyspace, epoch)` — always agrees
-    /// with a `dpgrid_core::ShardedSink` over the same names.
-    pub fn route(&self, keyspace: &str, epoch: u64) -> &str {
-        let key = Self::placement_key(keyspace, epoch);
+    /// with a `dpgrid_core::ShardedSink` over the same names. `None`
+    /// where [`ReportRouter::placement_key`] is.
+    pub fn route(&self, keyspace: &str, epoch: u64) -> Option<&str> {
+        let key = Self::placement_key(keyspace, epoch)?;
         let i = rendezvous_route(&self.shard_names(), &key).expect("router has at least one shard");
-        self.shards[i].0.as_str()
+        Some(self.shards[i].0.as_str())
     }
 
     /// Scatters `batches` to their owning shards and gathers the acks
@@ -93,7 +95,10 @@ impl ReportRouter {
     /// pipelined burst; within it, typed collector rejections (sealed
     /// epoch, ε mismatch, a read-only peer's `MalformedRequest`) fail
     /// only their own slot, mapped onto the same [`ServeError`]s an
-    /// in-process collector raises. A shard that cannot be reached —
+    /// in-process collector raises. A batch at epoch `u64::MAX` has no
+    /// placement key and fails its slot with
+    /// [`ServeError::InvalidQuery`] without being sent. A shard that
+    /// cannot be reached —
     /// or whose connection dies mid-submit (never retried; see the
     /// module docs) — fails exactly the batches routed to it
     /// with [`ServeError::Unavailable`]; the other shards' slices are
@@ -104,14 +109,20 @@ impl ReportRouter {
     ) -> Vec<std::result::Result<ReportAck, ServeError>> {
         let names = self.shard_names();
         let mut per_shard: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
+        let mut out: Vec<Option<std::result::Result<ReportAck, ServeError>>> =
+            (0..batches.len()).map(|_| None).collect();
         for (i, batch) in batches.iter().enumerate() {
-            let key = Self::placement_key(&batch.keyspace, batch.epoch);
+            let Some(key) = Self::placement_key(&batch.keyspace, batch.epoch) else {
+                out[i] = Some(Err(ServeError::InvalidQuery(format!(
+                    "epoch {} has no epoch key to place the batch under",
+                    batch.epoch
+                ))));
+                continue;
+            };
             let s = rendezvous_route(&names, &key).expect("router has at least one shard");
             per_shard[s].push(i);
         }
 
-        let mut out: Vec<Option<std::result::Result<ReportAck, ServeError>>> =
-            (0..batches.len()).map(|_| None).collect();
         for (s, indices) in per_shard.iter().enumerate() {
             if indices.is_empty() {
                 continue;
@@ -122,7 +133,7 @@ impl ReportRouter {
                 Ok(outcomes) => {
                     for (&i, outcome) in indices.iter().zip(outcomes) {
                         out[i] =
-                            Some(outcome.map_err(|e| wire_to_serve(name, e, &batches[i].keyspace)));
+                            Some(outcome.map_err(|e| wire_to_serve(e, name, &batches[i].keyspace)));
                     }
                 }
                 Err(e) => {
@@ -137,35 +148,7 @@ impl ReportRouter {
             }
         }
         out.into_iter()
-            .map(|slot| slot.expect("every batch was routed to exactly one shard"))
+            .map(|slot| slot.expect("every batch was failed or routed to exactly one shard"))
             .collect()
-    }
-}
-
-/// Maps one per-batch wire error back onto the typed error an
-/// in-process collector raises — the write-path mirror of
-/// `RemoteShard`'s read-path mapping, with the same honest loss of
-/// fidelity: unexpected codes (including a read-only peer's
-/// `MalformedRequest`) collapse into [`ServeError::Unavailable`].
-fn wire_to_serve(shard: &str, e: WireError, keyspace: &str) -> ServeError {
-    match e.code {
-        ErrorCode::UnknownKey => ServeError::UnknownRelease(keyspace.to_string()),
-        ErrorCode::InvalidQuery => ServeError::InvalidQuery(e.message),
-        ErrorCode::Overloaded => {
-            let info = e.overload.unwrap_or(OverloadInfo {
-                inflight_rects: 0,
-                limit: 0,
-            });
-            ServeError::Overloaded {
-                inflight_rects: info.inflight_rects,
-                limit: info.limit,
-            }
-        }
-        ErrorCode::MalformedRequest | ErrorCode::UnsupportedVersion | ErrorCode::Internal => {
-            ServeError::Unavailable {
-                shard: shard.to_string(),
-                reason: e.to_string(),
-            }
-        }
     }
 }

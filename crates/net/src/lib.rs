@@ -639,10 +639,7 @@ mod tests {
         }
 
         // Sealing turns the epoch into an ordinary served release.
-        let sealed = service.seal_open_epoch().unwrap();
-        service
-            .inner()
-            .insert(sealed.summary.key.clone(), sealed.release);
+        service.publish_open_epoch(&mut service.inner()).unwrap();
         assert_eq!(client.keys().unwrap(), vec!["taxi@epoch:0".to_string()]);
         server.shutdown();
     }
@@ -681,7 +678,7 @@ mod tests {
             (0u32..)
                 .map(|i| format!("ks{i}"))
                 .find(|ks| {
-                    let key = ReportRouter::placement_key(ks, 0);
+                    let key = ReportRouter::placement_key(ks, 0).unwrap();
                     names[dpgrid_core::rendezvous_route(&names, &key).unwrap()] == *shard
                 })
                 .unwrap()
@@ -698,8 +695,8 @@ mod tests {
             ("beta".to_string(), server_b.local_addr()),
         ])
         .unwrap();
-        assert_eq!(router.route(&ks_a, 0), "alpha");
-        assert_eq!(router.route(&ks_b, 0), "beta");
+        assert_eq!(router.route(&ks_a, 0), Some("alpha"));
+        assert_eq!(router.route(&ks_b, 0), Some("beta"));
 
         let eps = svc_a.with_collector(|c| c.open_epsilon().unwrap());
         let outcomes = router.submit_reports(&[
@@ -718,8 +715,8 @@ mod tests {
             ShardedSink::new(names.iter().map(|n| (n.clone(), Vec::new())).collect());
         for ks in [&ks_a, &ks_b] {
             assert_eq!(
-                sink.route(&ReportRouter::placement_key(ks, 0)),
-                Some(router.route(ks, 0))
+                sink.route(&ReportRouter::placement_key(ks, 0).unwrap()),
+                router.route(ks, 0)
             );
         }
 
@@ -734,6 +731,29 @@ mod tests {
             matches!(&outcomes[1], Err(ServeError::Unavailable { shard, .. }) if shard == "beta")
         );
         server_a.shutdown();
+    }
+
+    #[test]
+    fn report_router_fails_only_the_slot_at_the_last_epoch() {
+        use dpgrid_serve::ServeError;
+        let service = collecting("taxi");
+        let server = TcpServer::bind(Arc::clone(&service), "127.0.0.1:0").unwrap();
+        let router = ReportRouter::connect([("solo".to_string(), server.local_addr())]).unwrap();
+        let eps = service.with_collector(|c| c.open_epsilon().unwrap());
+        // Epoch u64::MAX has no epoch key, so it has no placement: its
+        // slot fails typed and the rest of the batch still routes.
+        let outcomes = router.submit_reports(&[
+            grr_batch("taxi", 0, eps, vec![1]),
+            grr_batch("taxi", u64::MAX, eps, vec![2]),
+            grr_batch("taxi", 0, eps, vec![3, 4]),
+        ]);
+        assert!(matches!(&outcomes[1], Err(ServeError::InvalidQuery(_))));
+        assert_eq!(outcomes[0].as_ref().unwrap().accepted, 1);
+        assert_eq!(outcomes[2].as_ref().unwrap().epoch_total, 3);
+        assert_eq!(service.with_collector(|c| c.open_reports()), 3);
+        assert_eq!(ReportRouter::placement_key("taxi", u64::MAX), None);
+        assert_eq!(router.route("taxi", u64::MAX), None);
+        server.shutdown();
     }
 
     #[test]

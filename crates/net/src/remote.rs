@@ -25,12 +25,11 @@
 use std::net::{SocketAddr, ToSocketAddrs};
 
 use dpgrid_serve::shard::Shard;
-use dpgrid_serve::wire::{ErrorCode, OverloadInfo, WireError};
 use dpgrid_serve::{
     EngineStats, QueryRequest, QueryResponse, QueryService, ServeError, WindowAnswer, WindowQuery,
 };
 
-use crate::error::{NetError, Result};
+use crate::error::{wire_to_serve, NetError, Result};
 use crate::pool::TcpClientPool;
 
 /// A [`Shard`] served by a remote `TcpServer`, reached through a
@@ -72,30 +71,6 @@ impl RemoteShard {
             reason: reason.to_string(),
         }
     }
-
-    /// Maps one per-query wire error back onto the typed in-process
-    /// error a local shard would have returned.
-    fn wire_to_serve(&self, e: WireError, key: &str) -> ServeError {
-        match e.code {
-            ErrorCode::UnknownKey => ServeError::UnknownRelease(key.to_string()),
-            ErrorCode::InvalidQuery => ServeError::InvalidQuery(e.message),
-            // The server sends its counters structured in the
-            // `overload` field; an error without them reads as zeroes.
-            ErrorCode::Overloaded => {
-                let info = e.overload.unwrap_or(OverloadInfo {
-                    inflight_rects: 0,
-                    limit: 0,
-                });
-                ServeError::Overloaded {
-                    inflight_rects: info.inflight_rects,
-                    limit: info.limit,
-                }
-            }
-            ErrorCode::MalformedRequest | ErrorCode::UnsupportedVersion | ErrorCode::Internal => {
-                self.unavailable(&e)
-            }
-        }
-    }
 }
 
 impl QueryService for RemoteShard {
@@ -117,7 +92,7 @@ impl QueryService for RemoteShard {
                 .into_iter()
                 .zip(requests)
                 .map(|(outcome, request)| {
-                    outcome.map_err(|e| self.wire_to_serve(e, &request.release_key))
+                    outcome.map_err(|e| wire_to_serve(e, &self.label, &request.release_key))
                 })
                 .collect(),
             Err(e) => {
@@ -174,7 +149,7 @@ impl QueryService for RemoteShard {
                     "{}@epoch:{}-{}",
                     query.keyspace, query.range.start, query.range.end
                 );
-                Err(self.wire_to_serve(e, &key))
+                Err(wire_to_serve(e, &self.label, &key))
             }
             Err(e) => Err(self.unavailable(&e)),
         }

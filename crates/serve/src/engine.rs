@@ -658,8 +658,11 @@ impl QueryEngine {
     }
 }
 
-/// Zero-copy handoff from [`dpgrid_core::Pipeline::publish_into`].
-impl ReleaseSink for QueryEngine {
+/// Zero-copy handoff from [`dpgrid_core::Pipeline::publish_into`],
+/// an epoch publisher or an LDP seal. The sink is a shared reference,
+/// so an engine that is already serving (behind an `Arc`, inside a
+/// `CollectingService`) takes releases as `&mut &engine`.
+impl ReleaseSink for &QueryEngine {
     fn accept_release(&mut self, key: String, release: Release) {
         self.insert(key, release);
     }

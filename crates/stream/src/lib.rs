@@ -10,12 +10,15 @@
 //! * [`StreamIngestor`] buffers timestamped points into bounded
 //!   per-epoch staging buffers and, as the event-time watermark
 //!   advances, seals finished epochs: each sealed epoch's points become
-//!   a [`dpgrid_geo::GeoDataset`], its ε share is drawn from a
+//!   a [`dpgrid_geo::GeoDataset`] and go through the one epoch
+//!   lifecycle, [`EpochPublisher::publish`] — the same one LDP
+//!   collection seals through. Its ε share is drawn from a
 //!   [`BudgetSchedule`] (sequential composition across epochs — the
-//!   shares sum to the configured total), and the release is published
-//!   under the epoch key `{keyspace}@epoch:{i}`. Because the output is
-//!   a plain keyed release, every existing sink works unchanged: a
-//!   serving catalog, a sharded fan-out, a test collector.
+//!   shares sum to the configured total), the release is built at it,
+//!   the share is charged, and the release is published under the
+//!   epoch key `{keyspace}@epoch:{i}`. Because the output is a plain
+//!   keyed release, every existing sink works unchanged: a serving
+//!   catalog, a sharded fan-out, a test collector.
 //! * [`Compactor`] retires old fine epochs: once a tier-aligned run of
 //!   epochs has aged out of the fine-retention window it is merged into
 //!   a single coarser release ([`dpgrid_core::merge_releases`] — exact
@@ -75,8 +78,8 @@
 use std::collections::BTreeMap;
 
 use dpgrid_core::{
-    epoch_key, merge_releases, CoreError, EpochLayout, EpochRange, Method, Pipeline, Release,
-    ReleaseSink,
+    epoch_key, merge_releases, CoreError, EpochLayout, EpochPublisher, EpochRange, Method,
+    Pipeline, Release, ReleaseSink,
 };
 use dpgrid_geo::{Domain, GeoError, Point};
 use dpgrid_mech::{BudgetSchedule, MechError};
@@ -91,7 +94,8 @@ pub enum StreamError {
         /// First epoch still accepting points.
         frontier: u64,
     },
-    /// A point's timestamp is non-finite or before the layout origin.
+    /// A point's timestamp is non-finite, before the layout origin,
+    /// or past the last epoch.
     BeforeOrigin {
         /// The offending timestamp.
         timestamp: f64,
@@ -125,7 +129,8 @@ impl std::fmt::Display for StreamError {
             ),
             StreamError::BeforeOrigin { timestamp } => write!(
                 f,
-                "timestamp {timestamp} is non-finite or before the epoch origin"
+                "timestamp {timestamp} is non-finite, before the epoch origin, \
+                 or past the last epoch"
             ),
             StreamError::OutsideDomain { point } => write!(
                 f,
@@ -193,10 +198,11 @@ pub const DEFAULT_EPOCH_CAPACITY: usize = 1 << 18;
 /// sealed epoch — see the [crate docs](crate) for the epoch contract.
 #[derive(Debug, Clone)]
 pub struct StreamIngestor {
-    keyspace: String,
+    /// Keyspace, budget schedule, and the build → charge → publish
+    /// order every sealed epoch goes through.
+    publisher: EpochPublisher,
     domain: Domain,
     layout: EpochLayout,
-    schedule: BudgetSchedule,
     method: Method,
     base_seed: Option<u64>,
     epoch_capacity: usize,
@@ -227,17 +233,15 @@ impl StreamIngestor {
         layout: EpochLayout,
         schedule: BudgetSchedule,
     ) -> Result<Self> {
-        let keyspace = keyspace.into();
-        if keyspace.is_empty() {
-            return Err(StreamError::InvalidConfig(
+        let publisher = EpochPublisher::new(keyspace, schedule).ok_or_else(|| {
+            StreamError::InvalidConfig(
                 "keyspace must be non-empty (epoch keys would not round-trip)".into(),
-            ));
-        }
+            )
+        })?;
         Ok(StreamIngestor {
-            keyspace,
+            publisher,
             domain,
             layout,
-            schedule,
             method: Method::ag_suggested(),
             base_seed: None,
             epoch_capacity: DEFAULT_EPOCH_CAPACITY,
@@ -281,7 +285,7 @@ impl StreamIngestor {
 
     /// The keyspace epoch releases publish under.
     pub fn keyspace(&self) -> &str {
-        &self.keyspace
+        self.publisher.keyspace()
     }
 
     /// The public domain every ingested point must lie in.
@@ -296,7 +300,7 @@ impl StreamIngestor {
 
     /// The per-epoch budget schedule (accounting state included).
     pub fn schedule(&self) -> &BudgetSchedule {
-        &self.schedule
+        self.publisher.schedule()
     }
 
     /// First epoch still accepting points (everything below sealed).
@@ -326,9 +330,9 @@ impl StreamIngestor {
     /// when the stream crosses an epoch boundary.
     ///
     /// Failures are typed and leave the ingestor consistent: a late,
-    /// out-of-domain, or before-origin point is rejected without side
-    /// effects; a publish failure (e.g. budget exhaustion) keeps the
-    /// failing epoch's points staged.
+    /// out-of-domain, before-origin or past-the-last-epoch point is
+    /// rejected without side effects; a publish failure (e.g. budget
+    /// exhaustion) keeps the failing epoch's points staged.
     pub fn push<S: ReleaseSink>(
         &mut self,
         point: Point,
@@ -423,31 +427,36 @@ impl StreamIngestor {
         Ok(published)
     }
 
-    /// Builds and publishes one sealed epoch: dataset from the staged
-    /// points, the release built at the schedule's ε share, then the
-    /// share charged (once per epoch) and the release published under
-    /// the epoch key, with a retained clone for future compaction.
-    /// Nothing fallible runs between the charge and the publish, so a
-    /// failed build charges nothing and a retry can succeed.
+    /// Builds and publishes one sealed epoch through the
+    /// [`EpochPublisher`]: the staged points become a dataset, the
+    /// release is built at the schedule's share, the share is charged
+    /// and the release published under the epoch key. A failed build
+    /// charges nothing, so a retry can succeed. The clone retained for
+    /// compaction is taken in the build and kept only once the epoch
+    /// published.
     fn publish_epoch<S: ReleaseSink>(
         &mut self,
         epoch: u64,
         points: &[Point],
         sink: &mut S,
     ) -> Result<PublishedEpoch> {
-        let dataset = dpgrid_geo::GeoDataset::from_points(points.to_vec(), self.domain)?;
-        let epsilon = self.schedule.epsilon_for(epoch)?;
-        let mut pipeline = Pipeline::new(&dataset).epsilon(epsilon).method(self.method);
-        if let Some(base) = self.base_seed {
-            // splitmix64-style odd-constant mix keeps per-epoch seeds
-            // distinct even for adjacent epochs.
-            pipeline = pipeline.seed(base ^ epoch.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+        let mut built = None;
+        let publisher = &mut self.publisher;
+        let (key, epsilon) = publisher.publish(epoch, sink, |epsilon| -> Result<_> {
+            let dataset = dpgrid_geo::GeoDataset::from_points(points.to_vec(), self.domain)?;
+            let mut pipeline = Pipeline::new(&dataset).epsilon(epsilon).method(self.method);
+            if let Some(base) = self.base_seed {
+                // splitmix64-style odd-constant mix keeps per-epoch seeds
+                // distinct even for adjacent epochs.
+                pipeline = pipeline.seed(base ^ epoch.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+            }
+            let release = pipeline.publish()?;
+            built = Some(release.clone());
+            Ok(release)
+        })?;
+        if let Some(release) = built {
+            self.retained.insert(epoch, release);
         }
-        let release = pipeline.publish()?;
-        self.schedule.spend_epoch(epoch)?;
-        let key = epoch_key(&self.keyspace, EpochRange::single(epoch));
-        self.retained.insert(epoch, release.clone());
-        sink.accept_release(key.clone(), release);
         Ok(PublishedEpoch {
             epoch,
             key,
@@ -659,6 +668,29 @@ mod tests {
         // The empty epoch 1 published nothing and spent nothing.
         assert!(!sink.contains_key("s@epoch:1"));
         assert_eq!(ing.schedule().charged_epochs(), vec![0]);
+    }
+
+    #[test]
+    fn timestamps_past_the_last_epoch_fail_typed_and_stage_nothing() {
+        // One-second epochs from t = 0: t = 2^64 would be epoch
+        // u64::MAX, which has no key.
+        let layout = EpochLayout::new(0.0, 1.0).unwrap();
+        let schedule = BudgetSchedule::uniform(1.0, 2).unwrap();
+        let mut ing = StreamIngestor::new("s", domain(), layout, schedule)
+            .unwrap()
+            .with_method(Method::ug(6));
+        let mut sink = HashMap::new();
+        let t = 2f64.powi(64);
+        assert!(matches!(
+            ing.push(Point::new(1.0, 1.0), t, &mut sink),
+            Err(StreamError::BeforeOrigin { timestamp }) if timestamp == t
+        ));
+        assert!(ing.open_epochs().is_empty());
+        assert_eq!((ing.frontier(), ing.watermark_epoch()), (0, None));
+        // The stream carries on as if the point never came.
+        ing.push(Point::new(1.0, 1.0), 0.5, &mut sink).unwrap();
+        assert_eq!(ing.flush(&mut sink).unwrap().len(), 1);
+        assert!(sink.contains_key("s@epoch:0"));
     }
 
     #[test]

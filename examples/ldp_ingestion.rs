@@ -140,17 +140,11 @@ fn main() {
         // Seal on the serving side: ε charged exactly once, tallies
         // debiased, and the release published into the same engine
         // that absorbed the reports.
-        let sealed = service.seal_open_epoch().unwrap();
+        let summary = service.publish_open_epoch(&mut service.inner()).unwrap();
         println!(
             "  sealed {} (ε = {}, {} GRR + {} OUE reports)",
-            sealed.summary.key,
-            sealed.summary.epsilon,
-            sealed.summary.grr_reports,
-            sealed.summary.oue_reports
+            summary.key, summary.epsilon, summary.grr_reports, summary.oue_reports
         );
-        service
-            .inner()
-            .insert(sealed.summary.key.clone(), sealed.release);
     }
 
     // The hotspot shift survives the noise: query both epochs over the
@@ -199,7 +193,7 @@ fn main() {
     // Placement is the read side's rendezvous hash over the epoch key:
     // reports for `harbor@epoch:0` aggregate on the shard that will
     // serve the sealed release — no cross-shard merge, ever.
-    let owner = router.route("harbor", 0);
+    let owner = router.route("harbor", 0).expect("epoch 0 has a key");
     println!("harbor@epoch:0 is owned by shard {owner:?}");
     let batches = fleet_reports("harbor", 0, 600, 7);
     for ack in router.submit_reports(&batches) {

@@ -84,10 +84,9 @@ fn main() {
     // 4. Compact the oldest epochs into a coarser tier (privacy-free:
     //    merging released surfaces is post-processing) and show the
     //    window still answering — coverage visibly widens to the tier.
-    let mut sink_view = engine;
     let tiers = Compactor::new(2, 3)
         .expect("tier length ≥ 2")
-        .compact(&mut ingestor, &mut sink_view)
+        .compact(&mut ingestor, &mut &engine)
         .expect("compaction publishes before evicting");
     for tier in &tiers {
         println!(
@@ -97,7 +96,7 @@ fn main() {
     }
     let merged = merge_releases("reference", &[&fine[&0], &fine[&1]]).unwrap();
     let query = WindowQuery::new("taxi", 1, 3, vec![rect]).expect("non-empty window");
-    let answer = answer_window(&sink_view, &query).expect("tier covers the window");
+    let answer = answer_window(&engine, &query).expect("tier covers the window");
     let reference = merged.answer(&rect) + fine[&2].answer(&rect);
     assert!((answer.answers[0] - reference).abs() <= 1e-9 * (1.0 + reference.abs()));
     assert_eq!(

@@ -143,7 +143,9 @@
 //!   shares over a fixed horizon, or exponentially decaying shares
 //!   summing to the total over an infinite stream — charged exactly
 //!   once per epoch (late arrivals and exhausted budgets fail typed,
-//!   never silently overspend);
+//!   never silently overspend) by a [`core::EpochPublisher`], the one
+//!   build → charge → publish lifecycle the LDP collector below uses
+//!   too;
 //! * a [`stream::Compactor`] merges expired fine epochs into coarser
 //!   tiers (`{keyspace}@epoch:{s}-{e}`) via [`core::merge_releases`]
 //!   — pure post-processing, ε-free — publishing the tier before
@@ -179,13 +181,14 @@
 //!   read side routes with);
 //! * a [`ldp::ReportCollector`] behind [`ldp::CollectingService`]
 //!   folds them into flat per-epoch tally vectors (chunked array
-//!   arithmetic, no per-report allocation), charges each epoch's ε
-//!   through a [`mech::BudgetSchedule`] exactly once at seal time,
-//!   debiases, and publishes an ordinary [`core::Release`] under the
-//!   epoch-key grammar — served, sharded, and windowed exactly like a
-//!   central release, but tagged [`core::TrustModel::Local`] in its
-//!   metadata (the estimator is far noisier, and the ε is per user per
-//!   epoch — consumers can tell the two models apart).
+//!   arithmetic, no per-report allocation); sealing an epoch
+//!   debiases them, charges the epoch's ε through its
+//!   [`core::EpochPublisher`] exactly once, and publishes an ordinary
+//!   [`core::Release`] under the epoch-key grammar — served, sharded,
+//!   and windowed exactly like a central release, but tagged
+//!   [`core::TrustModel::Local`] in its metadata (the estimator is far
+//!   noisier, and the ε is per user per epoch — consumers can tell the
+//!   two models apart).
 //!
 //! See `examples/ldp_ingestion.rs` for the loop (users perturb →
 //! batched over TCP → seal → query) and `tests/ldp_ingestion.rs` for
@@ -241,9 +244,9 @@ pub mod prelude {
         HierarchicalGrid, HierarchyConfig, KdConfig, KdHybrid, KdStandard, Privelet, PriveletConfig,
     };
     pub use dpgrid_core::{
-        epoch_key, merge_releases, parse_epoch_key, parse_epoch_key_strict, AdaptiveGrid, AgConfig,
-        CompiledSurface, EpochLayout, EpochRange, GridSize, Method, NoiseKind, Pipeline, Release,
-        ReleaseMetadata, ReleaseSink, ShardedSink, TrustModel, UgConfig, UniformGrid,
+        epoch_key, merge_releases, parse_epoch_key, AdaptiveGrid, AgConfig, CompiledSurface,
+        EpochLayout, EpochRange, GridSize, Method, NoiseKind, Pipeline, Release, ReleaseMetadata,
+        ReleaseSink, ShardedSink, TrustModel, UgConfig, UniformGrid,
     };
     pub use dpgrid_geo::generators::PaperDataset;
     pub use dpgrid_geo::{

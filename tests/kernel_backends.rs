@@ -155,9 +155,10 @@ fn same_seed_releases_are_byte_identical_across_backends() {
             },
         })
         .unwrap();
-    let sealed = collector.seal_open_epoch().unwrap();
+    let mut sink = Vec::new();
+    collector.publish_open_epoch(&mut sink).unwrap();
     let mut published = Vec::new();
-    sealed.release.write_json(&mut published).unwrap();
+    sink[0].1.write_json(&mut published).unwrap();
 
     // The collector ran whatever backend this process dispatched;
     // both pinned backends must reproduce its bytes exactly.

@@ -195,23 +195,19 @@ fn populations_ingest_over_binary_tcp_and_sealed_epochs_serve_exactly() {
 
         // Seal on the serving side and publish into the live engine —
         // the same epoch-key the write path routed on.
-        let sealed = service.seal_open_epoch().unwrap();
-        assert_eq!(sealed.summary.key, format!("taxi@epoch:{epoch}"));
-        assert_eq!(sealed.summary.epsilon, EPOCH_EPSILON);
-        assert_eq!(
-            sealed.summary.grr_reports + sealed.summary.oue_reports,
-            users as u64
-        );
-        service
-            .inner()
-            .insert(sealed.summary.key.clone(), sealed.release);
+        let summary = service.publish_open_epoch(&mut service.inner()).unwrap();
+        assert_eq!(summary.key, format!("taxi@epoch:{epoch}"));
+        assert_eq!(summary.epsilon, EPOCH_EPSILON);
+        assert_eq!(summary.grr_reports + summary.oue_reports, users as u64);
 
-        let expected = reference.seal_open_epoch().unwrap();
-        let surface = CompiledSurface::from_synopsis(&expected.release);
+        let mut sealed = Vec::new();
+        reference.publish_open_epoch(&mut sealed).unwrap();
+        let expected = &sealed[0].1;
+        let surface = CompiledSurface::from_synopsis(expected);
 
         // Range queries over TCP match the in-process debiased
         // aggregate to ≤ 1e-9 relative.
-        let remote = client.query(&sealed.summary.key, &rects).unwrap();
+        let remote = client.query(&summary.key, &rects).unwrap();
         assert_eq!(remote.answers.len(), rects.len());
         for (rect, answer) in rects.iter().zip(&remote.answers) {
             let want = surface.answer(rect);
@@ -221,7 +217,7 @@ fn populations_ingest_over_binary_tcp_and_sealed_epochs_serve_exactly() {
             );
         }
 
-        maes.push(normalized_mae(&expected.release, &truth, users));
+        maes.push(normalized_mae(expected, &truth, users));
     }
 
     // Utility: 16× the users must shrink normalized error markedly

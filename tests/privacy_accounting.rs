@@ -269,10 +269,12 @@ fn sealed_ldp_estimates(
             payload,
         })
         .unwrap();
-    let sealed = collector.seal_open_epoch().unwrap();
-    assert_eq!(sealed.release.metadata().trust, TrustModel::Local);
-    let values = sealed.release.cells().iter().map(|(_, v)| *v).collect();
-    (values, sealed.summary)
+    let mut sink = Vec::new();
+    let summary = collector.publish_open_epoch(&mut sink).unwrap();
+    let release = &sink[0].1;
+    assert_eq!(release.metadata().trust, TrustModel::Local);
+    let values = release.cells().iter().map(|(_, v)| *v).collect();
+    (values, summary)
 }
 
 #[test]
@@ -370,7 +372,7 @@ fn ldp_epochs_charge_their_scheduled_epsilon_exactly_once() {
             payload: ReportPayload::Grr(vec![1, 2, 3]),
         })
         .unwrap();
-    match replay.seal_open_epoch() {
+    match replay.publish_open_epoch(&mut sink) {
         Err(LdpError::Mech(MechError::EpochAlreadyCharged { epoch: 0 })) => {}
         other => panic!("expected EpochAlreadyCharged, got {other:?}"),
     }

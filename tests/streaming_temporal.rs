@@ -18,30 +18,13 @@ use dpgrid::prelude::*;
 use dpgrid::serve::wire::{ErrorCode, RequestBody, ResponseBody, WireRequest, WireResponse};
 use dpgrid::stream::{Compactor, StreamIngestor};
 
-/// A [`ReleaseSink`] view of a shared, live [`QueryEngine`]: what a
-/// deployment's ingest loop holds while the serving side answers
-/// queries against the same catalog.
-struct EngineSink(Arc<QueryEngine>);
-
-impl ReleaseSink for EngineSink {
-    fn accept_release(&mut self, key: String, release: Release) {
-        self.0.with_catalog(|catalog| {
-            catalog.insert(key, release);
-        });
-    }
-
-    fn evict_release(&mut self, key: &str) -> bool {
-        self.0.with_catalog(|catalog| catalog.remove(key).is_some())
-    }
-}
-
 fn domain() -> Domain {
     Domain::from_corners(0.0, 0.0, 10.0, 10.0).unwrap()
 }
 
 /// Deterministic per-epoch point clouds: epochs differ in both count
 /// and placement so no two epoch surfaces are interchangeable.
-fn push_epoch(ingestor: &mut StreamIngestor, sink: &mut EngineSink, epoch: u64) {
+fn push_epoch(ingestor: &mut StreamIngestor, sink: &mut &QueryEngine, epoch: u64) {
     let n = 150 + 40 * epoch as usize;
     for i in 0..n {
         let x = 0.05 + ((i as f64 * 7.3 + epoch as f64 * 1.7) % 9.9);
@@ -71,10 +54,11 @@ fn assert_close(got: f64, want: f64, what: &str) {
 #[test]
 fn stream_to_tcp_window_queries_match_per_epoch_sums() {
     // Ingest five epochs of a timestamped stream straight into a live
-    // engine's catalog while a TCP server fronts it.
+    // engine's catalog while a TCP server fronts it: the shared engine
+    // is itself the sink.
     let engine = Arc::new(QueryEngine::new(Catalog::new()));
     let server = TcpServer::bind(Arc::clone(&engine), "127.0.0.1:0").unwrap();
-    let mut sink = EngineSink(Arc::clone(&engine));
+    let mut sink = &*engine;
 
     let layout = EpochLayout::new(0.0, 60.0).unwrap();
     let schedule = BudgetSchedule::uniform(1.0, 8).unwrap();
