@@ -9,8 +9,9 @@
 //!
 //! * cells forming an affordable rectilinear lattice (UG, LDP grids,
 //!   hierarchy and wavelet leaves, small AG outputs) become a dense
-//!   grid + summed-area table, answering in O(log cells) — two binary
-//!   searches plus O(1) prefix sums;
+//!   grid + summed-area table, answering in O(1) on equi-width lattices
+//!   — four edge locations and 16 prefix-sum reads (a binary search
+//!   per edge only over ≤ 8 slots or far from equi-width);
 //! * two-level partitions (larger AG outputs, whose leaves align only
 //!   within each first-level cell) become a coarse lattice whose slots
 //!   each hold their own sub-lattice: one coarse prefix-sum lookup for

@@ -106,9 +106,9 @@ fn aspect_dims(domain: &Domain, m: usize) -> (usize, usize) {
 /// one noise draw per cell. Since the cells partition the domain, the
 /// whole grid consumes ε once under parallel composition.
 ///
-/// Query answering uses a summed-area table: any rectangle decomposes
-/// into at most nine aligned cell blocks, so `answer` is O(1) regardless
-/// of grid or query size.
+/// Query answering uses a summed-area table: any rectangle is answered
+/// from the 16 prefix sums around its four corner cells, so `answer` is
+/// O(1) regardless of grid or query size.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct UniformGrid {
     grid: DenseGrid,

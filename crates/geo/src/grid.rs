@@ -199,7 +199,9 @@ impl DenseGrid {
     ///
     /// Fully covered cells contribute their whole value; partially covered
     /// cells contribute `value × overlap_fraction`. This is exactly the
-    /// query semantics of §II-B of the paper. The `sat` must have been
+    /// query semantics of §II-B of the paper. Each query edge is located
+    /// arithmetically (the cells are equi-width) and the table's
+    /// [`SummedAreaTable::mass`] sums the rest. The `sat` must have been
     /// built from this grid (debug-asserted via shape).
     pub fn answer_uniform(&self, sat: &SummedAreaTable, query: &Rect) -> f64 {
         debug_assert_eq!(sat.cols(), self.cols);
@@ -209,59 +211,22 @@ impl DenseGrid {
         };
         let d = self.domain.rect();
         // Continuous cell coordinates of the query edges.
-        let u0 = (q.x0() - d.x0()) / d.width() * self.cols as f64;
-        let u1 = (q.x1() - d.x0()) / d.width() * self.cols as f64;
-        let v0 = (q.y0() - d.y0()) / d.height() * self.rows as f64;
-        let v1 = (q.y1() - d.y0()) / d.height() * self.rows as f64;
-        let xs = axis_segments(u0, u1, self.cols);
-        let ys = axis_segments(v0, v1, self.rows);
-        let mut sum = 0.0;
-        for &(r0, r1, wy) in ys.iter().flatten() {
-            for &(c0, c1, wx) in xs.iter().flatten() {
-                let w = wx * wy;
-                if w > 0.0 {
-                    sum += w * sat.sum(c0, r0, c1, r1);
-                }
-            }
-        }
-        sum
-    }
-
-    /// Like [`DenseGrid::answer_uniform`] but builds a throwaway SAT; only
-    /// suitable for one-off queries.
-    pub fn answer_uniform_slow(&self, query: &Rect) -> f64 {
-        self.answer_uniform(&self.sat(), query)
+        let u = |x: f64| (x - d.x0()) / d.width() * self.cols as f64;
+        let v = |y: f64| (y - d.y0()) / d.height() * self.rows as f64;
+        sat.mass(
+            [locate(u(q.x0()), self.cols), locate(u(q.x1()), self.cols)],
+            [locate(v(q.y0()), self.rows), locate(v(q.y1()), self.rows)],
+        )
     }
 }
 
-/// Decomposes the continuous cell interval `[u0, u1]` (cell units, already
-/// clipped to `[0, n]`) into at most three aligned segments
-/// `(first_cell, one_past_last_cell, weight)`:
-/// a partial leading cell, a run of fully covered cells, and a partial
-/// trailing cell.
-fn axis_segments(u0: f64, u1: f64, n: usize) -> [Option<(usize, usize, f64)>; 3] {
-    let mut out = [None, None, None];
-    let u0 = u0.clamp(0.0, n as f64);
-    let u1 = u1.clamp(0.0, n as f64);
-    if u1 <= u0 {
-        return out;
-    }
-    let i0 = (u0.floor() as usize).min(n - 1);
-    // Last touched cell: the cell containing u1, or n-1 when u1 == n.
-    let i1 = ((u1 - f64::EPSILON).floor() as usize).min(n - 1).max(i0);
-    if i0 == i1 {
-        // Query spans (part of) a single cell along this axis.
-        out[0] = Some((i0, i0 + 1, u1 - u0));
-        return out;
-    }
-    let lead = (i0 + 1) as f64 - u0;
-    let trail = u1 - i1 as f64;
-    out[0] = Some((i0, i0 + 1, lead.clamp(0.0, 1.0)));
-    if i0 + 1 < i1 {
-        out[1] = Some((i0 + 1, i1, 1.0));
-    }
-    out[2] = Some((i1, i1 + 1, trail.clamp(0.0, 1.0)));
-    out
+/// Locates the continuous cell coordinate `u`, clamped to `[0, n]`, as
+/// `(cell, fraction)` for [`SummedAreaTable::mass`]: the cell holding it
+/// (the last one for `u = n`) and how far across that cell it lies.
+fn locate(u: f64, n: usize) -> (usize, f64) {
+    let u = u.clamp(0.0, n as f64);
+    let cell = (u as usize).min(n - 1);
+    (cell, u - cell as f64)
 }
 
 #[cfg(test)]
@@ -372,7 +337,7 @@ mod tests {
 
     #[test]
     fn answer_uniform_matches_bruteforce() {
-        // Cross-check the 9-block decomposition against a per-cell loop.
+        // Cross-check the located-edge kernel against a per-cell loop.
         let domain = Domain::from_corners(0.0, 0.0, 7.0, 5.0).unwrap();
         let g = DenseGrid::from_fn(domain, 7, 5, |c, r| ((c * 31 + r * 17) % 11) as f64).unwrap();
         let sat = g.sat();
@@ -397,7 +362,7 @@ mod tests {
     }
 
     #[test]
-    fn axis_segments_cover_interval() {
+    fn located_edges_reconstruct_the_clipped_interval() {
         for &(u0, u1, n) in &[
             (0.0, 4.0, 4usize),
             (0.2, 3.7, 4),
@@ -405,15 +370,15 @@ mod tests {
             (0.0, 0.5, 4),
             (3.5, 4.0, 4),
             (2.0, 3.0, 4),
+            (-1.0, 9.0, 4),
         ] {
-            let segs = axis_segments(u0, u1, n);
-            let covered: f64 = segs
-                .iter()
-                .flatten()
-                .map(|(a, b, w)| (b - a) as f64 * w)
-                .sum();
+            let [(i0, f0), (i1, f1)] = [locate(u0, n), locate(u1, n)];
+            assert!(i0 <= i1 && i1 < n, "({u0},{u1},{n}): cells {i0}, {i1}");
+            assert!((0.0..=1.0).contains(&f0) && (0.0..=1.0).contains(&f1));
+            let covered = (i1 as f64 + f1) - (i0 as f64 + f0);
+            let expect = u1.min(n as f64) - u0.max(0.0);
             assert!(
-                (covered - (u1 - u0)).abs() < 1e-9,
+                (covered - expect).abs() < 1e-9,
                 "({u0},{u1},{n}): covered {covered}"
             );
         }

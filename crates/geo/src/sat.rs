@@ -8,9 +8,9 @@ use crate::DenseGrid;
 ///
 /// Stores `(cols + 1) × (rows + 1)` prefix sums so any axis-aligned block
 /// of cells can be summed in O(1). This is the backbone of query answering
-/// for every grid-based synopsis: a rectangle query decomposes into at most
-/// nine cell blocks (interior, four edges, four corners), each resolved
-/// with a single table lookup.
+/// for every grid-based synopsis: [`SummedAreaTable::mass`] answers a
+/// rectangle under the uniformity assumption from the 16 entries around
+/// the four cells its corners fall in, whatever its size.
 ///
 /// Sums are accumulated in `f64`. For the cell counts and grid sizes used
 /// in this workspace (≤ 2²⁴ cells, counts ≤ 10⁷) the rounding error is
@@ -71,6 +71,40 @@ impl SummedAreaTable {
         p[r1 * stride + c1] - p[r0 * stride + c1] - p[r1 * stride + c0] + p[r0 * stride + c0]
     }
 
+    /// Uniformity-assumption mass of a rectangle whose edges are located
+    /// as `(cell, fraction)` per axis, `x = [left, right]` and
+    /// `y = [bottom, top]` (left not past right): each edge lies
+    /// `fraction ∈ [0, 1]` of the way across its cell. Summed in four
+    /// groups, each small next to the entries: the whole cells between
+    /// the located ones, the partial columns, the partial rows and the
+    /// corner cells. So a query inside one cell keeps its digits far from
+    /// the origin, where differencing interpolated prefix sums cancels
+    /// them.
+    #[inline]
+    pub fn mass(&self, x: [(usize, f64); 2], y: [(usize, f64); 2]) -> f64 {
+        // The partial cells' local lines (see `split_axis`).
+        let (lo, hi) = ([0, 1], [2, 3]);
+        let (xl, xw, [x0, x1]) = split_axis(x);
+        let (yl, yw, [y0, y1]) = split_axis(y);
+        let stride = self.cols + 1;
+        // t[j][i]: the entry at x-line xl[i] and y-line yl[j].
+        let row = |r: usize| {
+            let p = &self.prefix[r * stride..];
+            [p[xl[0]], p[xl[1]], p[xl[2]], p[xl[3]]]
+        };
+        let t = [row(yl[0]), row(yl[1]), row(yl[2]), row(yl[3])];
+        // Sum of the cells between local lines `[i0, i1) × [j0, j1)`.
+        let block = |[i0, i1]: [usize; 2], [j0, j1]: [usize; 2]| {
+            (t[j1][i1] - t[j0][i1]) - (t[j1][i0] - t[j0][i0])
+        };
+        let whole = block(xw, yw);
+        let cols = x0 * block(lo, yw) + x1 * block(hi, yw);
+        let rows = y0 * block(xw, lo) + y1 * block(xw, hi);
+        let corners = x0 * (y0 * block(lo, lo) + y1 * block(lo, hi))
+            + x1 * (y0 * block(hi, lo) + y1 * block(hi, hi));
+        whole + cols + rows + corners
+    }
+
     /// Sum of every cell in the grid.
     #[inline]
     pub fn total(&self) -> f64 {
@@ -81,6 +115,21 @@ impl SummedAreaTable {
     /// owned prefix-sum array. Used by serving-side memory budgets.
     pub fn memory_bytes(&self) -> usize {
         std::mem::size_of::<Self>() + self.prefix.len() * std::mem::size_of::<f64>()
+    }
+}
+
+/// One axis of [`SummedAreaTable::mass`]: the lines `[i0, i0 + 1, i1,
+/// i1 + 1]` around its two cells, the whole cells between them (as
+/// indexes into those lines) and the two cells' weights. When both edges
+/// share a cell, it carries their difference.
+#[inline]
+fn split_axis([(i0, f0), (i1, f1)]: [(usize, f64); 2]) -> ([usize; 4], [usize; 2], [f64; 2]) {
+    debug_assert!(i0 <= i1);
+    let lines = [i0, i0 + 1, i1, i1 + 1];
+    if i0 < i1 {
+        (lines, [1, 2], [1.0 - f0, f1])
+    } else {
+        (lines, [2, 2], [f1 - f0, 0.0])
     }
 }
 

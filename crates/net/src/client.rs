@@ -217,7 +217,7 @@ impl Conn {
         self.writer.get_mut().write_all(&self.out_buf)?;
 
         let mut results = Vec::with_capacity(requests.len());
-        for i in 0..requests.len() {
+        for (i, request) in requests.iter().enumerate() {
             let expect = first_id + i as u64;
             let response = self.read_binary_response()?;
             match response.body {
@@ -235,6 +235,7 @@ impl Conn {
                     )));
                 }
                 ResponseBody::Answers(a) if response.id == expect => {
+                    one_answer_per_rect(request.rects.len(), a.answers.len())?;
                     results.push(Ok(a.into_response()));
                 }
                 other => {
@@ -407,7 +408,10 @@ impl TcpClient {
             rects: rects.iter().map(WireRect::from).collect(),
         };
         match self.call(RequestBody::Query(query))? {
-            ResponseBody::Answers(answers) => Ok(answers.into_response()),
+            ResponseBody::Answers(answers) => {
+                one_answer_per_rect(rects.len(), answers.answers.len())?;
+                Ok(answers.into_response())
+            }
             other => Err(unexpected("Answers", &other)),
         }
     }
@@ -434,9 +438,12 @@ impl TcpClient {
             rects: rects.iter().map(WireRect::from).collect(),
         };
         match self.call(RequestBody::Window(window))? {
-            ResponseBody::Window(answers) => answers
-                .into_answer()
-                .map_err(|e| NetError::Protocol(e.to_string())),
+            ResponseBody::Window(answers) => {
+                one_answer_per_rect(rects.len(), answers.answers.len())?;
+                answers
+                    .into_answer()
+                    .map_err(|e| NetError::Protocol(e.to_string()))
+            }
             other => Err(unexpected("Window", &other)),
         }
     }
@@ -503,13 +510,17 @@ impl TcpClient {
                         outcomes.len()
                     )));
                 }
-                Ok(outcomes
+                outcomes
                     .into_iter()
-                    .map(|outcome| match outcome {
-                        dpgrid_serve::wire::WireOutcome::Answered(a) => Ok(a.into_response()),
-                        dpgrid_serve::wire::WireOutcome::Failed(e) => Err(e),
+                    .zip(requests)
+                    .map(|(outcome, request)| match outcome {
+                        dpgrid_serve::wire::WireOutcome::Answered(a) => {
+                            one_answer_per_rect(request.rects.len(), a.answers.len())?;
+                            Ok(Ok(a.into_response()))
+                        }
+                        dpgrid_serve::wire::WireOutcome::Failed(e) => Ok(Err(e)),
                     })
-                    .collect())
+                    .collect()
             }
             other => Err(unexpected("Batch", &other)),
         }
@@ -595,6 +606,18 @@ fn is_stale_connection(e: &NetError) -> bool {
         ),
         NetError::Protocol(_) | NetError::Server(_) => false,
     }
+}
+
+/// Fails a reply that does not hold exactly one answer per rect sent:
+/// callers zip answers with their rects (a window router sums them per
+/// rect), so a short reply would silently drop the last rects.
+fn one_answer_per_rect(rects: usize, answers: usize) -> Result<()> {
+    if answers == rects {
+        return Ok(());
+    }
+    Err(NetError::Protocol(format!(
+        "{rects} rects got {answers} answers"
+    )))
 }
 
 fn unexpected(wanted: &str, got: &ResponseBody) -> NetError {

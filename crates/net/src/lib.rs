@@ -549,6 +549,64 @@ mod tests {
         server.shutdown();
     }
 
+    /// Answers like its engine, but every reply (query or window) is
+    /// one answer short.
+    struct DropsOneAnswer(QueryEngine);
+
+    impl dpgrid_serve::QueryService for DropsOneAnswer {
+        fn answer_batch(
+            &self,
+            requests: &[QueryRequest],
+        ) -> Vec<dpgrid_serve::Result<dpgrid_serve::QueryResponse>> {
+            let mut responses = self.0.answer_batch(requests);
+            for response in responses.iter_mut().flatten() {
+                response.answers.pop();
+            }
+            responses
+        }
+
+        fn stats(&self) -> dpgrid_serve::EngineStats {
+            self.0.stats()
+        }
+
+        fn keys(&self) -> Vec<String> {
+            self.0.keys()
+        }
+
+        fn window(
+            &self,
+            query: &dpgrid_serve::WindowQuery,
+        ) -> dpgrid_serve::Result<dpgrid_serve::WindowAnswer> {
+            let mut answer = dpgrid_serve::resolve_window_via_keys(&self.0, query)?;
+            answer.answers.pop();
+            Ok(answer)
+        }
+    }
+
+    #[test]
+    fn replies_missing_an_answer_fail_typed() {
+        use dpgrid_core::{epoch_key, EpochRange};
+        let key = epoch_key("taxi", EpochRange::single(0));
+        let service = Arc::new(DropsOneAnswer(engine(&[(key.as_str(), 1)])));
+        let server = TcpServer::bind(service, "127.0.0.1:0").unwrap();
+        let mut client = TcpClient::connect(server.local_addr()).unwrap();
+        let q = Rect::new(-120.0, 20.0, -90.0, 40.0).unwrap();
+        let rects = [q, q];
+        let short =
+            |e: NetError| matches!(&e, NetError::Protocol(m) if m == "2 rects got 1 answers");
+        assert!(short(client.query(&key, &rects).unwrap_err()));
+        assert!(short(client.window("taxi", 0, 1, &rects).unwrap_err()));
+        let requests = [QueryRequest::new(key.clone(), rects.to_vec())];
+        assert!(short(client.query_batch(&requests).unwrap_err()));
+        assert!(short(client.query_pipelined(&requests).unwrap_err()));
+        // A one-rect query comes back empty, also typed.
+        assert!(matches!(
+            client.query(&key, &[q]),
+            Err(NetError::Protocol(m)) if m == "1 rects got 0 answers"
+        ));
+        server.shutdown();
+    }
+
     fn collecting(keyspace: &str) -> Arc<dpgrid_ldp::CollectingService<dpgrid_serve::QueryEngine>> {
         use dpgrid_ldp::{CollectingService, CollectorConfig, ReportCollector};
         use dpgrid_mech::BudgetSchedule;

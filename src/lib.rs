@@ -36,16 +36,17 @@
 //! releases — the seed). Serving then goes through one seam:
 //! [`core::CompiledSurface`]. Any synopsis's exported cells compile —
 //! once, lazily on first answer — into one of three indexes: a dense
-//! lattice + summed-area table (grid-shaped partitions: O(log cells)
-//! per query); a coarse lattice whose slots each hold their own
-//! sub-lattice (two-level partitions such as AG: one coarse lookup for
-//! the fully covered slots, one strip lookup per coarse column or row
-//! the query's edges cut, and one per corner slot); or a sorted row-band
-//! / interval index (irregular partitions such as KD trees; its band
-//! segment tree doubles as a coarse y-skip-list, so wide queries absorb
-//! whole fully-covered band runs in O(log bands) instead of stabbing
-//! each band). A JSON release loaded from disk is exactly as fast to
-//! query as the in-memory type that produced it.
+//! lattice + summed-area table (grid-shaped partitions: O(1) per query
+//! on equi-width lattices, O(log cells) at worst); a coarse lattice
+//! whose slots each hold their own sub-lattice (two-level partitions
+//! such as AG: one coarse lookup for the fully covered slots, one strip
+//! lookup per coarse column or row the query's edges cut, and one per
+//! corner slot); or a sorted row-band / interval index (irregular
+//! partitions such as KD trees; its band segment tree doubles as a
+//! coarse y-skip-list, so wide queries absorb whole fully-covered band
+//! runs in O(log bands) instead of stabbing each band). A JSON release
+//! loaded from disk is exactly as fast to query as the in-memory type
+//! that produced it.
 //! Batch endpoints (`Synopsis::answer_all`) answer small query slices
 //! inline and chunk large ones across scoped threads, sized by
 //! [`geo::available_parallelism`] (the host's parallelism, read once
