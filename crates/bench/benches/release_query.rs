@@ -11,12 +11,13 @@
 //! per query over a mixed six-query workload, and `<release>/compile`,
 //! the milliseconds one fresh compile of the surface takes.
 //!
-//! The AG release also gets one row per query class at both ends of
-//! Table II's range, `ag_guideline/q1` and `ag_guideline/q6`: ns per
-//! query over 1,000 rects of that class, landmark's q1 size scaled by
+//! The AG release also gets one row per query class from q1 to q3 and
+//! for q6, `ag_guideline/q1` to `ag_guideline/q6`: ns per query over
+//! 1,000 rects of that class, landmark's q1 size scaled by
 //! 2^(class − 1) and placed uniformly in the domain. A two-level answer
 //! costs a few strip lookups and corner slots whatever the rect's size,
-//! so q6 should cost about what q1 does.
+//! except that a run of rim slots shorter than half its strip's groups
+//! is answered slot by slot: q1 to q3 are the classes with short runs.
 
 use std::hint::black_box;
 
@@ -119,7 +120,7 @@ fn main() {
     let (_, ag) = (releases.iter())
         .find(|(label, _)| label == "ag_guideline")
         .expect("the AG release is built");
-    for class in [1, 6] {
+    for class in [1, 2, 3, 6] {
         let rects = class_rects(ag.domain().rect(), class);
         let per_rect = Unit::NsPer("query", rects.len());
         bench.time(format!("ag_guideline/q{class}"), per_rect, || {

@@ -5,7 +5,9 @@
 //!   paper argues UG needs a single pass over the data, AG two passes,
 //!   while recursive-partitioning methods pay one pass per tree level
 //!   plus expensive split selection. Milliseconds per build; the RNG
-//!   setup stays off the clock.
+//!   setup stays off the clock. An AG builds the index its answers go
+//!   through on its first answer, so `build/ag_guideline_first_answer`
+//!   times that answer on a fresh AG, in milliseconds too.
 //! * `query/<method>/{mid,large}` — one q4-like and one q6-like query on
 //!   each prebuilt synopsis: UG and AG answer through summed-area
 //!   tables, KD trees descend the decomposition.
@@ -20,7 +22,8 @@
 //!   the noise source.
 //!
 //! `build/*` and `ablate/{ag_build,noise}/*` rows are in milliseconds
-//! per build; every other row is in nanoseconds per call.
+//! per build (or first answer); every other row is in nanoseconds per
+//! call.
 
 use std::hint::black_box;
 
@@ -61,6 +64,16 @@ fn builds(bench: &mut Bench, dataset: &GeoDataset) {
     time_build(bench, "build/ag_guideline", |rng| {
         AdaptiveGrid::build(dataset, &AgConfig::guideline(EPS), rng).unwrap()
     });
+    let (_, mid) = queries()[0];
+    bench.time_with_setup(
+        "build/ag_guideline_first_answer",
+        Unit::Ms,
+        || AdaptiveGrid::build(dataset, &AgConfig::guideline(EPS), &mut bench_rng()).unwrap(),
+        |ag| {
+            black_box(ag.answer(&mid));
+            ag
+        },
+    );
     time_build(bench, "build/privelet_256", |rng| {
         Privelet::build(dataset, &PriveletConfig::new(EPS, 256), rng).unwrap()
     });

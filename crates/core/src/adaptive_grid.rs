@@ -1,11 +1,11 @@
 //! The Adaptive Grid (AG) method — §IV-B of the paper.
 
+use std::sync::OnceLock;
+
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use dpgrid_geo::{
-    for_each_rim_slot, DenseGrid, Domain, GeoDataset, Rect, SummedAreaTable, MAX_GRID_CELLS,
-};
+use dpgrid_geo::{DenseGrid, Domain, GeoDataset, Rect, TwoLevelIndex, MAX_GRID_CELLS};
 use dpgrid_mech::{LaplaceMechanism, PrivacyBudget};
 
 use crate::guidelines::{self, NEstimate, DEFAULT_ALPHA, DEFAULT_C, DEFAULT_C2};
@@ -155,11 +155,9 @@ struct AgCell {
     /// Constrained-inference-adjusted total (`v′`); equals the sum of
     /// `leaves` by construction.
     adjusted_total: f64,
-    /// Consistent second-level counts as an `m₂ × m₂` grid over the
-    /// cell's rectangle.
-    leaves: DenseGrid,
-    /// Prefix sums over `leaves` for O(1) partial-cell answering.
-    sat: SummedAreaTable,
+    /// Consistent second-level counts of the cell's `m₂ × m₂` grid,
+    /// row-major.
+    leaves: Vec<f64>,
 }
 
 /// Public diagnostic view of one first-level cell (used by the parameter
@@ -185,6 +183,10 @@ pub struct AgCellInfo {
 ///
 /// Building takes two passes over the data (one per level), exactly as
 /// §IV-C advertises.
+///
+/// A query is answered from both levels (§IV-B): the first-level totals
+/// of the cells it covers plus the leaves of the cells on its rim, both
+/// through one [`TwoLevelIndex`] built from the grids on first use.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct AdaptiveGrid {
     domain: Domain,
@@ -193,9 +195,10 @@ pub struct AdaptiveGrid {
     m1: usize,
     /// Row-major `m₁²` first-level cells.
     cells: Vec<AgCell>,
-    /// Adjusted first-level totals as a grid, for O(1) interior sums.
-    totals: DenseGrid,
-    totals_sat: SummedAreaTable,
+    /// The index every answer goes through, built from `cells` on first
+    /// use; derived data, so serialisation skips it.
+    #[serde(skip)]
+    index: OnceLock<TwoLevelIndex>,
 }
 
 impl AdaptiveGrid {
@@ -214,13 +217,13 @@ impl Build for AdaptiveGrid {
         let mut budget = PrivacyBudget::new(config.epsilon)?;
         let domain = *dataset.domain();
 
-        // Optional noisy-N step.
-        let n = match config.n_estimate {
-            NEstimate::Exact => dataset.len() as f64,
+        // Optional noisy-N step, and the share of ε it takes.
+        let (n, n_share) = match config.n_estimate {
+            NEstimate::Exact => (dataset.len() as f64, 0.0),
             NEstimate::Noisy { fraction } => {
                 let eps_n = budget.spend_fraction(fraction)?;
                 let mech = LaplaceMechanism::for_count(eps_n)?;
-                mech.randomize(dataset.len() as f64, rng).max(0.0)
+                (mech.randomize(dataset.len() as f64, rng).max(0.0), fraction)
             }
         };
 
@@ -279,49 +282,37 @@ impl Build for AdaptiveGrid {
             leaf_counts[idx][r2 * m2 + c2] += 1.0;
         }
 
-        // Noise the leaves with (1−α)·ε, then run constrained inference.
+        // Noise the leaves with what is left, (1−α−f)·ε after a noisy-N
+        // share f, then run constrained inference. It weighs the two
+        // observations by the split the levels actually got: α/(1−f),
+        // which is α under exact N.
         let noise_l2 = CountNoise::new(config.noise, eps_l2)?;
+        let split = config.alpha / (1.0 - n_share);
         let mut cells = Vec::with_capacity(m1 * m1);
-        let mut totals = DenseGrid::zeros(domain, m1, m1)?;
-        for r1 in 0..m1 {
-            for c1 in 0..m1 {
-                let idx = r1 * m1 + c1;
-                let m2 = m2s[idx];
-                let mut leaves = std::mem::take(&mut leaf_counts[idx]);
-                noise_l2.randomize_slice(&mut leaves, rng);
-                let adjusted_total = if config.constrained_inference {
-                    two_level_inference(noisy_l1[idx], config.alpha, &mut leaves).adjusted_total
-                } else {
-                    // Ablation: ignore the first-level observation when
-                    // answering; leaves stand alone and the cell total is
-                    // their raw sum (keeping interior answering
-                    // consistent with border answering).
-                    leaves.iter().sum()
-                };
-
-                let rect = domain.cell_rect(m1, m1, c1, r1);
-                let cell_domain = Domain::new(rect)?;
-                let mut leaf_grid = DenseGrid::zeros(cell_domain, m2, m2)?;
-                leaf_grid.values_mut().copy_from_slice(&leaves);
-                let sat = leaf_grid.sat();
-                totals.set(c1, r1, adjusted_total);
-                cells.push(AgCell {
-                    m2,
-                    adjusted_total,
-                    leaves: leaf_grid,
-                    sat,
-                });
-            }
+        for ((mut leaves, m2), v) in leaf_counts.into_iter().zip(m2s).zip(noisy_l1) {
+            noise_l2.randomize_slice(&mut leaves, rng);
+            let adjusted_total = if config.constrained_inference {
+                two_level_inference(v, split, &mut leaves).adjusted_total
+            } else {
+                // Ablation: ignore the first-level observation when
+                // answering; leaves stand alone and the cell total is
+                // their raw sum (keeping interior answering consistent
+                // with border answering).
+                leaves.iter().sum()
+            };
+            cells.push(AgCell {
+                m2,
+                adjusted_total,
+                leaves,
+            });
         }
-        let totals_sat = totals.sat();
         Ok(AdaptiveGrid {
             domain,
             epsilon: config.epsilon,
             alpha: config.alpha,
             m1,
             cells,
-            totals,
-            totals_sat,
+            index: OnceLock::new(),
         })
     }
 }
@@ -378,56 +369,33 @@ impl Synopsis for AdaptiveGrid {
         let Some(q) = self.domain.clip(query) else {
             return 0.0;
         };
-        let d = self.domain.rect();
-        let m1 = self.m1;
-        let mf = m1 as f64;
-        // Continuous first-level coordinates of the query edges.
-        let u0 = ((q.x0() - d.x0()) / d.width() * mf).clamp(0.0, mf);
-        let u1 = ((q.x1() - d.x0()) / d.width() * mf).clamp(0.0, mf);
-        let v0 = ((q.y0() - d.y0()) / d.height() * mf).clamp(0.0, mf);
-        let v1 = ((q.y1() - d.y0()) / d.height() * mf).clamp(0.0, mf);
-        if u1 <= u0 || v1 <= v0 {
-            return 0.0;
-        }
-        // Touched index ranges (inclusive).
-        let c0 = (u0.floor() as usize).min(m1 - 1);
-        let c1 = ((u1 - f64::EPSILON).floor() as usize).clamp(c0, m1 - 1);
-        let r0 = (v0.floor() as usize).min(m1 - 1);
-        let r1 = ((v1 - f64::EPSILON).floor() as usize).clamp(r0, m1 - 1);
-        // Fully-covered index window [fc0, fc1) × [fr0, fr1).
-        let fc0 = u0.ceil() as usize;
-        let fc1 = (u1.floor() as usize).min(m1);
-        let fr0 = v0.ceil() as usize;
-        let fr1 = (v1.floor() as usize).min(m1);
-
-        let mut sum = 0.0;
-        // Interior: one prefix-sum lookup over the adjusted totals.
-        if fc0 < fc1 && fr0 < fr1 {
-            sum += self.totals_sat.sum(fc0, fr0, fc1, fr1);
-        }
-        // Rim cells only: answer from the cell's leaf grid.
-        for_each_rim_slot([c0..c1 + 1, r0..r1 + 1], [fc0..fc1, fr0..fr1], |c, r| {
-            let cell = &self.cells[r * m1 + c];
-            sum += cell.leaves.answer_uniform(&cell.sat, &q);
+        let index = self.index.get_or_init(|| {
+            let grid = |i: usize| (self.cells[i].m2, &self.cells[i].leaves[..]);
+            TwoLevelIndex::from_nested_grids(self.domain.rect(), self.m1, grid)
+                .expect("every first-level cell holds its m2 × m2 leaves")
         });
-        sum
+        index.answer(&q)
     }
 
     fn cells(&self) -> Vec<(Rect, f64)> {
         let mut out = Vec::with_capacity(self.leaf_count());
-        for cell in &self.cells {
-            for (_, _, rect, v) in cell.leaves.iter_cells() {
-                out.push((rect, v));
-            }
+        for (i, cell) in self.cells.iter().enumerate() {
+            let parent = self
+                .domain
+                .cell_rect(self.m1, self.m1, i % self.m1, i / self.m1);
+            let m2 = cell.m2;
+            out.extend(
+                (cell.leaves.iter().enumerate())
+                    .map(|(j, &v)| (parent.grid_cell(m2, m2, j % m2, j / m2), v)),
+            );
         }
         out
     }
 
-    /// O(1) from the first-level prefix sums (adjusted totals equal the
-    /// leaf sums by the constrained-inference invariant) — no cell
-    /// export needed.
+    /// The sum of the adjusted totals, each its leaves' sum by the
+    /// constrained-inference invariant.
     fn total_estimate(&self) -> f64 {
-        self.totals_sat.total()
+        self.cells.iter().map(|c| c.adjusted_total).sum()
     }
 }
 
@@ -679,6 +647,27 @@ mod tests {
         for (_, v) in ag.cells() {
             assert_eq!(v, v.round(), "geometric AG leaves must be integral");
         }
+    }
+
+    #[test]
+    fn noisy_n_inference_weights_the_levels_by_their_real_split() {
+        // With a noisy-N share f = 0.4 at α = 0.5, level 1 gets 0.5·ε and
+        // level 2 only 0.1·ε. One cell with one leaf: weighting the two
+        // observations by their real split leaves variance
+        // 1/(1/8 + 1/200) ≈ 7.7; weighting them as if α : 1−α were the
+        // split averages them, for (8 + 200)/4 = 52.
+        let ds = uniform_dataset(1_000, 40);
+        let cfg = AgConfig::guideline(1.0)
+            .with_m1(1)
+            .with_fixed_m2(1)
+            .with_noisy_n(0.4);
+        let whole = *ds.domain().rect();
+        let seeds = 0..2_000u64;
+        let mse = seeds.clone().fold(0.0, |acc, seed| {
+            let ag = AdaptiveGrid::build(&ds, &cfg, &mut rng(seed)).unwrap();
+            acc + (ag.answer(&whole) - 1_000.0).powi(2)
+        }) / seeds.count() as f64;
+        assert!(mse < 20.0, "whole-domain MSE {mse}");
     }
 
     #[test]

@@ -32,9 +32,11 @@ pub struct CellInference {
 /// place so that they are consistent with it.
 ///
 /// * `v` — the first-level noisy count (budget `α·ε`);
-/// * `alpha` — the fraction of the budget spent on the first level;
-/// * `leaves` — the `m₂²` leaf noisy counts (budget `(1−α)·ε`),
-///   overwritten with the consistent values.
+/// * `alpha` — the first level's fraction of the budget the two levels
+///   share: `α`, or `α/(1−f)` when a noisy estimate of `N` took `f·ε`
+///   before them;
+/// * `leaves` — the `m₂²` leaf noisy counts (the rest of the levels'
+///   budget), overwritten with the consistent values.
 ///
 /// When `m₂ = 1` this degenerates to the weighted average of two
 /// independent observations of the same cell, exactly as the paper notes.

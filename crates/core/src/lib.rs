@@ -39,7 +39,10 @@
 //! partition the domain, so noising an entire grid level consumes its ε
 //! once (parallel composition). UG spends the whole budget on its single
 //! level; AG splits sequentially: `α·ε` for level 1, `(1−α)·ε` for level
-//! 2. Both are tracked through [`dpgrid_mech::PrivacyBudget`] so
+//! 2. A noisy estimate of `N` ([`NEstimate::Noisy`] with fraction `f`)
+//! takes `f·ε` first and leaves level 2 `(1−α−f)·ε`; AG's constrained
+//! inference then weighs the two levels by the split they actually
+//! got. Both are tracked through [`dpgrid_mech::PrivacyBudget`] so
 //! over-spending is a hard error.
 //!
 //! # Example

@@ -26,7 +26,9 @@
 //!    fully covers in one lookup. The rim slots cut by one query edge
 //!    are answered through per-column and per-row *strips* of their
 //!    1-D marginals, one lookup per cut column or row whatever the run's
-//!    length; only the ≤ 4 corner slots ask their own lattice.
+//!    length (a run shorter than half its strip's groups asks its slots
+//!    instead); the ≤ 4 corner slots ask their own lattice. An adaptive
+//!    grid builds it straight from its grids, with no sweep.
 //! 3. [`BandIndex`] — the general path (KD trees, adversarial releases).
 //!    Cells are bucketed into *bands* of identical y-extent, each band
 //!    keeping its cells sorted by `x0` with prefix sums; bands
@@ -237,38 +239,6 @@ fn locate(edges: &[f64], q: f64) -> (usize, f64) {
 /// less than a guess and its checks (adaptive grids' slot lattices).
 const SEARCHED_SLOTS: usize = 8;
 
-/// Visits, row by row, every slot of the `touched` block that lies
-/// outside its `full` sub-block: the rim of a query over a lattice of
-/// slots, whose fully covered slots are summed by one prefix-sum lookup
-/// instead. Blocks are `[cols, rows]` index ranges; an empty `full`
-/// block leaves every touched slot on the rim.
-///
-/// The walk costs O(rim), not O(touched): a wide query over an
-/// `m × m` lattice visits O(m) slots, never the O(m²) interior. The
-/// adaptive grid's native `answer` walks its rim this way.
-pub fn for_each_rim_slot(
-    touched: [Range<usize>; 2],
-    full: [Range<usize>; 2],
-    mut visit: impl FnMut(usize, usize),
-) {
-    let [cols, rows] = touched;
-    let [full_cols, full_rows] = full;
-    // Interior columns, clamped into the touched ones.
-    let lo = full_cols.start.clamp(cols.start, cols.end);
-    let hi = full_cols.end.clamp(lo, cols.end);
-    for row in rows {
-        if lo < hi && full_rows.contains(&row) {
-            for col in (cols.start..lo).chain(hi..cols.end) {
-                visit(col, row);
-            }
-        } else {
-            for col in cols.clone() {
-                visit(col, row);
-            }
-        }
-    }
-}
-
 /// The regular-lattice fast path: cells scattered onto the rectilinear
 /// lattice induced by their own edges, summed through a
 /// [`crate::SummedAreaTable`].
@@ -396,69 +366,34 @@ fn blowup_cap(live: usize) -> usize {
     live.saturating_mul(LATTICE_BLOWUP_CAP).min(MAX_GRID_CELLS)
 }
 
-/// One axis of the coarse sweep: where the coarse lines fall and which
-/// coarse slot each live cell lands in.
-struct AxisSweep {
-    /// The coarse slots' lower lines, then the largest upper edge:
-    /// `slots + 1` ascending coordinates. Each lower line is the
-    /// smallest lower edge of the cells in its slot.
-    lines: Vec<f64>,
-    /// Per slot, the largest upper edge of any cell in it or an earlier
-    /// slot. It equals the next line unless a cell overhangs that line
-    /// by float drift.
-    reach: Vec<f64>,
-    /// Coarse slot of each live cell.
-    slot_of: Vec<u32>,
-}
-
-impl AxisSweep {
-    /// Sorts the cells by lower edge, then sweeps them in that order,
-    /// opening a coarse slot at each new lower edge no earlier cell
-    /// straddles.
-    fn new(live: &[&(Rect, f64)], span: impl Fn(&Rect) -> (f64, f64)) -> AxisSweep {
-        let mut order: Vec<(i64, f64, u32)> = live
-            .iter()
-            .enumerate()
-            .map(|(i, (r, _))| {
-                let (lo, hi) = span(r);
-                (total_key(lo), hi, i as u32)
-            })
-            .collect();
-        order.sort_unstable_by_key(|t| t.0);
-        let mut lines = Vec::new();
-        let mut reach = Vec::new();
-        let mut slot_of = vec![0u32; live.len()];
-        // `straddle`: where a line must sit for no earlier cell to cross
-        // it (their upper edges less the snap); `hi_max`: their largest
-        // upper edge.
-        let (mut straddle, mut hi_max) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
-        let mut prev_lo = None;
-        for &(key, hi, i) in &order {
-            let lo = total_key_inv(key);
-            if prev_lo != Some(lo) && straddle <= lo {
-                if !lines.is_empty() {
-                    reach.push(hi_max);
-                }
-                lines.push(lo);
-            }
-            prev_lo = Some(lo);
-            slot_of[i as usize] = (lines.len() - 1) as u32;
-            straddle = straddle.max(hi - SNAP_REL * lo.abs().max(hi.abs()));
-            hi_max = hi_max.max(hi);
+/// One axis of the coarse sweep: sorts the live cells by lower edge,
+/// then sweeps them in that order, opening a coarse slot at each new
+/// lower edge no earlier cell straddles (a cell may overhang a line by
+/// the snap tolerance). Returns the slot count and each cell's slot.
+fn sweep_axis(live: &[&(Rect, f64)], span: impl Fn(&Rect) -> (f64, f64)) -> (usize, Vec<u32>) {
+    let mut order: Vec<(i64, f64, u32)> = live
+        .iter()
+        .enumerate()
+        .map(|(i, (r, _))| {
+            let (lo, hi) = span(r);
+            (total_key(lo), hi, i as u32)
+        })
+        .collect();
+    order.sort_unstable_by_key(|t| t.0);
+    let mut slot_of = vec![0u32; live.len()];
+    // `straddle`: where a line must sit for no earlier cell to cross it
+    // (their upper edges less the snap).
+    let (mut slots, mut straddle, mut prev_lo) = (0, f64::NEG_INFINITY, None);
+    for &(key, hi, i) in &order {
+        let lo = total_key_inv(key);
+        if prev_lo != Some(lo) && straddle <= lo {
+            slots += 1;
         }
-        reach.push(hi_max);
-        lines.push(hi_max);
-        AxisSweep {
-            lines,
-            reach,
-            slot_of,
-        }
+        prev_lo = Some(lo);
+        slot_of[i as usize] = (slots - 1) as u32;
+        straddle = straddle.max(hi - SNAP_REL * lo.abs().max(hi.abs()));
     }
-
-    /// Number of coarse slots.
-    fn slots(&self) -> usize {
-        self.lines.len() - 1
-    }
+    (slots, slot_of)
 }
 
 /// The two-level path: a coarse lattice whose slots each hold the
@@ -476,20 +411,24 @@ impl AxisSweep {
 /// `m₂`), each group with a prefix table over its members' cumulative
 /// x-marginals. The mass of any run of the column's slots between two
 /// x-coordinates is then a few lookups per group, whatever the run's
-/// length. Coarse rows keep the same along y. Only the corner slots,
-/// cut on both axes (4 in the common case), are answered in 2-D.
+/// length. Coarse rows keep the same along y. A strip visits all its
+/// groups, so a run shorter than half of them is answered slot by slot
+/// in 2-D instead, as the corner slots, cut on both axes (4 in the
+/// common case), always are.
 ///
 /// A query costs two binary searches per axis over the coarse lines,
-/// one coarse lookup, one strip lookup per coarse column or row it cuts,
-/// and its corner slots: the cost does not grow with the query's size.
-/// Each slot's edges are stored once, in its groups; memory stays linear
-/// in the cells even when no two slots share edges.
+/// one coarse lookup, per coarse column or row it cuts one strip lookup
+/// or a short run's slots, and its corner slots: the cost does not grow
+/// with the query's size. Each slot's edges are stored once, in its
+/// groups; memory stays linear in the cells even when no two slots
+/// share edges.
 #[derive(Debug, Clone)]
 pub struct TwoLevelIndex {
     /// Coarse lines and the prefix sums of the slot totals.
     coarse: LatticeIndex,
     /// Per coarse column, the largest x any cell in it or an earlier
-    /// column reaches (see `AxisSweep::reach`).
+    /// column reaches: the next line, unless a cell overhangs that line
+    /// by float drift.
     x_reach: Vec<f64>,
     /// Per coarse row, the same bound along y.
     y_reach: Vec<f64>,
@@ -613,6 +552,11 @@ impl Strips {
         Some(strips)
     }
 
+    /// Number of strip `line`'s groups.
+    fn groups(&self, line: usize) -> usize {
+        (self.starts[line + 1] - self.starts[line]) as usize
+    }
+
     /// Mass of strip `line`'s slots at positions in `run` between `q0`
     /// and `q1`, each slot's mass spread uniformly within its edges:
     /// a few lookups per group, whatever the run's length.
@@ -667,11 +611,11 @@ impl Strips {
 /// Exposed so regression tests can assert the constant-cost bound: a
 /// query whose edges fall inside slots answers exactly its 4 corner
 /// slots in 2-D and visits a few strip groups, however many rim slots
-/// it cuts.
+/// it cuts, unless its runs are short enough to answer in 2-D too.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct TwoLevelStats {
-    /// Non-empty slots cut on both axes, answered in 2-D.
-    pub corner_slots: usize,
+    /// Non-empty slots answered in 2-D: corners and short runs' slots.
+    pub slots_2d: usize,
     /// Strip groups visited for the runs of slots cut on one axis only.
     pub strip_groups: usize,
 }
@@ -689,15 +633,14 @@ impl TwoLevelIndex {
         if live.is_empty() || u32::try_from(live.len()).is_err() {
             return None;
         }
-        let x = AxisSweep::new(&live, |r| (r.x0(), r.x1()));
-        let y = AxisSweep::new(&live, |r| (r.y0(), r.y1()));
-        let (cols, rows) = (x.slots(), y.slots());
+        let (cols, x_slot) = sweep_axis(&live, |r| (r.x0(), r.x1()));
+        let (rows, y_slot) = sweep_axis(&live, |r| (r.y0(), r.y1()));
         let slots = cols.checked_mul(rows)?;
         if slots > blowup_cap(live.len()) {
             return None;
         }
         // Counting sort into row-major slots: sizes, offsets, placement.
-        let slot = |i: usize| y.slot_of[i] as usize * cols + x.slot_of[i] as usize;
+        let slot = |i: usize| y_slot[i] as usize * cols + x_slot[i] as usize;
         let mut starts = vec![0usize; slots + 1];
         for i in 0..live.len() {
             starts[slot(i) + 1] += 1;
@@ -713,19 +656,76 @@ impl TwoLevelIndex {
             *at += 1;
         }
 
-        let (xs, ys) = (x.lines, y.lines);
-        let domain = Domain::from_corners(xs[0], ys[0], xs[cols], ys[rows]).ok()?;
-        let mut totals = crate::DenseGrid::zeros(domain, cols, rows).ok()?;
         let mut lattices = Vec::with_capacity(slots);
         for s in 0..slots {
             let members = &by_slot[starts[s]..starts[s + 1]];
-            if members.is_empty() {
-                lattices.push(None);
-                continue;
+            lattices.push(match members {
+                [] => None,
+                _ => Some(LatticeIndex::try_build(members)?),
+            });
+        }
+        TwoLevelIndex::assemble([cols, rows], lattices)
+    }
+
+    /// Builds the index of an adaptive grid straight from its grids, with
+    /// no sweep: `rect` split into an `m1 × m1` grid whose row-major cell
+    /// `s` is split into its own `m2 × m2` grid of row-major leaf values
+    /// `grid(s) = (m2, values)`, both by [`Rect::grid_cell`]; bit for bit
+    /// what [`TwoLevelIndex::try_build`] builds from the leaves when it
+    /// finds the same `m1 × m1` lines. `None` when a grid is not `m × m`.
+    pub fn from_nested_grids<'a>(
+        rect: &Rect,
+        m1: usize,
+        grid: impl Fn(usize) -> (usize, &'a [f64]),
+    ) -> Option<TwoLevelIndex> {
+        let slots = m1.checked_mul(m1).filter(|&s| s > 0)?;
+        let mut lattices = Vec::with_capacity(slots);
+        for s in 0..slots {
+            let (m2, values) = grid(s);
+            if m2 == 0 || m2.checked_mul(m2) != Some(values.len()) {
+                return None;
             }
-            let lattice = LatticeIndex::try_build(members)?;
-            totals.add(s % cols, s / cols, lattice.total());
-            lattices.push(Some(lattice));
+            // The diagonal leaves carry every leaf edge of both axes.
+            let parent = rect.grid_cell(m1, m1, s % m1, s / m1);
+            let diagonal: Vec<Rect> = (0..m2).map(|i| parent.grid_cell(m2, m2, i, i)).collect();
+            let last = diagonal[m2 - 1];
+            let xs = diagonal.iter().map(Rect::x0).chain([last.x1()]).collect();
+            let ys = diagonal.iter().map(Rect::y0).chain([last.y1()]).collect();
+            let sat = crate::SummedAreaTable::new(m2, m2, values);
+            lattices.push(Some(LatticeIndex { xs, ys, sat }));
+        }
+        TwoLevelIndex::assemble([m1, m1], lattices)
+    }
+
+    /// The tail both constructors share, from the lattices of the
+    /// row-major `cols × rows` slots: the coarse lines and reach bounds,
+    /// the coarse totals, the strips and the slots.
+    fn assemble(
+        [cols, rows]: [usize; 2],
+        lattices: Vec<Option<LatticeIndex>>,
+    ) -> Option<TwoLevelIndex> {
+        let slots = lattices.len();
+        // A coarse column's line is its cells' smallest lower edge, its
+        // reach the largest upper edge up to it. Likewise per row.
+        let mut lines = [vec![f64::INFINITY; cols], vec![f64::INFINITY; rows]];
+        let mut reach = [vec![f64::NEG_INFINITY; cols], vec![f64::NEG_INFINITY; rows]];
+        let mut totals = vec![0.0; slots];
+        for (s, lattice) in lattices.iter().enumerate() {
+            let Some(l) = lattice else { continue };
+            for (axis, (i, edges)) in [(s % cols, &l.xs), (s / cols, &l.ys)]
+                .into_iter()
+                .enumerate()
+            {
+                lines[axis][i] = lines[axis][i].min(edges[0]);
+                reach[axis][i] = reach[axis][i].max(edges[edges.len() - 1]);
+            }
+            totals[s] = l.total();
+        }
+        for (lines, reach) in lines.iter_mut().zip(&mut reach) {
+            for i in 1..reach.len() {
+                reach[i] = reach[i].max(reach[i - 1]);
+            }
+            lines.push(reach[reach.len() - 1]);
         }
         let (mut x_edges, mut y_edges) = (vec![0u32; slots], vec![0u32; slots]);
         let col_strips = Strips::build(
@@ -753,14 +753,16 @@ impl TwoLevelIndex {
                 })
             })
             .collect();
+        let [xs, ys] = lines;
+        let [x_reach, y_reach] = reach;
         Some(TwoLevelIndex {
             coarse: LatticeIndex {
-                sat: totals.sat(),
+                sat: crate::SummedAreaTable::new(cols, rows, &totals),
                 xs,
                 ys,
             },
-            x_reach: x.reach,
-            y_reach: y.reach,
+            x_reach,
+            y_reach,
             slots,
             strips: Box::new([col_strips, row_strips]),
         })
@@ -772,14 +774,15 @@ impl TwoLevelIndex {
     }
 
     /// Answers a query: one coarse prefix-sum lookup for the slots it
-    /// fully covers, one strip lookup per coarse column or row it cuts,
-    /// and one 2-D slot answer per corner slot, cut on both axes.
+    /// fully covers, one strip lookup (or a short run's 2-D slot answers)
+    /// per coarse column or row it cuts, and one 2-D slot answer per
+    /// corner slot, cut on both axes.
     pub fn answer(&self, query: &Rect) -> f64 {
         self.answer_with_stats(query).0
     }
 
     /// [`TwoLevelIndex::answer`] plus the [`TwoLevelStats`] counting the
-    /// corner slots and strip groups it took.
+    /// slots it answered in 2-D and the strip groups it visited.
     pub fn answer_with_stats(&self, query: &Rect) -> (f64, TwoLevelStats) {
         let mut stats = TwoLevelStats::default();
         let (cols, _) = self.shape();
@@ -800,31 +803,51 @@ impl TwoLevelIndex {
         );
         let cut_cols = (touched_cols.start..full_cols.start).chain(full_cols.end..touched_cols.end);
         let cut_rows = (touched_rows.start..full_rows.start).chain(full_rows.end..touched_rows.end);
-        let [col_strips, row_strips] = &*self.strips;
         // A slot of a full row lies inside the query along y, drift
         // overhang included, so its x-marginal is all it needs; likewise
-        // a slot of a full column along x.
+        // a slot of a full column along x. A strip visits all its groups,
+        // and a 2-D slot answer costs about two group visits: a run
+        // shorter than half its strip's groups is answered slot by slot.
+        let [col_strips, row_strips] = &*self.strips;
         if !full_rows.is_empty() {
             for c in cut_cols.clone() {
-                sum += col_strips.mass(c, &full_rows, query.x0(), query.x1(), &mut stats);
+                sum += if 2 * full_rows.len() < col_strips.groups(c) {
+                    let mut answer = |r| self.slot_answer(r * cols + c, query, &mut stats);
+                    full_rows.clone().map(&mut answer).sum()
+                } else {
+                    col_strips.mass(c, &full_rows, query.x0(), query.x1(), &mut stats)
+                };
             }
         }
         if !full_cols.is_empty() {
             for r in cut_rows.clone() {
-                sum += row_strips.mass(r, &full_cols, query.y0(), query.y1(), &mut stats);
+                sum += if 2 * full_cols.len() < row_strips.groups(r) {
+                    let mut answer = |c| self.slot_answer(r * cols + c, query, &mut stats);
+                    full_cols.clone().map(&mut answer).sum()
+                } else {
+                    row_strips.mass(r, &full_cols, query.y0(), query.y1(), &mut stats)
+                };
             }
         }
         for r in cut_rows {
             for c in cut_cols.clone() {
-                if let Some(slot) = &self.slots[r * cols + c] {
-                    stats.corner_slots += 1;
-                    let xs = &col_strips.blocks[slot.x_edges as usize..][..slot.sat.cols() + 1];
-                    let ys = &row_strips.blocks[slot.y_edges as usize..][..slot.sat.rows() + 1];
-                    sum += lattice_answer(xs, ys, &slot.sat, query);
-                }
+                sum += self.slot_answer(r * cols + c, query, &mut stats);
             }
         }
         (sum, stats)
+    }
+
+    /// Slot `s`'s own 2-D answer to `query` (0 for an empty slot).
+    #[inline]
+    fn slot_answer(&self, s: usize, query: &Rect, stats: &mut TwoLevelStats) -> f64 {
+        let Some(slot) = &self.slots[s] else {
+            return 0.0;
+        };
+        stats.slots_2d += 1;
+        let [col_strips, row_strips] = &*self.strips;
+        let xs = &col_strips.blocks[slot.x_edges as usize..][..slot.sat.cols() + 1];
+        let ys = &row_strips.blocks[slot.y_edges as usize..][..slot.sat.rows() + 1];
+        lattice_answer(xs, ys, &slot.sat, query)
     }
 
     /// Sum of all values.
@@ -1667,30 +1690,6 @@ mod tests {
         assert!(worst <= 1e-12, "worst relative error {worst:e}");
     }
 
-    #[test]
-    fn rim_walk_visits_touched_minus_full_once() {
-        for (touched, full) in [
-            ([1..6, 2..7], [2..5, 3..6]),
-            ([0..4, 0..4], [0..4, 0..4]),
-            ([0..4, 0..4], [1..3, 2..2]),
-            ([3..5, 0..9], [4..4, 1..8]),
-            ([2..8, 1..3], [2..8, 1..2]),
-        ] {
-            let mut seen = Vec::new();
-            for_each_rim_slot(touched.clone(), full.clone(), |c, r| seen.push((c, r)));
-            let interior = !full[0].is_empty() && !full[1].is_empty();
-            let mut expect = Vec::new();
-            for r in touched[1].clone() {
-                for c in touched[0].clone() {
-                    if !(interior && full[0].contains(&c) && full[1].contains(&r)) {
-                        expect.push((c, r));
-                    }
-                }
-            }
-            assert_eq!(seen, expect, "touched {touched:?} full {full:?}");
-        }
-    }
-
     /// Ascending cut positions from `lo` to `hi` splitting it into `n`
     /// parts of random, unequal widths.
     fn random_cuts(rng: &mut StdRng, lo: f64, hi: f64, n: usize) -> Vec<f64> {
@@ -1871,6 +1870,75 @@ mod tests {
         (cells, xs, ys)
     }
 
+    /// [`TwoLevelIndex::from_nested_grids`] over the grids of an
+    /// [`ag_cells`] partition: its leaf values, in order, taken `m2²`
+    /// at a time per first-level cell.
+    fn nested_grids_index(
+        domain: Domain,
+        m1: usize,
+        m2: impl Fn(usize, usize) -> usize,
+        cells: &[(Rect, f64)],
+    ) -> TwoLevelIndex {
+        let mut values = cells.iter().map(|(_, v)| *v);
+        let grids: Vec<(usize, Vec<f64>)> = (0..m1 * m1)
+            .map(|i| {
+                let k = m2(i % m1, i / m1);
+                (k, values.by_ref().take(k * k).collect())
+            })
+            .collect();
+        TwoLevelIndex::from_nested_grids(domain.rect(), m1, |i| (grids[i].0, &grids[i].1))
+            .expect("nested grids compile")
+    }
+
+    proptest! {
+        /// Random AG-shaped grids, near the origin and at projected
+        /// coordinates, with m₂ up to 6 so strips hold up to 6 groups:
+        /// the direct build matches the scan, and wherever the sweep
+        /// finds the same m₁ × m₁ lines it is `try_build` bit for bit.
+        #[test]
+        fn nested_grids_match_the_scan_and_the_sweep(seed in 0u64..1_000_000) {
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x2E5);
+            let far = if seed % 2 == 0 { 0.0 } else { 1.0e6 };
+            let (x0, y0) = (far + rng.random_range(-50.0..50.0), rng.random_range(-50.0..50.0));
+            let (w, h) = (rng.random_range(1.0..30.0), rng.random_range(1.0..30.0));
+            let domain = Domain::from_corners(x0, y0, x0 + w, y0 + h).unwrap();
+            let m1 = rng.random_range(1..12usize);
+            let m2s: Vec<usize> = (0..m1 * m1).map(|_| rng.random_range(1..7usize)).collect();
+            let m2 = |c: usize, r: usize| m2s[r * m1 + c];
+            let (mut cells, xs, ys) = ag_cells(domain, m1, m2);
+            for (_, v) in &mut cells {
+                *v = rng.random_range(-20.0..40.0);
+            }
+            let mut queries = random_queries(seed, &xs, &ys, 60);
+            for _ in 0..20 {
+                let (c, r) = (rng.random_range(0..m1), rng.random_range(0..m1));
+                let parent = domain.cell_rect(m1, m1, c, r);
+                let (sx, sy) = (rng.random_range(0.0..1.0), rng.random_range(0.0..1.0));
+                let (ex, ey) = (rng.random_range(sx..1.0), rng.random_range(sy..1.0));
+                let (qw, qh) = (parent.width(), parent.height());
+                let (px, py) = (parent.x0(), parent.y0());
+                // Inside one cell, and from inside it across a few more.
+                queries.push(Rect::new(px + sx * qw, py + sy * qh, px + ex * qw, py + ey * qh).unwrap());
+                let (dx, dy) = (rng.random_range(0.0..3.0), rng.random_range(0.0..3.0));
+                queries.push(
+                    Rect::new(px + sx * qw, py + sy * qh, px + (ex + dx) * qw, py + (ey + dy) * qh)
+                        .unwrap(),
+                );
+            }
+            let direct = nested_grids_index(domain, m1, m2, &cells);
+            prop_assert_eq!(direct.shape(), (m1, m1));
+            let swept = TwoLevelIndex::try_build(&cells).expect("an AG partition compiles");
+            let same_lines = swept.shape() == (m1, m1);
+            if same_lines {
+                prop_assert_eq!(direct.memory_bytes(), swept.memory_bytes());
+                for q in &queries {
+                    prop_assert_eq!(direct.answer(q).to_bits(), swept.answer(q).to_bits());
+                }
+            }
+            assert_matches_scan(&cells, &CellIndex::TwoLevel(direct), &queries);
+        }
+    }
+
     #[test]
     fn drifted_first_level_lines_far_from_the_origin_match_the_scan() {
         // Projected coordinates around 10⁶: `parent.x0 + w·i/m2` at
@@ -1918,6 +1986,9 @@ mod tests {
         if let Some(index) = TwoLevelIndex::try_build(&cells) {
             assert_matches_scan(&cells, &CellIndex::TwoLevel(index), &queries);
         }
+        let direct = nested_grids_index(domain, m1, m2, &cells);
+        assert_eq!(direct.shape(), (m1, m1));
+        assert_matches_scan(&cells, &CellIndex::TwoLevel(direct), &queries);
     }
 
     #[test]
@@ -1968,24 +2039,38 @@ mod tests {
         // A wide query with its edges inside slots cuts O(m₁) rim slots.
         // Each cut line is one strip lookup over at most k groups (one per
         // m₂), and only the 4 corner slots are answered in 2-D, whatever
-        // m₁ is. The domain and m₁ are powers of two, so no leaf drifts
-        // off a first-level line.
-        let m2s = [1, 2, 3];
+        // m₁ is. A small query's cut runs of 1 and 2 slots are shorter
+        // than half their strips' 5 groups: it answers its 10 rim slots
+        // in 2-D and visits no strip. The domain and m₁ are powers of
+        // two, so no leaf drifts off a first-level line.
+        let m2s = [1, 2, 3, 4, 5];
         let domain = Domain::from_corners(0.0, 0.0, 256.0, 256.0).unwrap();
         for m1 in [16usize, 64, 256] {
-            let (cells, _, _) = ag_cells(domain, m1, |c, r| m2s[(c * 5 + r * 7) % m2s.len()]);
+            let (cells, _, _) = ag_cells(domain, m1, |c, r| m2s[(c * 2 + r * 3) % m2s.len()]);
             let index = TwoLevelIndex::try_build(&cells).expect("an AG partition compiles");
             assert_eq!(index.shape(), (m1, m1));
             let w = 256.0 / m1 as f64;
             let wide = Rect::new(1.37 * w, 2.61 * w, 256.0 - 2.29 * w, 256.0 - 1.53 * w).unwrap();
-            let (got, stats) = index.answer_with_stats(&wide);
-            let expect = linear_scan(&cells, &wide);
+            let small = Rect::new(3.5 * w, 5.5 * w, 6.5 * w, 7.5 * w).unwrap();
+            let [(wide, wide_stats), (small, small_stats)] = [wide, small].map(|q| {
+                let (got, stats) = index.answer_with_stats(&q);
+                let expect = linear_scan(&cells, &q);
+                assert!(
+                    (got - expect).abs() <= 1e-9 * (1.0 + expect.abs()),
+                    "m1 = {m1}, {q:?}: {got} vs {expect}"
+                );
+                (q, stats)
+            });
+            assert_eq!(wide_stats.slots_2d, 4, "m1 = {m1}, {wide:?}");
             assert!(
-                (got - expect).abs() <= 1e-9 * (1.0 + expect.abs()),
-                "m1 = {m1}: {got} vs {expect}"
+                wide_stats.strip_groups <= 4 * m2s.len(),
+                "m1 = {m1}: {wide_stats:?}"
             );
-            assert_eq!(stats.corner_slots, 4, "m1 = {m1}");
-            assert!(stats.strip_groups <= 4 * m2s.len(), "m1 = {m1}: {stats:?}");
+            let expect = TwoLevelStats {
+                slots_2d: 10,
+                strip_groups: 0,
+            };
+            assert_eq!(small_stats, expect, "m1 = {m1}, {small:?}");
         }
     }
 

@@ -168,7 +168,7 @@ impl DenseGrid {
 
     /// Builds the summed-area table of this grid.
     pub fn sat(&self) -> SummedAreaTable {
-        SummedAreaTable::new(self)
+        SummedAreaTable::new(self.cols, self.rows, &self.data)
     }
 
     /// Aggregates `bx × by` blocks of cells into a coarser grid

@@ -64,8 +64,7 @@ mod sat;
 mod synopsis;
 
 pub use cell_index::{
-    for_each_rim_slot, BandIndex, BandStabStats, CellIndex, LatticeIndex, TwoLevelIndex,
-    TwoLevelStats,
+    BandIndex, BandStabStats, CellIndex, LatticeIndex, TwoLevelIndex, TwoLevelStats,
 };
 pub use dataset::GeoDataset;
 pub use domain::Domain;

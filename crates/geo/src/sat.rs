@@ -2,9 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::DenseGrid;
-
-/// A summed-area table over a [`DenseGrid`].
+/// A summed-area table over a [`crate::DenseGrid`].
 ///
 /// Stores `(cols + 1) × (rows + 1)` prefix sums so any axis-aligned block
 /// of cells can be summed in O(1). This is the backbone of query answering
@@ -25,16 +23,16 @@ pub struct SummedAreaTable {
 }
 
 impl SummedAreaTable {
-    /// Builds the prefix-sum table of a grid.
-    pub fn new(grid: &DenseGrid) -> Self {
-        let cols = grid.cols();
-        let rows = grid.rows();
+    /// Builds the prefix-sum table of `cols × rows` row-major `values`
+    /// (a grid's are [`crate::DenseGrid::sat`]'s).
+    pub fn new(cols: usize, rows: usize, values: &[f64]) -> Self {
+        assert_eq!(values.len(), cols * rows, "values must be cols × rows");
         let stride = cols + 1;
         let mut prefix = vec![0.0f64; stride * (rows + 1)];
         for r in 0..rows {
             let mut row_acc = 0.0;
             for c in 0..cols {
-                row_acc += grid.get(c, r);
+                row_acc += values[r * cols + c];
                 // prefix[(r+1), (c+1)] = prefix[r][c+1] + running row sum
                 prefix[(r + 1) * stride + (c + 1)] = prefix[r * stride + (c + 1)] + row_acc;
             }
@@ -135,8 +133,7 @@ fn split_axis([(i0, f0), (i1, f1)]: [(usize, f64); 2]) -> ([usize; 4], [usize; 2
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::Domain;
+    use crate::{DenseGrid, Domain};
 
     fn grid_from(vals: &[&[f64]]) -> DenseGrid {
         let rows = vals.len();
@@ -158,7 +155,7 @@ mod tests {
             &[5.0, 6.0, 7.0, 8.0],
             &[9.0, 10.0, 11.0, 12.0],
         ]);
-        let sat = SummedAreaTable::new(&g);
+        let sat = g.sat();
         for c0 in 0..=4 {
             for c1 in c0..=4 {
                 for r0 in 0..=3 {
@@ -182,7 +179,7 @@ mod tests {
     #[test]
     fn clamps_out_of_range() {
         let g = grid_from(&[&[1.0, 1.0], &[1.0, 1.0]]);
-        let sat = SummedAreaTable::new(&g);
+        let sat = g.sat();
         assert_eq!(sat.sum(0, 0, 100, 100), 4.0);
         assert_eq!(sat.sum(5, 5, 9, 9), 0.0);
     }
@@ -190,7 +187,7 @@ mod tests {
     #[test]
     fn empty_range_is_zero() {
         let g = grid_from(&[&[3.0]]);
-        let sat = SummedAreaTable::new(&g);
+        let sat = g.sat();
         assert_eq!(sat.sum(0, 0, 0, 1), 0.0);
         assert_eq!(sat.sum(0, 0, 1, 0), 0.0);
         assert_eq!(sat.total(), 3.0);
@@ -201,7 +198,7 @@ mod tests {
         // Noisy counts can be negative; the table must not assume
         // non-negativity.
         let g = grid_from(&[&[-1.0, 2.0], &[3.0, -4.0]]);
-        let sat = SummedAreaTable::new(&g);
+        let sat = g.sat();
         assert!((sat.total() - 0.0).abs() < 1e-12);
         assert!((sat.sum(0, 0, 1, 1) - -1.0).abs() < 1e-12);
         assert!((sat.sum(1, 1, 2, 2) - -4.0).abs() < 1e-12);
