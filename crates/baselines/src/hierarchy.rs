@@ -1,5 +1,7 @@
 //! The `H_{b,d}` hierarchical-grid baseline of Figure 3.
 
+use std::sync::OnceLock;
+
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -116,7 +118,10 @@ impl HierarchyConfig {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct HierarchicalGrid {
     grid: DenseGrid,
-    sat: SummedAreaTable,
+    /// The table every answer reads, built from `grid` on first use;
+    /// derived data, so serialisation skips it.
+    #[serde(skip)]
+    sat: OnceLock<SummedAreaTable>,
     epsilon: f64,
     config: HierarchyConfig,
 }
@@ -168,10 +173,9 @@ impl Build for HierarchicalGrid {
         // Single level: no inference needed.
         if d == 1 {
             let grid = levels.pop().expect("one level exists");
-            let sat = grid.sat();
             return Ok(HierarchicalGrid {
                 grid,
-                sat,
+                sat: OnceLock::new(),
                 epsilon: config.epsilon,
                 config: *config,
             });
@@ -215,10 +219,9 @@ impl Build for HierarchicalGrid {
         for (cell, &id) in grid.values_mut().iter_mut().zip(ids[d - 1].iter()) {
             *cell = consistent[id];
         }
-        let sat = grid.sat();
         Ok(HierarchicalGrid {
             grid,
-            sat,
+            sat: OnceLock::new(),
             epsilon: config.epsilon,
             config: *config,
         })
@@ -247,7 +250,8 @@ impl Synopsis for HierarchicalGrid {
     }
 
     fn answer(&self, query: &Rect) -> f64 {
-        self.grid.answer_uniform(&self.sat, query)
+        self.grid
+            .answer_uniform(self.sat.get_or_init(|| self.grid.sat()), query)
     }
 
     fn cells(&self) -> Vec<(Rect, f64)> {

@@ -1,5 +1,7 @@
 //! The Privelet baseline (`W_m` in the paper's notation).
 
+use std::sync::OnceLock;
+
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -55,7 +57,10 @@ impl PriveletConfig {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Privelet {
     grid: DenseGrid,
-    sat: SummedAreaTable,
+    /// The table every answer reads, built from `grid` on first use;
+    /// derived data, so serialisation skips it.
+    #[serde(skip)]
+    sat: OnceLock<SummedAreaTable>,
     epsilon: f64,
     m: usize,
     padded: usize,
@@ -109,10 +114,9 @@ impl Build for Privelet {
                 grid.set(c, r, matrix[r * p + c]);
             }
         }
-        let sat = grid.sat();
         Ok(Privelet {
             grid,
-            sat,
+            sat: OnceLock::new(),
             epsilon: config.epsilon,
             m,
             padded: p,
@@ -150,7 +154,8 @@ impl Synopsis for Privelet {
     }
 
     fn answer(&self, query: &Rect) -> f64 {
-        self.grid.answer_uniform(&self.sat, query)
+        self.grid
+            .answer_uniform(self.sat.get_or_init(|| self.grid.sat()), query)
     }
 
     fn cells(&self) -> Vec<(Rect, f64)> {

@@ -4,8 +4,9 @@
 //!
 //! Builds UG releases at ~1k / 64k / 1M cells (lattice), an AG release
 //! at its guideline size (two-level index: a coarse lattice of per-cell
-//! lattices) and a KD-standard release (band index), all at ε = 1 over
-//! the 100k-point landmark dataset. Each release gets three rows:
+//! lattices) and a KD-standard release (cut tree: the KD splits rebuilt
+//! from the leaf list), all at ε = 1 over the 100k-point landmark
+//! dataset. Each release gets three rows:
 //! `<release>/linear` (`Release::answer_linear_scan`, the O(cells)
 //! reference) and `<release>/compiled` (`Release::answer`), both in ns
 //! per query over a mixed six-query workload, and `<release>/compile`,
@@ -18,6 +19,10 @@
 //! costs a few strip lookups and corner slots whatever the rect's size,
 //! except that a run of rim slots shorter than half its strip's groups
 //! is answered slot by slot: q1 to q3 are the classes with short runs.
+//!
+//! The KD release gets `kd_standard/q1` and `kd_standard/q6` over the
+//! same rects: a cut-tree answer visits the nodes along the rect's rim,
+//! so the smallest and the largest class bound its cost.
 
 use std::hint::black_box;
 
@@ -117,15 +122,23 @@ fn main() {
             },
         );
     }
-    let (_, ag) = (releases.iter())
-        .find(|(label, _)| label == "ag_guideline")
-        .expect("the AG release is built");
-    for class in [1, 2, 3, 6] {
-        let rects = class_rects(ag.domain().rect(), class);
-        let per_rect = Unit::NsPer("query", rects.len());
-        bench.time(format!("ag_guideline/q{class}"), per_rect, || {
-            rects.iter().map(|q| ag.answer(black_box(q))).sum::<f64>()
-        });
+    for (label, classes) in [
+        ("ag_guideline", &[1, 2, 3, 6][..]),
+        ("kd_standard", &[1, 6]),
+    ] {
+        let (_, release) = (releases.iter())
+            .find(|(l, _)| l == label)
+            .expect("the release is built");
+        for &class in classes {
+            let rects = class_rects(release.domain().rect(), class);
+            let per_rect = Unit::NsPer("query", rects.len());
+            bench.time(format!("{label}/q{class}"), per_rect, || {
+                rects
+                    .iter()
+                    .map(|q| release.answer(black_box(q)))
+                    .sum::<f64>()
+            });
+        }
     }
     bench.write();
 }

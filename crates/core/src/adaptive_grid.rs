@@ -187,7 +187,7 @@ pub struct AgCellInfo {
 /// A query is answered from both levels (§IV-B): the first-level totals
 /// of the cells it covers plus the leaves of the cells on its rim, both
 /// through one [`TwoLevelIndex`] built from the grids on first use.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct AdaptiveGrid {
     domain: Domain,
     epsilon: f64,
@@ -199,6 +199,31 @@ pub struct AdaptiveGrid {
     /// use; derived data, so serialisation skips it.
     #[serde(skip)]
     index: OnceLock<TwoLevelIndex>,
+}
+
+/// Checks that the cells are the grids every answer reads: `m₁²`
+/// first-level cells, each with `m₂²` leaves, `m₁` and every `m₂` at
+/// least 1. JSON that disagrees fails here, not at the first answer.
+impl Deserialize for AdaptiveGrid {
+    fn deserialize_value(v: &serde::Value) -> std::result::Result<Self, serde::Error> {
+        const TY: &str = "AdaptiveGrid";
+        let obj = (v.as_obj()).ok_or_else(|| serde::Error::msg("AdaptiveGrid: not an object"))?;
+        let m1: usize = serde::field(obj, "m1", TY)?;
+        let cells: Vec<AgCell> = serde::field(obj, "cells", TY)?;
+        let square = |m: usize, len: usize| m > 0 && m.checked_mul(m) == Some(len);
+        if !square(m1, cells.len()) || !cells.iter().all(|c| square(c.m2, c.leaves.len())) {
+            let shape = format!("{TY}: cells are not a {m1} × {m1} grid of m2 × m2 leaf grids");
+            return Err(serde::Error::msg(shape));
+        }
+        Ok(AdaptiveGrid {
+            domain: serde::field(obj, "domain", TY)?,
+            epsilon: serde::field(obj, "epsilon", TY)?,
+            alpha: serde::field(obj, "alpha", TY)?,
+            m1,
+            cells,
+            index: OnceLock::new(),
+        })
+    }
 }
 
 impl AdaptiveGrid {
@@ -583,6 +608,27 @@ mod tests {
         let back: AdaptiveGrid = serde_json::from_str(&json).unwrap();
         let q = Rect::new(0.5, 2.0, 7.7, 9.1).unwrap();
         assert!((back.answer(&q) - ag.answer(&q)).abs() < 1e-12);
+    }
+
+    #[test]
+    fn json_that_disagrees_with_its_grids_fails_to_load() {
+        let ds = dpgrid_geo::generators::PaperDataset::Storage
+            .generate_n(1, 2_000)
+            .unwrap();
+        let ag = AdaptiveGrid::build(&ds, &AgConfig::guideline(1.0), &mut rng(2)).unwrap();
+        let json = serde_json::to_string(&ag).unwrap();
+        assert!(json.ends_with("]}]}"), "the cells close the object");
+        let last_cell = json.rfind(",{\"m2\":").expect("more than one cell");
+        let edits = [
+            json.replacen("\"m2\":1,", "\"m2\":2,", 1),
+            format!("{}]}}", &json[..last_cell]),
+            json.replacen(&format!("\"m1\":{},", ag.m1()), "\"m1\":0,", 1),
+        ];
+        for edited in edits {
+            assert_ne!(edited, json);
+            let err = serde_json::from_str::<AdaptiveGrid>(&edited).unwrap_err();
+            assert!(err.to_string().contains("AdaptiveGrid"), "{err}");
+        }
     }
 
     #[test]

@@ -31,8 +31,8 @@
 //! — once, lazily — into a [`CompiledSurface`], and every query
 //! afterwards runs against that surface (a dense lattice + summed-area
 //! table when the cells are grid-shaped, a coarse lattice of per-cell
-//! sub-lattices for two-level partitions such as AG, a sorted row-band
-//! index otherwise; see [`crate::surface`]). The compiled
+//! sub-lattices for two-level partitions such as AG, a tree of the cuts
+//! no cell straddles otherwise; see [`crate::surface`]). The compiled
 //! index is a cache, never serialised: a release loaded from JSON
 //! recompiles on first use. [`Release::answer_linear_scan`] keeps the
 //! naive O(cells) reference semantics available for verification and

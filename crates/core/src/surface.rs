@@ -19,8 +19,11 @@
 //!   or row its edges cut (over the 1-D marginals of the slots there),
 //!   and one sub-lattice lookup per corner slot — a cost that does not
 //!   grow with the query's size;
-//! * irregular partitions (KD trees, adversarial releases) fall back to
-//!   a sorted row-band / interval index with per-band prefix sums.
+//! * irregular partitions (KD trees, adversarial releases) become a tree
+//!   of the cuts no cell straddles, each node keeping its cells'
+//!   bounding box and total: an answer adds the nodes inside the query
+//!   and descends only along its rim, and a group with no cut is
+//!   scanned.
 //!
 //! Whichever index is chosen, the answers equal the naive linear scan
 //! `Σ vᵢ · cellᵢ.overlap_fraction(q)` up to floating-point roundoff, so
@@ -66,9 +69,11 @@ pub enum SurfaceKind {
         /// Lattice rows.
         rows: usize,
     },
-    /// Sorted row-band index with the given band count.
+    /// A tree of the cuts no cell straddles (irregular partitions such
+    /// as KD trees). The variant keeps its band-index name for
+    /// consumers that match on it.
     Bands {
-        /// Number of distinct y-extent bands.
+        /// Number of tree nodes.
         bands: usize,
     },
 }
@@ -84,11 +89,6 @@ pub struct CompiledSurface {
     domain: Domain,
     index: CellIndex,
     cell_count: usize,
-    total: f64,
-    /// Whether every cell lies inside the domain. Only then does a
-    /// domain-spanning query equal `total` (cells poking outside — legal
-    /// for a raw `compile` call — contribute partially under clipping).
-    cells_inside_domain: bool,
 }
 
 impl CompiledSurface {
@@ -96,16 +96,10 @@ impl CompiledSurface {
     /// are ignored and an empty list answers `0` everywhere.
     pub fn compile(domain: Domain, cells: &[(Rect, f64)]) -> Self {
         COMPILE_COUNT.fetch_add(1, Ordering::Relaxed);
-        let index = CellIndex::build(cells);
-        let cells_inside_domain = cells
-            .iter()
-            .all(|(rect, _)| rect.is_empty() || domain.rect().contains_rect(rect));
         CompiledSurface {
             domain,
-            total: index.total(),
             cell_count: cells.len(),
-            index,
-            cells_inside_domain,
+            index: CellIndex::build(cells),
         }
     }
 
@@ -126,24 +120,21 @@ impl CompiledSurface {
 
     /// Which index the compilation chose.
     pub fn kind(&self) -> SurfaceKind {
-        match &self.index {
-            CellIndex::Lattice(l) => {
-                let (cols, rows) = l.shape();
-                SurfaceKind::Lattice { cols, rows }
+        let (cols, rows) = match &self.index {
+            CellIndex::Lattice(l) => l.shape(),
+            CellIndex::TwoLevel(t) => t.shape(),
+            CellIndex::CutTree(t) => {
+                return SurfaceKind::Bands {
+                    bands: t.node_count(),
+                }
             }
-            CellIndex::TwoLevel(t) => {
-                let (cols, rows) = t.shape();
-                SurfaceKind::Lattice { cols, rows }
-            }
-            CellIndex::Bands(b) => SurfaceKind::Bands {
-                bands: b.band_count(),
-            },
-        }
+        };
+        SurfaceKind::Lattice { cols, rows }
     }
 
     /// Sum of all cell values (the total-count estimate), O(1).
     pub fn total(&self) -> f64 {
-        self.total
+        self.index.total()
     }
 
     /// Estimated resident size of the compiled surface in bytes (the
@@ -168,14 +159,6 @@ impl CompiledSurface {
         let Some(q) = self.domain.clip(query) else {
             return 0.0;
         };
-        // Domain-spanning queries (common in dashboards and the paper's
-        // q6 class) reduce to the precomputed total: O(1) even on the
-        // band path, where such a query would stab every band. Only
-        // valid when no cell pokes outside the domain, since clipping
-        // would truncate such a cell's contribution.
-        if self.cells_inside_domain && q == *self.domain.rect() {
-            return self.total;
-        }
         self.index.answer(&q)
     }
 
@@ -289,7 +272,7 @@ mod tests {
         let expect = linear_scan(&cells, &spanning);
         assert!((expect - 5.0).abs() < 1e-12);
         assert!((surface.answer(&spanning) - expect).abs() < 1e-12);
-        // Fully-contained cells still take the O(1) total shortcut.
+        // A cell filling the domain: a 1 × 1 lattice sums it as 1 · 1 · 10.
         let inside = vec![(Rect::new(0.0, 0.0, 1.0, 1.0).unwrap(), 10.0)];
         let surface = CompiledSurface::compile(domain, &inside);
         assert_eq!(surface.answer(&spanning), 10.0);

@@ -1,5 +1,7 @@
 //! The Uniform Grid (UG) method — §IV-A of the paper.
 
+use std::sync::OnceLock;
+
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -112,7 +114,10 @@ fn aspect_dims(domain: &Domain, m: usize) -> (usize, usize) {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct UniformGrid {
     grid: DenseGrid,
-    sat: SummedAreaTable,
+    /// The table every answer reads, built from `grid` on first use;
+    /// derived data, so serialisation skips it.
+    #[serde(skip)]
+    sat: OnceLock<SummedAreaTable>,
     epsilon: f64,
     m: usize,
 }
@@ -168,10 +173,9 @@ impl Build for UniformGrid {
             grid.map_in_place(|v| v.max(0.0));
         }
 
-        let sat = grid.sat();
         Ok(UniformGrid {
             grid,
-            sat,
+            sat: OnceLock::new(),
             epsilon: config.epsilon,
             m,
         })
@@ -190,12 +194,6 @@ impl UniformGrid {
     pub fn grid(&self) -> &DenseGrid {
         &self.grid
     }
-
-    /// Rebuilds the summed-area table (needed after deserialisation if
-    /// the `sat` field was stripped; kept for API completeness).
-    pub fn refresh_index(&mut self) {
-        self.sat = self.grid.sat();
-    }
 }
 
 impl Synopsis for UniformGrid {
@@ -208,7 +206,8 @@ impl Synopsis for UniformGrid {
     }
 
     fn answer(&self, query: &Rect) -> f64 {
-        self.grid.answer_uniform(&self.sat, query)
+        self.grid
+            .answer_uniform(self.sat.get_or_init(|| self.grid.sat()), query)
     }
 
     fn cells(&self) -> Vec<(Rect, f64)> {
@@ -220,7 +219,7 @@ impl Synopsis for UniformGrid {
 
     /// O(1) from the summed-area table — no cell export needed.
     fn total_estimate(&self) -> f64 {
-        self.sat.total()
+        self.sat.get_or_init(|| self.grid.sat()).total()
     }
 }
 
@@ -358,6 +357,29 @@ mod tests {
         let back: UniformGrid = serde_json::from_str(&json).unwrap();
         let q = Rect::new(1.0, 1.0, 7.5, 8.25).unwrap();
         assert!((back.answer(&q) - ug.answer(&q)).abs() < 1e-12);
+    }
+
+    #[test]
+    fn json_answers_from_its_grid() {
+        // A `sat` next to the grid, as UG JSON used to carry, is ignored
+        // even when it disagrees with the grid: answers come from the
+        // grid. A grid whose data is short fails to load.
+        let ds = small_dataset(2_000, 24);
+        let ug = UniformGrid::build(&ds, &UgConfig::fixed(1.0, 8), &mut rng(25)).unwrap();
+        let grid = serde_json::to_string(ug.grid()).unwrap();
+        let sat = serde_json::to_string(&ug.grid().sat()).unwrap();
+        let stale = sat.replacen("\"cols\":8", "\"cols\":4", 1);
+        assert_ne!(stale, sat);
+        let json = format!("{{\"grid\":{grid},\"sat\":{stale},\"epsilon\":1,\"m\":8}}");
+        let back: UniformGrid = serde_json::from_str(&json).unwrap();
+        let whole = *ds.domain().rect();
+        assert_eq!(back.answer(&whole), ug.answer(&whole));
+        // Drop the first value of `data`.
+        let data = json.find("\"data\":[").unwrap() + "\"data\":[".len();
+        let next = data + json[data..].find(',').unwrap() + 1;
+        let short = format!("{}{}", &json[..data], &json[next..]);
+        let err = serde_json::from_str::<UniformGrid>(&short).unwrap_err();
+        assert!(err.to_string().contains("DenseGrid"), "{err}");
     }
 
     #[test]

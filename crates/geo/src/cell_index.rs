@@ -29,19 +29,16 @@
 //!    length (a run shorter than half its strip's groups asks its slots
 //!    instead); the ≤ 4 corner slots ask their own lattice. An adaptive
 //!    grid builds it straight from its grids, with no sweep.
-//! 3. [`BandIndex`] — the general path (KD trees, adversarial releases).
-//!    Cells are bucketed into *bands* of identical y-extent, each band
-//!    keeping its cells sorted by `x0` with prefix sums; bands
-//!    intersecting the query's y-range are found through a segment tree
-//!    over band start coordinates with max-end pruning, and every tree
-//!    node doubles as a level of a coarse y-skip-list: it
-//!    pre-aggregates its subtree's bounding extents and value sum, so a
-//!    subtree lying entirely inside the query is absorbed in O(1)
-//!    instead of stabbing each band. A query costs
-//!    O(log bands + boundary·log cells-per-band), where only the bands
-//!    *partially* covered at the query's rim are stabbed — wide
-//!    dashboard-style queries touch O(log bands) nodes total instead of
-//!    O(bands).
+//! 3. [`CutTreeIndex`] — the general path (KD trees, adversarial
+//!    releases). The cells are split at every line no cell straddles,
+//!    along x, else along y (the two-level index's sweep), and each part
+//!    again along the other axis: this rebuilds a KD or hybrid tree's
+//!    splits from its flat leaf list. A part with no such line is a
+//!    *scan leaf*, so overlapping and non-guillotine lists stay exact.
+//!    Each node keeps its cells' bounding box and total: an answer adds
+//!    a node inside the query, skips one that misses it and descends
+//!    into the rest, along the query's rim; a run of many children
+//!    inside the query is added from a prefix of their totals.
 //!
 //! All indexes reproduce the *uniformity assumption* semantics of
 //! [`Rect::overlap_fraction`] exactly (up to floating-point roundoff):
@@ -87,8 +84,8 @@ pub enum CellIndex {
     Lattice(LatticeIndex),
     /// Cells align within coarse slots: coarse lattice of sub-lattices.
     TwoLevel(TwoLevelIndex),
-    /// Irregular partition: sorted row-band index.
-    Bands(BandIndex),
+    /// Irregular partition: a tree of recursive cuts.
+    CutTree(CutTreeIndex),
 }
 
 impl CellIndex {
@@ -100,10 +97,11 @@ impl CellIndex {
         if let Some(lattice) = LatticeIndex::try_build(cells) {
             return CellIndex::Lattice(lattice);
         }
-        if let Some(two_level) = TwoLevelIndex::try_build(cells) {
+        let live = LiveCells::new(cells);
+        if let Some(two_level) = TwoLevelIndex::from_live(&live) {
             return CellIndex::TwoLevel(two_level);
         }
-        CellIndex::Bands(BandIndex::build(cells))
+        CellIndex::CutTree(CutTreeIndex::from_live(live))
     }
 
     /// Estimated count inside `query` under the uniformity assumption;
@@ -113,7 +111,7 @@ impl CellIndex {
         match self {
             CellIndex::Lattice(l) => l.answer(query),
             CellIndex::TwoLevel(t) => t.answer(query),
-            CellIndex::Bands(b) => b.answer(query),
+            CellIndex::CutTree(t) => t.answer(query),
         }
     }
 
@@ -122,7 +120,7 @@ impl CellIndex {
         match self {
             CellIndex::Lattice(l) => l.total(),
             CellIndex::TwoLevel(t) => t.total(),
-            CellIndex::Bands(b) => b.total(),
+            CellIndex::CutTree(t) => t.total(),
         }
     }
 
@@ -130,13 +128,13 @@ impl CellIndex {
     ///
     /// This is the quantity serving-side memory budgets account for: it
     /// is dominated by the heap arrays (edge coordinates and prefix
-    /// sums for the lattice paths, bands and tree aggregates for the
-    /// band path), so the enum discriminant padding is ignored.
+    /// sums for the lattice paths, nodes and scan-leaf cells for the
+    /// cut tree), so the enum discriminant padding is ignored.
     pub fn memory_bytes(&self) -> usize {
         match self {
             CellIndex::Lattice(l) => l.memory_bytes(),
             CellIndex::TwoLevel(t) => t.memory_bytes(),
-            CellIndex::Bands(b) => b.memory_bytes(),
+            CellIndex::CutTree(t) => t.memory_bytes(),
         }
     }
 }
@@ -366,34 +364,59 @@ fn blowup_cap(live: usize) -> usize {
     live.saturating_mul(LATTICE_BLOWUP_CAP).min(MAX_GRID_CELLS)
 }
 
-/// One axis of the coarse sweep: sorts the live cells by lower edge,
-/// then sweeps them in that order, opening a coarse slot at each new
-/// lower edge no earlier cell straddles (a cell may overhang a line by
-/// the snap tolerance). Returns the slot count and each cell's slot.
-fn sweep_axis(live: &[&(Rect, f64)], span: impl Fn(&Rect) -> (f64, f64)) -> (usize, Vec<u32>) {
-    let mut order: Vec<(i64, f64, u32)> = live
-        .iter()
-        .enumerate()
-        .map(|(i, (r, _))| {
-            let (lo, hi) = span(r);
-            (total_key(lo), hi, i as u32)
-        })
-        .collect();
-    order.sort_unstable_by_key(|t| t.0);
-    let mut slot_of = vec![0u32; live.len()];
-    // `straddle`: where a line must sit for no earlier cell to cross it
-    // (their upper edges less the snap).
-    let (mut slots, mut straddle, mut prev_lo) = (0, f64::NEG_INFINITY, None);
-    for &(key, hi, i) in &order {
-        let lo = total_key_inv(key);
-        if prev_lo != Some(lo) && straddle <= lo {
-            slots += 1;
-        }
-        prev_lo = Some(lo);
-        slot_of[i as usize] = (slots - 1) as u32;
-        straddle = straddle.max(hi - SNAP_REL * lo.abs().max(hi.abs()));
+/// `r`'s extent `(lo, hi)` along axis 0 (x) or 1 (y).
+fn span(r: &Rect, axis: usize) -> (f64, f64) {
+    [(r.x0(), r.x1()), (r.y0(), r.y1())][axis]
+}
+
+/// The live (non-degenerate) cells of a list and, per axis, their
+/// spans ascending by lower edge along it: what the two-level index
+/// and the cut tree sweep, sorted once for both.
+struct LiveCells<'a> {
+    cells: Vec<&'a (Rect, f64)>,
+    /// Per axis, each cell's `(total_key(lo), hi, index)` along it, so
+    /// the sweep reads them front to back. The cut tree reorders ranges
+    /// of these as it splits.
+    order: [Vec<Span>; 2],
+}
+
+type Span = (i64, f64, u32);
+
+impl<'a> LiveCells<'a> {
+    fn new(cells: &'a [(Rect, f64)]) -> LiveCells<'a> {
+        let cells: Vec<&(Rect, f64)> = cells.iter().filter(|(r, _)| !r.is_empty()).collect();
+        // The cut tree numbers its nodes, fewer than two per cell, by u32.
+        assert!(cells.len() < 1 << 31, "more than 2³¹ cells");
+        let order = [0, 1].map(|axis| {
+            let mut spans: Vec<Span> = (cells.iter().enumerate())
+                .map(|(i, (r, _))| (total_key(span(r, axis).0), span(r, axis).1, i as u32))
+                .collect();
+            spans.sort_unstable_by_key(|s| s.0);
+            spans
+        });
+        LiveCells { cells, order }
     }
-    (slots, slot_of)
+
+    /// The sweep that finds the lines no cell straddles, along `axis`
+    /// over the cells at `range` of its order: it opens a slot at each
+    /// new lower edge no earlier cell straddles (a cell may overhang a
+    /// line by the snap tolerance), and hands `put` each cell's index and
+    /// slot, so slots ascend along the order. Returns the slot count.
+    fn sweep(&self, axis: usize, range: Range<usize>, mut put: impl FnMut(usize, u32)) -> u32 {
+        // `straddle`: where a line must sit for no earlier cell to cross
+        // it (their upper edges less the snap).
+        let (mut slots, mut straddle, mut prev_lo) = (0, f64::NEG_INFINITY, None);
+        for &(lo, hi, cell) in &self.order[axis][range] {
+            let lo = total_key_inv(lo);
+            if prev_lo != Some(lo) && straddle <= lo {
+                slots += 1;
+            }
+            prev_lo = Some(lo);
+            put(cell as usize, slots - 1);
+            straddle = straddle.max(hi - SNAP_REL * lo.abs().max(hi.abs()));
+        }
+        slots
+    }
 }
 
 /// The two-level path: a coarse lattice whose slots each hold the
@@ -629,12 +652,20 @@ impl TwoLevelIndex {
     /// exceeds the blow-up cap or some slot's lattice is declined. Only
     /// then are the strips built, from the slots' lattices.
     pub fn try_build(cells: &[(Rect, f64)]) -> Option<TwoLevelIndex> {
-        let live: Vec<&(Rect, f64)> = cells.iter().filter(|(r, _)| !r.is_empty()).collect();
-        if live.is_empty() || u32::try_from(live.len()).is_err() {
+        TwoLevelIndex::from_live(&LiveCells::new(cells))
+    }
+
+    /// [`TwoLevelIndex::try_build`] over cells already sorted.
+    fn from_live(sorted: &LiveCells) -> Option<TwoLevelIndex> {
+        let live = &sorted.cells;
+        if live.is_empty() {
             return None;
         }
-        let (cols, x_slot) = sweep_axis(&live, |r| (r.x0(), r.x1()));
-        let (rows, y_slot) = sweep_axis(&live, |r| (r.y0(), r.y1()));
+        let [(cols, x_slot), (rows, y_slot)] = [0, 1].map(|axis| {
+            let mut slot_of = vec![0u32; live.len()];
+            let slots = sorted.sweep(axis, 0..live.len(), |i, s| slot_of[i] = s);
+            (slots as usize, slot_of)
+        });
         let slots = cols.checked_mul(rows)?;
         if slots > blowup_cap(live.len()) {
             return None;
@@ -899,334 +930,276 @@ fn slot_cover(lower: &[f64], reach: &[f64], q0: f64, q1: f64) -> (Range<usize>, 
     (t0..t1, f0..f1)
 }
 
-/// One band: all cells sharing the same y-extent, sorted by `x0`.
-#[derive(Debug, Clone)]
-struct Band {
-    y0: f64,
-    y1: f64,
-    /// Ascending cell left edges.
-    x0s: Vec<f64>,
-    /// Ascending cell right edges (cells in a band are x-disjoint, so
-    /// sorting by `x0` sorts `x1` too).
-    x1s: Vec<f64>,
-    /// Cell values, same order.
-    values: Vec<f64>,
-    /// `values` prefix sums (`len + 1` entries).
-    prefix: Vec<f64>,
-    /// Set when the band's cells overlap in x (not a true partition):
-    /// answer this band by linear scan to stay faithful to the
-    /// reference semantics.
-    overlapping: bool,
+/// Deepest a [`CutTreeIndex`] grows before a part becomes a scan leaf,
+/// which bounds the build's and every answer's recursion: a guillotine
+/// spiral peels one cell per cut, so it nests as deep as it has cells.
+const MAX_TREE_DEPTH: usize = 64;
+
+/// The general path: the tree of the cuts no cell straddles (see the
+/// module documentation). A node cut into more than 8 parts is searched
+/// along its cut; fewer are visited in turn, which costs less.
+#[derive(Debug, Clone, Default)]
+pub struct CutTreeIndex {
+    /// Every node, the root first; a node's children are contiguous.
+    nodes: Vec<Node>,
+    /// One per child of each searched node, its children's contiguous.
+    runs: Vec<Run>,
+    /// The cells of every scan leaf.
+    cells: Vec<(Rect, f64)>,
 }
 
-impl Band {
-    /// Contribution of this band to `query`, already restricted to the
-    /// band's y-slab.
-    fn answer(&self, query: &Rect) -> f64 {
-        let fy = (query.y1().min(self.y1) - query.y0().max(self.y0)) / (self.y1 - self.y0);
-        if fy <= 0.0 {
-            return 0.0;
-        }
-        let (qx0, qx1) = (query.x0(), query.x1());
-        if self.overlapping {
-            let mut sum = 0.0;
-            for i in 0..self.values.len() {
-                let w = self.x1s[i] - self.x0s[i];
-                if w <= 0.0 {
-                    continue;
-                }
-                let ov = qx1.min(self.x1s[i]) - qx0.max(self.x0s[i]);
-                if ov > 0.0 {
-                    sum += self.values[i] * (ov / w).clamp(0.0, 1.0);
-                }
-            }
-            return sum * fy.clamp(0.0, 1.0);
-        }
-        // First cell whose right edge passes qx0, first cell starting at
-        // or after qx1: the query's x-span is exactly [lo, hi).
-        let lo = self.x1s.partition_point(|&x| x <= qx0);
-        let hi = self.x0s.partition_point(|&x| x < qx1);
-        if lo >= hi {
-            return 0.0;
-        }
-        let mut sum = self.prefix[hi] - self.prefix[lo];
-        // The two boundary cells may be partially covered.
-        for i in [lo, hi - 1] {
-            let w = self.x1s[i] - self.x0s[i];
-            if w <= 0.0 {
-                sum -= self.values[i];
-                continue;
-            }
-            let fx = ((qx1.min(self.x1s[i]) - qx0.max(self.x0s[i])) / w).clamp(0.0, 1.0);
-            sum -= self.values[i] * (1.0 - fx);
-            if lo == hi - 1 {
-                break; // single boundary cell: adjust once
-            }
-        }
-        sum * fy.clamp(0.0, 1.0)
-    }
-}
-
-/// Traversal statistics of one [`BandIndex`] query — how much of the
-/// band structure the answer actually touched.
-///
-/// Exposed so regression tests (and capacity planning) can assert the
-/// skip-list bound: a query fully covering `k` interior bands must
-/// absorb them through O(log bands) aggregated nodes
-/// (`nodes_absorbed`) and stab only the O(1) partially covered rim
-/// bands (`bands_stabbed`), never scale with `k`.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct BandStabStats {
-    /// Segment-tree nodes visited (including absorbed and pruned ones).
-    pub nodes_visited: usize,
-    /// Bands answered individually (partial overlap at the query rim).
-    pub bands_stabbed: usize,
-    /// Subtrees absorbed whole through their pre-aggregated sum.
-    pub nodes_absorbed: usize,
-}
-
-/// The general path: a sorted row-bucket / interval index with a
-/// coarse y-skip-list over the bands.
-///
-/// Bands are ordered by `y0`; a segment tree storing each subrange's
-/// maximum `y1` prunes whole subtrees that end before the query starts,
-/// so a stab visits O(log bands) tree nodes plus the bands actually
-/// intersecting the query's y-range. Each node additionally carries its
-/// subtree's bounding y/x extents and total value — the coarse levels
-/// of a deterministic skip list — so a subtree *fully contained* in the
-/// query contributes its precomputed sum in O(1) instead of being
-/// walked band by band. Wide queries therefore decompose canonically:
-/// O(log bands) absorbed nodes plus the partially covered rim bands.
-#[derive(Debug, Clone)]
-pub struct BandIndex {
-    bands: Vec<Band>,
-    /// Segment-tree node aggregates (1-indexed, size `2·bands.len()`
-    /// rounded up to a power of two). One struct per node keeps the
-    /// prune *and* absorb tests on a single cache line — the stab walk
-    /// is memory-bound, so split parallel arrays would cost one miss
-    /// per field instead of one per node.
-    nodes: Vec<NodeAgg>,
-    /// Leaf count of the segment tree (power of two ≥ `bands.len()`).
-    tree_base: usize,
-    total: f64,
-}
-
-/// Per-subtree aggregates: the pruning bound plus the skip-list
-/// payload. Empty slots hold sign-appropriate infinities (and sum 0)
-/// so they prune and absorb vacuously without edge guards.
+/// A node: its cells' bounding box (a one-cell leaf's cell) and total.
 #[derive(Debug, Clone, Copy)]
-struct NodeAgg {
-    /// Maximum band `y1` (`-inf` when empty) — the pruning bound.
-    max_y1: f64,
-    /// Minimum band `y0` (`+inf` when empty). Bands are y0-sorted, so
-    /// this equals the leftmost live band's `y0`.
-    min_y0: f64,
-    /// Minimum cell `x0` (`+inf` when empty).
-    min_x0: f64,
-    /// Maximum cell `x1` (`-inf` when empty).
-    max_x1: f64,
-    /// Total cell value — the sum absorbed when the subtree is fully
-    /// inside the query.
-    sum: f64,
+struct Node {
+    rect: Rect,
+    total: f64,
+    kind: NodeKind,
 }
 
-impl NodeAgg {
-    const EMPTY: NodeAgg = NodeAgg {
-        max_y1: f64::NEG_INFINITY,
-        min_y0: f64::INFINITY,
-        min_x0: f64::INFINITY,
-        max_x1: f64::NEG_INFINITY,
-        sum: 0.0,
-    };
+#[derive(Debug, Clone, Copy)]
+enum NodeKind {
+    Cell,
+    /// `Scan(start, end)`: cells `cells[start..end]`, answered one by one.
+    Scan(u32, u32),
+    /// `Split(axis, start, end, runs)`: children `nodes[start..end]`,
+    /// ascending along `axis` (0 = x); if searched, from `runs[runs]` on.
+    Split(u8, u32, u32, u32),
+}
 
-    fn merge(a: &NodeAgg, b: &NodeAgg) -> NodeAgg {
-        NodeAgg {
-            max_y1: a.max_y1.max(b.max_y1),
-            min_y0: a.min_y0.min(b.min_y0),
-            min_x0: a.min_x0.min(b.min_x0),
-            max_x1: a.max_x1.max(b.max_x1),
-            sum: a.sum + b.sum,
-        }
+/// A searched child: its lower edge along the cut, the largest upper
+/// edge along the cut of it and its earlier siblings (ascending even
+/// where a cell overhangs a cut by the snap tolerance), and its earlier
+/// siblings' totals summed.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    lo: f64,
+    reach: f64,
+    before: f64,
+}
+
+/// Visit counts of one [`CutTreeIndex`] query, for tests of the bound
+/// on what a query touches.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct CutTreeStats {
+    /// Nodes whose box the answer tested.
+    pub nodes_visited: usize,
+    /// Nodes, and runs of siblings, added whole from their totals.
+    pub nodes_absorbed: usize,
+    /// Cells answered one by one.
+    pub cells_answered: usize,
+}
+
+impl CutTreeIndex {
+    /// Builds the tree. Degenerate (zero-area) cells are dropped: they
+    /// cannot contribute to any query.
+    pub fn build(cells: &[(Rect, f64)]) -> CutTreeIndex {
+        CutTreeIndex::from_live(LiveCells::new(cells))
     }
-}
 
-impl BandIndex {
-    /// Groups cells into bands and builds the stabbing tree. Degenerate
-    /// (zero-area) cells are dropped — they cannot contribute to any
-    /// query.
-    pub fn build(cells: &[(Rect, f64)]) -> BandIndex {
-        // Group by exact y-extent; the (y0, y1, x0) sort leaves each
-        // band's members adjacent and x-sorted. It sorts the coordinates'
-        // `total_key`s, with the index breaking ties as a stable sort
-        // would: the order `total_cmp` gives, without a float compare
-        // through two cell pointers per step.
-        let live: Vec<&(Rect, f64)> = cells.iter().filter(|(r, _)| !r.is_empty()).collect();
-        let mut order: Vec<([i64; 3], usize)> = (live.iter().enumerate())
-            .map(|(i, (r, _))| ([r.y0(), r.y1(), r.x0()].map(total_key), i))
-            .collect();
-        order.sort_unstable();
-        let sorted: Vec<&(Rect, f64)> = order.iter().map(|&(_, i)| live[i]).collect();
-        let mut bands: Vec<Band> = Vec::new();
-        let same_extent = |a: &&(Rect, f64), b: &&(Rect, f64)| {
-            a.0.y0().total_cmp(&b.0.y0()).is_eq() && a.0.y1().total_cmp(&b.0.y1()).is_eq()
+    fn from_live(live: LiveCells) -> CutTreeIndex {
+        let n = live.cells.len();
+        let mut grower = Grower {
+            live,
+            slot: vec![0; n],
+            spare: vec![(0, 0.0, 0); n],
+            parts: Vec::new(),
+            tree: CutTreeIndex::default(),
         };
-        for members in sorted.chunk_by(same_extent) {
-            let mut band = Band {
-                y0: members[0].0.y0(),
-                y1: members[0].0.y1(),
-                x0s: Vec::with_capacity(members.len()),
-                x1s: Vec::with_capacity(members.len()),
-                values: Vec::with_capacity(members.len()),
-                prefix: vec![0.0],
-                overlapping: false,
-            };
-            for (rect, v) in members.iter().copied() {
-                if let Some(&prev_x1) = band.x1s.last() {
-                    if rect.x0() < prev_x1 {
-                        band.overlapping = true;
-                    }
-                }
-                band.x0s.push(rect.x0());
-                band.x1s.push(rect.x1());
-                band.values.push(*v);
-                band.prefix
-                    .push(band.prefix.last().expect("non-empty prefix") + v);
-            }
-            bands.push(band);
+        if let Some(&&(rect, total)) = grower.live.cells.first() {
+            // The root's slot, and each child's until it is grown.
+            let kind = NodeKind::Cell;
+            grower.tree.nodes.push(Node { rect, total, kind });
+            grower.tree.nodes[0] = grower.grow(0..n, None, 0);
         }
-        let total = bands
-            .iter()
-            .map(|b| b.prefix.last().expect("non-empty prefix"))
-            .sum();
-
-        // Aggregate segment tree over bands (which are sorted by y0):
-        // max y1 for pruning, plus the skip-list payload — subtree
-        // bounding extents and value sums — for O(1) absorption of
-        // fully covered subtrees.
-        let tree_base = bands.len().next_power_of_two().max(1);
-        let mut nodes = vec![NodeAgg::EMPTY; 2 * tree_base];
-        for (i, b) in bands.iter().enumerate() {
-            nodes[tree_base + i] = NodeAgg {
-                max_y1: b.y1,
-                min_y0: b.y0,
-                // Cells are x0-sorted, so the band's leftmost edge is
-                // the first x0; right edges are only co-sorted for
-                // disjoint bands, so take the explicit max.
-                min_x0: b.x0s.first().copied().unwrap_or(f64::INFINITY),
-                max_x1: b.x1s.iter().copied().fold(f64::NEG_INFINITY, f64::max),
-                sum: *b.prefix.last().expect("non-empty prefix"),
-            };
-        }
-        for i in (1..tree_base).rev() {
-            nodes[i] = NodeAgg::merge(&nodes[2 * i], &nodes[2 * i + 1]);
-        }
-        BandIndex {
-            bands,
-            nodes,
-            tree_base,
-            total,
-        }
+        let mut tree = grower.tree;
+        // The arrays outlive the build: drop the spare capacity.
+        tree.nodes.shrink_to_fit();
+        tree.runs.shrink_to_fit();
+        tree.cells.shrink_to_fit();
+        tree
     }
 
-    /// Number of bands.
-    pub fn band_count(&self) -> usize {
-        self.bands.len()
+    /// Number of nodes.
+    pub fn node_count(&self) -> usize {
+        self.nodes.len()
     }
 
-    /// Answers a query in O(log bands + boundary·log band-width) where
-    /// `boundary` is the number of bands only *partially* covered by
-    /// the query; fully covered interior runs are absorbed through the
-    /// skip-list aggregates without being stabbed.
+    /// Answers a query: the totals of the nodes inside it, and the cells
+    /// of the leaves it cuts.
     pub fn answer(&self, query: &Rect) -> f64 {
         self.answer_with_stats(query).0
     }
 
-    /// [`BandIndex::answer`] plus the [`BandStabStats`] describing how
-    /// the tree walk decomposed the query — for skip-list regression
-    /// tests and serving-side diagnostics.
-    pub fn answer_with_stats(&self, query: &Rect) -> (f64, BandStabStats) {
-        let mut stats = BandStabStats::default();
-        if self.bands.is_empty() || query.is_empty() {
-            return (0.0, stats);
+    /// [`CutTreeIndex::answer`] plus its [`CutTreeStats`].
+    pub fn answer_with_stats(&self, query: &Rect) -> (f64, CutTreeStats) {
+        let (mut sum, mut stats) = (0.0, CutTreeStats::default());
+        if let Some(root) = self.nodes.first() {
+            self.visit(root, query, &mut sum, &mut stats);
         }
-        // Candidate bands start before the query ends...
-        let ub = self.bands.partition_point(|b| b.y0 < query.y1());
-        if ub == 0 {
-            return (0.0, stats);
-        }
-        // ...and the tree prunes those ending before the query starts.
-        let mut sum = 0.0;
-        self.stab(1, 0, self.tree_base, ub, query, &mut sum, &mut stats);
         (sum, stats)
     }
 
-    /// Recursive pruned walk: node `node` covers band indices
-    /// `[lo, hi)`; only indices `< ub` are candidates.
-    #[allow(clippy::too_many_arguments)]
-    fn stab(
-        &self,
-        node: usize,
-        lo: usize,
-        hi: usize,
-        ub: usize,
-        query: &Rect,
-        sum: &mut f64,
-        stats: &mut BandStabStats,
-    ) {
+    fn visit(&self, node: &Node, query: &Rect, sum: &mut f64, stats: &mut CutTreeStats) {
         stats.nodes_visited += 1;
-        let agg = &self.nodes[node];
-        if lo >= ub || lo >= self.bands.len() || agg.max_y1 <= query.y0() {
+        if !node.rect.intersects(query) {
             return;
         }
-        // Coarse skip: every band in this subtree lies fully inside the
-        // query (its y-extent inside [qy0, qy1], every cell's x-extent
-        // inside [qx0, qx1]), so each contributes exactly its total and
-        // the precomputed subtree sum is the exact answer share. A band
-        // beyond `ub` can never pass this test — it would need
-        // y1 ≤ qy1 ≤ y0, impossible for a non-degenerate band — and
-        // empty slots pass vacuously with sum 0, so neither needs a
-        // separate guard.
-        // The x-conditions lead the chain: stab-heavy queries (narrow
-        // in x, tall in y) fail them at every node, so they
-        // short-circuit the test where it runs most often.
-        if agg.min_x0 >= query.x0()
-            && agg.max_x1 <= query.x1()
-            && agg.min_y0 >= query.y0()
-            && agg.max_y1 <= query.y1()
-        {
-            *sum += agg.sum;
+        if query.contains_rect(&node.rect) {
             stats.nodes_absorbed += 1;
+            *sum += node.total;
             return;
         }
-        if hi - lo == 1 {
-            *sum += self.bands[lo].answer(query);
-            stats.bands_stabbed += 1;
-            return;
+        let (axis, children, runs) = match node.kind {
+            NodeKind::Cell => {
+                stats.cells_answered += 1;
+                *sum += node.total * node.rect.overlap_fraction(query);
+                return;
+            }
+            NodeKind::Scan(start, end) => {
+                for (r, v) in &self.cells[start as usize..end as usize] {
+                    stats.cells_answered += 1;
+                    *sum += v * r.overlap_fraction(query);
+                }
+                return;
+            }
+            NodeKind::Split(axis, start, end, runs) => (axis, start as usize..end as usize, runs),
+        };
+        let (axis, children) = (axis as usize, &self.nodes[children]);
+        // The children the query touches, and the run of them inside it.
+        let (mut touched, mut inside) = (0..children.len(), 0..0);
+        if children.len() > SEARCHED_SLOTS {
+            let runs = &self.runs[runs as usize..][..children.len()];
+            let (q0, q1) = span(query, axis);
+            touched = runs.partition_point(|r| r.reach <= q0)..runs.partition_point(|r| r.lo < q1);
+            inside = touched.start..touched.start;
+            // Only where the node lies inside the query across its cut
+            // does a run inside the query along the cut lie inside it.
+            let ((n0, n1), (o0, o1)) = (span(&node.rect, 1 - axis), span(query, 1 - axis));
+            if o0 <= n0 && n1 <= o1 {
+                let first = touched.start + runs[touched.clone()].partition_point(|r| r.lo < q0);
+                inside = first..runs.partition_point(|r| r.reach <= q1).max(first);
+            }
+            if let Some(last) = inside.clone().last() {
+                stats.nodes_absorbed += 1;
+                *sum += runs[last].before + children[last].total - runs[inside.start].before;
+            }
         }
-        let mid = (lo + hi) / 2;
-        self.stab(2 * node, lo, mid, ub, query, sum, stats);
-        self.stab(2 * node + 1, mid, hi, ub, query, sum, stats);
+        let mut visit = |child| self.visit(child, query, sum, stats);
+        children[touched.start..inside.start]
+            .iter()
+            .for_each(&mut visit);
+        children[inside.end..touched.end].iter().for_each(visit);
     }
 
     /// Sum of all values.
     pub fn total(&self) -> f64 {
-        self.total
+        self.nodes.first().map_or(0.0, |root| root.total)
     }
 
-    /// Estimated resident size in bytes: the struct, the per-band cell
-    /// arrays and the segment-tree aggregates.
+    /// Estimated resident size in bytes: the struct and its arrays.
     pub fn memory_bytes(&self) -> usize {
-        let bands: usize = self
-            .bands
-            .iter()
-            .map(|b| {
-                std::mem::size_of::<Band>()
-                    + (b.x0s.len() + b.x1s.len() + b.values.len() + b.prefix.len())
-                        * std::mem::size_of::<f64>()
-            })
-            .sum();
-        std::mem::size_of::<Self>() + bands + self.nodes.len() * std::mem::size_of::<NodeAgg>()
+        std::mem::size_of::<Self>()
+            + self.nodes.len() * std::mem::size_of::<Node>()
+            + self.runs.len() * std::mem::size_of::<Run>()
+            + self.cells.len() * std::mem::size_of::<(Rect, f64)>()
     }
+}
+
+/// The state of one [`CutTreeIndex::build`].
+struct Grower<'a> {
+    /// Each part owns one range, the same in both orders: a split
+    /// reorders the order across its cut by part, stably, so both stay
+    /// sorted within every part.
+    live: LiveCells<'a>,
+    /// Each cell's part in the split being made.
+    slot: Vec<u32>,
+    /// Scratch for the reorder.
+    spare: Vec<Span>,
+    /// Where each part of each split on the path from the root ends in
+    /// its range.
+    parts: Vec<usize>,
+    tree: CutTreeIndex,
+}
+
+impl Grower<'_> {
+    /// The node over the cells at `range` of both orders, `depth` cuts
+    /// below the root, whose parent was cut along `cut`.
+    fn grow(&mut self, range: Range<usize>, cut: Option<usize>, depth: usize) -> Node {
+        if let &[(_, _, one)] = &self.live.order[0][range.clone()] {
+            let (rect, total) = *self.live.cells[one as usize];
+            let kind = NodeKind::Cell;
+            return Node { rect, total, kind };
+        }
+        // A line along the parent's cut that no cell of this part
+        // straddles would have been one of the parent's cuts.
+        let axes = cut.map_or(0..2, |cut| 1 - cut..2 - cut);
+        for axis in axes.filter(|_| depth < MAX_TREE_DEPTH) {
+            let slot = &mut self.slot;
+            if self.live.sweep(axis, range.clone(), |i, s| slot[i] = s) > 1 {
+                return self.split(range, axis, depth);
+            }
+        }
+        let start = self.tree.cells.len();
+        let members = self.live.order[0][range].iter();
+        (self.tree.cells).extend(members.map(|s| *self.live.cells[s.2 as usize]));
+        let (cells, end) = (&self.tree.cells[start..], self.tree.cells.len());
+        Node {
+            rect: bounding_box(cells.iter().map(|(r, _)| r)),
+            total: cells.iter().map(|(_, v)| v).sum(),
+            kind: NodeKind::Scan(start as u32, end as u32),
+        }
+    }
+
+    /// The node over the cells at `range`, cut into the parts the sweep
+    /// along `axis` just made.
+    fn split(&mut self, range: Range<usize>, axis: usize, depth: usize) -> Node {
+        // Each part is one run of `axis`' order: find where each starts,
+        // then reorder the other order's range by part, advancing each
+        // start to where its part ends.
+        let (base, along) = (self.parts.len(), &self.live.order[axis][range.clone()]);
+        let slot = |p: usize| self.slot[along[p].2 as usize];
+        (self.parts).extend((0..along.len()).filter(|&p| p == 0 || slot(p) != slot(p - 1)));
+        let across = &mut self.live.order[1 - axis][range.clone()];
+        for &span in across.iter() {
+            let next = &mut self.parts[base + self.slot[span.2 as usize] as usize];
+            self.spare[*next] = span;
+            *next += 1;
+        }
+        across.copy_from_slice(&self.spare[..across.len()]);
+        let (count, first) = (self.parts.len() - base, self.tree.nodes.len());
+        (self.tree.nodes).resize(first + count, self.tree.nodes[0]);
+        let mut start = range.start;
+        for c in 0..count {
+            let end = range.start + self.parts[base + c];
+            self.tree.nodes[first + c] = self.grow(start..end, Some(axis), depth + 1);
+            start = end;
+        }
+        let children = &self.tree.nodes[first..first + count];
+        let (runs, mut before, mut reach) = (self.tree.runs.len(), 0.0, f64::NEG_INFINITY);
+        for child in children.iter().filter(|_| count > SEARCHED_SLOTS) {
+            let (lo, hi) = span(&child.rect, axis);
+            reach = reach.max(hi);
+            self.tree.runs.push(Run { lo, reach, before });
+            before += child.total;
+        }
+        self.parts.truncate(base);
+        let (end, runs) = ((first + count) as u32, runs as u32);
+        Node {
+            rect: bounding_box(children.iter().map(|c| &c.rect)),
+            total: children.iter().map(|c| c.total).sum(),
+            kind: NodeKind::Split(axis as u8, first as u32, end, runs),
+        }
+    }
+}
+
+/// The bounding box of a non-empty sequence of rects.
+fn bounding_box<'a>(rects: impl Iterator<Item = &'a Rect>) -> Rect {
+    let (mut lo, mut hi) = ([f64::INFINITY; 2], [f64::NEG_INFINITY; 2]);
+    for r in rects {
+        lo = [lo[0].min(r.x0()), lo[1].min(r.y0())];
+        hi = [hi[0].max(r.x1()), hi[1].max(r.y1())];
+    }
+    Rect::new(lo[0], lo[1], hi[0], hi[1]).expect("the bounding box of rects is a rect")
 }
 
 #[cfg(test)]
@@ -1321,12 +1294,11 @@ mod tests {
     }
 
     #[test]
-    fn band_path_matches_on_irregular_partition() {
-        // KD-like vertical strips of differing heights: no common
-        // lattice small enough, so the band path must engage when the
-        // lattice path is skipped.
+    fn cut_tree_matches_on_irregular_partition() {
+        // KD-like vertical strips of differing heights, built straight
+        // into the cut tree.
         let cells = adaptive_cells();
-        let index = CellIndex::Bands(BandIndex::build(&cells));
+        let index = CellIndex::CutTree(CutTreeIndex::build(&cells));
         let domain = Rect::new(-2.0, 1.0, 6.0, 9.0).unwrap();
         assert_matches_scan(&cells, &index, &query_mix(&domain));
     }
@@ -1335,7 +1307,7 @@ mod tests {
     fn random_queries_agree_on_both_paths() {
         let cells = adaptive_cells();
         let lattice = CellIndex::build(&cells);
-        let bands = CellIndex::Bands(BandIndex::build(&cells));
+        let tree = CellIndex::CutTree(CutTreeIndex::build(&cells));
         let mut rng = StdRng::seed_from_u64(17);
         for _ in 0..500 {
             let ax = rng.random_range(-3.0..7.0);
@@ -1344,7 +1316,7 @@ mod tests {
             let h = rng.random_range(0.0..8.0);
             let q = Rect::new(ax, ay, ax + w, ay + h).unwrap();
             let expect = linear_scan(&cells, &q);
-            for index in [&lattice, &bands] {
+            for index in [&lattice, &tree] {
                 let got = index.answer(&q);
                 assert!(
                     (got - expect).abs() <= 1e-9 * (1.0 + expect.abs()),
@@ -1391,25 +1363,38 @@ mod tests {
     }
 
     #[test]
-    fn clearly_distinct_bands_do_not_snap() {
-        // Bands group by exact y-extent: rows 1e-6 apart stay separate.
-        let cells = vec![
+    fn clearly_distinct_lines_do_not_snap() {
+        // Rows 1e-6 apart overlap by far more than the snap tolerance: no
+        // line separates them, so the tree is one scan leaf. A row that
+        // overhangs the next by a few ULPs is cut from it.
+        let domain = Rect::new(0.0, 0.0, 1.0, 2.0).unwrap();
+        let apart = vec![
             (Rect::new(0.0, 0.0, 1.0, 1.0).unwrap(), 1.0),
             (Rect::new(0.0, 1e-6, 1.0, 1.0 + 1e-6).unwrap(), 2.0),
         ];
-        let index = BandIndex::build(&cells);
-        assert_eq!(index.band_count(), 2);
+        let drifted = vec![
+            (
+                Rect::new(0.0, 0.0, 1.0, 1.0 + 4.0 * f64::EPSILON).unwrap(),
+                1.0,
+            ),
+            (Rect::new(0.0, 1.0, 1.0, 2.0).unwrap(), 2.0),
+        ];
+        for (cells, nodes) in [(apart, 1), (drifted, 3)] {
+            let index = CutTreeIndex::build(&cells);
+            assert_eq!(index.node_count(), nodes);
+            assert_matches_scan(&cells, &CellIndex::CutTree(index), &query_mix(&domain));
+        }
     }
 
     #[test]
     fn overlapping_cells_fall_back_to_scan_semantics() {
         // Not a partition: two cells overlap. The index must still match
-        // the linear scan (per-band linear fallback).
+        // the linear scan (no cut separates them: a scan leaf).
         let cells = vec![
             (Rect::new(0.0, 0.0, 2.0, 1.0).unwrap(), 4.0),
             (Rect::new(1.0, 0.0, 3.0, 1.0).unwrap(), 2.0),
         ];
-        let index = CellIndex::Bands(BandIndex::build(&cells));
+        let index = CellIndex::CutTree(CutTreeIndex::build(&cells));
         let domain = Rect::new(0.0, 0.0, 3.0, 1.0).unwrap();
         assert_matches_scan(&cells, &index, &query_mix(&domain));
     }
@@ -1483,8 +1468,8 @@ mod tests {
     }
 
     /// KD-like staircase partition: `n` rows, each split at a unique x
-    /// offset, so no affordable lattice exists and every row is its own
-    /// band.
+    /// offset, so no affordable lattice exists: the cut tree's root is
+    /// cut into the `n` rows, and each row into its two cells.
     fn staircase_cells(n: usize) -> Vec<(Rect, f64)> {
         let mut cells = Vec::new();
         for i in 0..n {
@@ -1500,14 +1485,15 @@ mod tests {
     }
 
     #[test]
-    fn skip_list_absorbs_wide_queries() {
-        // A query fully covering interior bands and half-covering the
-        // first and last one: the interior run must be absorbed through
-        // aggregated nodes, leaving exactly the two rim bands stabbed.
+    fn cut_tree_absorbs_wide_queries() {
+        // A query fully covering the interior rows and half-covering the
+        // first and last one: the interior run must be added from the
+        // rows' prefix totals, leaving only the two rim rows' leaves
+        // answered.
         let n = 256;
         let cells = staircase_cells(n);
-        let index = BandIndex::build(&cells);
-        assert_eq!(index.band_count(), n);
+        let index = CutTreeIndex::build(&cells);
+        assert_eq!(index.node_count(), 1 + 3 * n, "the root, n rows, 2n leaves");
         let wide = Rect::new(-1.0, 0.5, 11.0, n as f64 - 0.5).unwrap();
         let (got, stats) = index.answer_with_stats(&wide);
         let expect = linear_scan(&cells, &wide);
@@ -1515,10 +1501,13 @@ mod tests {
             (got - expect).abs() <= 1e-9 * (1.0 + expect.abs()),
             "wide query: {got} vs {expect}"
         );
-        assert_eq!(stats.bands_stabbed, 2, "only the rim bands may be stabbed");
+        assert_eq!(
+            stats.cells_answered, 4,
+            "only the rim rows' leaves may be answered"
+        );
         assert!(
-            stats.nodes_absorbed >= 2,
-            "interior bands must be absorbed through aggregate nodes"
+            stats.nodes_absorbed >= 1,
+            "interior rows must be added from their prefix totals"
         );
         // A query covering everything absorbs at the root: one visit.
         let all = Rect::new(-1.0, -1.0, 11.0, n as f64 + 1.0).unwrap();
@@ -1526,23 +1515,23 @@ mod tests {
         assert!((got - index.total()).abs() <= 1e-9 * (1.0 + index.total().abs()));
         assert_eq!(stats.nodes_visited, 1);
         assert_eq!(stats.nodes_absorbed, 1);
-        assert_eq!(stats.bands_stabbed, 0);
+        assert_eq!(stats.cells_answered, 0);
     }
 
     #[test]
-    fn skip_list_scales_logarithmically_with_band_count() {
-        // Quadrupling the band count must grow the visited-node count
-        // by O(log) — a handful of extra tree levels — while the
-        // stabbed-band count stays constant at the two rim bands.
+    fn cut_tree_visits_grow_logarithmically() {
+        // Quadrupling the row count must grow the visited-node count by
+        // O(log) at most, while the answered cells stay the two rim
+        // rows' leaves.
         let mut visited_by_n = Vec::new();
         for n in [64usize, 256, 1024] {
             let cells = staircase_cells(n);
-            let index = BandIndex::build(&cells);
+            let index = CutTreeIndex::build(&cells);
             let wide = Rect::new(-1.0, 0.5, 11.0, n as f64 - 0.5).unwrap();
             let (got, stats) = index.answer_with_stats(&wide);
             let expect = linear_scan(&cells, &wide);
             assert!((got - expect).abs() <= 1e-9 * (1.0 + expect.abs()));
-            assert_eq!(stats.bands_stabbed, 2, "n = {n}");
+            assert_eq!(stats.cells_answered, 4, "n = {n}");
             let log2n = n.ilog2() as usize;
             assert!(
                 stats.nodes_visited <= 6 * log2n,
@@ -1551,7 +1540,7 @@ mod tests {
             );
             visited_by_n.push(stats.nodes_visited);
         }
-        // Each 4x step in bands may add at most ~4 levels of the walk
+        // Each 4x step in rows may add at most ~4 levels of the walk
         // (two root-to-rim paths, two levels per 4x).
         for w in visited_by_n.windows(2) {
             assert!(
@@ -1562,16 +1551,16 @@ mod tests {
     }
 
     #[test]
-    fn skip_list_matches_scan_on_adversarial_sets() {
+    fn cut_tree_matches_scan_on_adversarial_sets() {
         // The absorb path must stay faithful on irregular and
         // overlapping (non-partition) inputs, including queries whose
-        // edges coincide with band and cell boundaries.
+        // edges coincide with row and cell boundaries.
         let mut adversarial = staircase_cells(48);
         // Overlapping extras: break the disjointness invariant.
         adversarial.push((Rect::new(2.0, 3.0, 9.0, 11.5).unwrap(), 5.0));
         adversarial.push((Rect::new(1.0, 3.0, 4.0, 11.5).unwrap(), -3.0));
         for cells in [adaptive_cells(), adversarial] {
-            let index = BandIndex::build(&cells);
+            let index = CutTreeIndex::build(&cells);
             let bbox = cells
                 .iter()
                 .fold(None::<Rect>, |acc, (r, _)| {
@@ -1589,13 +1578,13 @@ mod tests {
                 .unwrap();
             let (x0, y0, x1, y1) = (bbox.x0(), bbox.y0(), bbox.x1(), bbox.y1());
             let (w, h) = (bbox.width(), bbox.height());
-            let wrapped = CellIndex::Bands(index);
+            let wrapped = CellIndex::CutTree(index);
             let mut queries = query_mix(&bbox);
             queries.extend([
                 // Wide interiors hitting the absorb path.
                 Rect::new(x0 - 1.0, y0 + 0.1 * h, x1 + 1.0, y1 - 0.1 * h).unwrap(),
                 Rect::new(x0 + 0.05 * w, y0 - 1.0, x1 - 0.05 * w, y1 + 1.0).unwrap(),
-                // Band-aligned edges: absorb boundaries exactly on y0/y1.
+                // Row-aligned edges: absorb boundaries exactly on y0/y1.
                 Rect::new(x0, y0 + 1.0, x1, y1 - 1.0).unwrap(),
             ]);
             assert_matches_scan(&cells, &wrapped, &queries);
@@ -2012,10 +2001,10 @@ mod tests {
     }
 
     #[test]
-    fn two_level_memory_is_below_the_band_index() {
+    fn two_level_memory_is_below_the_cut_tree() {
         // A large AG shape whose induced lattice exceeds the cap: every
-        // slot lattice is counted, and the total stays under the band
-        // index's.
+        // slot lattice is counted, and the total stays under the cut
+        // tree's.
         let domain = Domain::from_corners(0.0, 0.0, 60.0, 40.0).unwrap();
         let (cells, xs, ys) = ag_cells(domain, 40, |c, r| 1 + (c * 7 + r * 5) % 11);
         let index = CellIndex::build(&cells);
@@ -2030,7 +2019,7 @@ mod tests {
             .map(|s| s.sat.memory_bytes())
             .sum();
         assert!(two_level.memory_bytes() > slots + two_level.coarse.memory_bytes());
-        assert!(index.memory_bytes() < BandIndex::build(&cells).memory_bytes());
+        assert!(index.memory_bytes() < CutTreeIndex::build(&cells).memory_bytes());
         assert_matches_scan(&cells, &index, &random_queries(11, &xs, &ys, 100));
     }
 
@@ -2097,6 +2086,149 @@ mod tests {
         (rects.into_iter().enumerate())
             .map(|(i, r)| (r, (i % 9) as f64 - 3.0))
             .collect()
+    }
+
+    /// A random KD-like partition of `rect`, pushed to `cells` with its
+    /// edges: up to `depth` levels of splits, each along a random axis
+    /// into 2 to 4 parts of unequal widths (multi-way, like a hybrid
+    /// tree's quadtree levels), some parts left whole. With `pinwheels`,
+    /// some leaves become the five cells of a [`pinwheel`].
+    fn random_tree_cells(
+        rng: &mut StdRng,
+        rect: Rect,
+        depth: u32,
+        pinwheels: bool,
+        cells: &mut (Vec<(Rect, f64)>, Vec<f64>, Vec<f64>),
+    ) {
+        if depth == 0 || rng.random_range(0..6) == 0 {
+            let whirl = pinwheels && rng.random_range(0..4) == 0;
+            for r in if whirl { pinwheel(&rect) } else { vec![rect] } {
+                cells.1.extend([r.x0(), r.x1()]);
+                cells.2.extend([r.y0(), r.y1()]);
+                cells.0.push((r, rng.random_range(-20.0..40.0)));
+            }
+            return;
+        }
+        let along_x = rng.random_range(0..2) == 0;
+        let (lo, hi) = if along_x {
+            (rect.x0(), rect.x1())
+        } else {
+            (rect.y0(), rect.y1())
+        };
+        let parts = rng.random_range(2..5usize);
+        for cut in random_cuts(rng, lo, hi, parts).windows(2) {
+            let part = if along_x {
+                Rect::new(cut[0], rect.y0(), cut[1], rect.y1())
+            } else {
+                Rect::new(rect.x0(), cut[0], rect.x1(), cut[1])
+            };
+            random_tree_cells(rng, part.unwrap(), depth - 1, pinwheels, cells);
+        }
+    }
+
+    /// The five cells of a pinwheel tiling `r`: four arms around a centre
+    /// cell, each arm crossing one of the lines a cut could take, so no
+    /// line cuts them apart.
+    fn pinwheel(r: &Rect) -> Vec<Rect> {
+        let xs = [
+            r.x0(),
+            r.x0() + r.width() / 3.0,
+            r.x1() - r.width() / 3.0,
+            r.x1(),
+        ];
+        let ys = [
+            r.y0(),
+            r.y0() + r.height() / 3.0,
+            r.y1() - r.height() / 3.0,
+            r.y1(),
+        ];
+        [
+            (0, 0, 2, 1),
+            (2, 0, 3, 2),
+            (1, 2, 3, 3),
+            (0, 1, 1, 3),
+            (1, 1, 2, 2),
+        ]
+        .map(|(a, b, c, d)| Rect::new(xs[a], ys[b], xs[c], ys[d]).unwrap())
+        .to_vec()
+    }
+
+    proptest! {
+        /// Random KD-like trees, near the origin and near x ≈ 1e6, a third
+        /// of them with pinwheel leaves: the cut tree, and whichever path
+        /// `CellIndex` picks, match the scan. A guillotine partition (no
+        /// pinwheel) comes back as cuts alone, with no scan leaf.
+        #[test]
+        fn random_kd_trees_match_the_scan(seed in 0u64..1_000_000) {
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x7EE);
+            let far = if seed % 2 == 0 { 0.0 } else { 1.0e6 };
+            let pinwheels = seed % 3 == 0;
+            let (x0, y0) = (far + rng.random_range(-50.0..50.0), rng.random_range(-50.0..50.0));
+            let (w, h) = (rng.random_range(1.0..30.0), rng.random_range(1.0..30.0));
+            let rect = Rect::new(x0, y0, x0 + w, y0 + h).unwrap();
+            let mut out = (Vec::new(), Vec::new(), Vec::new());
+            random_tree_cells(&mut rng, rect, 6, pinwheels, &mut out);
+            let (cells, mut xs, mut ys) = out;
+            xs.sort_by(f64::total_cmp);
+            ys.sort_by(f64::total_cmp);
+            let mut queries = random_queries(seed, &xs, &ys, 60);
+            queries.push(rect);
+            let tree = CutTreeIndex::build(&cells);
+            if !pinwheels {
+                prop_assert!(tree.cells.is_empty(), "a guillotine partition needs no scan leaf");
+            }
+            assert_matches_scan(&cells, &CellIndex::CutTree(tree), &queries);
+            assert_matches_scan(&cells, &CellIndex::build(&cells), &queries);
+        }
+    }
+
+    /// A guillotine spiral of `n` cells: each cut peels one unit-wide
+    /// cell off the left, bottom, right or top of what is left, in turn,
+    /// so the cuts nest `n` deep. Returns the cells and their domain.
+    fn spiral_cells(n: usize) -> (Vec<(Rect, f64)>, Rect) {
+        let side = (n / 2 + 2) as f64;
+        let domain = Rect::new(0.0, 0.0, side, side).unwrap();
+        let [mut x0, mut y0, mut x1, mut y1] = [0.0, 0.0, side, side];
+        let mut cells = Vec::with_capacity(n);
+        for i in 0..n - 1 {
+            let peel = match i % 4 {
+                0 => [x0, y0, x0 + 1.0, y1],
+                1 => [x0, y0, x1, y0 + 1.0],
+                2 => [x1 - 1.0, y0, x1, y1],
+                _ => [x0, y1 - 1.0, x1, y1],
+            };
+            match i % 4 {
+                0 => x0 += 1.0,
+                1 => y0 += 1.0,
+                2 => x1 -= 1.0,
+                _ => y1 -= 1.0,
+            }
+            let rect = Rect::new(peel[0], peel[1], peel[2], peel[3]).unwrap();
+            cells.push((rect, (i % 5) as f64 + 1.0));
+        }
+        cells.push((Rect::new(x0, y0, x1, y1).unwrap(), 3.0));
+        (cells, domain)
+    }
+
+    #[test]
+    fn deep_spirals_build_and_answer_on_a_small_stack() {
+        // A spiral's cuts nest as deep as it has cells. Past the depth
+        // bound the rest is one scan leaf, so neither the build nor an
+        // answer recurses deeper, on a 2 MiB thread stack too.
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                let (cells, domain) = spiral_cells(100_000);
+                let tree = CutTreeIndex::build(&cells);
+                assert_eq!(tree.node_count(), 1 + 2 * MAX_TREE_DEPTH);
+                assert_eq!(tree.cells.len(), cells.len() - MAX_TREE_DEPTH);
+                let index = CellIndex::build(&cells);
+                assert!(matches!(index, CellIndex::CutTree(_)));
+                assert_matches_scan(&cells, &index, &query_mix(&domain));
+            })
+            .expect("a 2 MiB thread starts")
+            .join()
+            .expect("the spiral builds and answers");
     }
 
     #[test]

@@ -22,12 +22,37 @@ pub const MAX_GRID_CELLS: usize = 1 << 24;
 ///
 /// Values are stored row-major (`row * cols + col`). Cell `(0, 0)` is the
 /// lower-left corner of the domain.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct DenseGrid {
     domain: Domain,
     cols: usize,
     rows: usize,
     data: Vec<f64>,
+}
+
+/// Checks what [`DenseGrid::zeros`] checks, and that `data` holds one
+/// value per cell: a grid read from JSON answers through a summed-area
+/// table, which needs exactly that.
+impl Deserialize for DenseGrid {
+    fn deserialize_value(v: &serde::Value) -> std::result::Result<Self, serde::Error> {
+        const TY: &str = "DenseGrid";
+        let obj = (v.as_obj()).ok_or_else(|| serde::Error::msg("DenseGrid: not an object"))?;
+        let cols: usize = serde::field(obj, "cols", TY)?;
+        let rows: usize = serde::field(obj, "rows", TY)?;
+        let data: Vec<f64> = serde::field(obj, "data", TY)?;
+        let cells = (cols.checked_mul(rows)).filter(|&n| n > 0 && n <= MAX_GRID_CELLS);
+        if cells != Some(data.len()) {
+            let shape = format!("{TY}: {} values for {cols} × {rows} cells", data.len());
+            return Err(serde::Error::msg(shape));
+        }
+        let domain = serde::field(obj, "domain", TY)?;
+        Ok(DenseGrid {
+            domain,
+            cols,
+            rows,
+            data,
+        })
+    }
 }
 
 impl DenseGrid {
@@ -391,5 +416,25 @@ mod tests {
         let back: DenseGrid = serde_json::from_str(&json).unwrap();
         assert_eq!(back.values(), g.values());
         assert_eq!(back.domain(), g.domain());
+    }
+
+    #[test]
+    fn json_whose_data_disagrees_with_its_shape_fails_to_load() {
+        let json = serde_json::to_string(&DenseGrid::count(&toy_dataset(), 4, 4).unwrap()).unwrap();
+        for (from, to) in [
+            ("\"cols\":4", "\"cols\":5"),
+            ("\"rows\":4", "\"rows\":0"),
+            ("\"cols\":4", "\"cols\":0"),
+            ("\"cols\":4", "\"cols\":1e9"),
+            ("[1,1,0,0,", "["),
+        ] {
+            assert_eq!(json.matches(from).count(), 1, "fixture lacks {from}");
+            let edited = json.replacen(from, to, 1);
+            let err = serde_json::from_str::<DenseGrid>(&edited).unwrap_err();
+            assert!(
+                err.to_string().contains("DenseGrid"),
+                "{from} -> {to}: {err}"
+            );
+        }
     }
 }

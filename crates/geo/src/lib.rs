@@ -12,8 +12,9 @@
 //! * compiled query indexes over arbitrary cell partitions
 //!   ([`cell_index`]): a regular-lattice fast path, a coarse lattice of
 //!   per-slot sub-lattices for two-level partitions such as AG, and a
-//!   sorted row-band / interval fallback, all answering
-//!   uniformity-assumption range queries without scanning every cell;
+//!   tree of the cuts no cell straddles for the rest (KD trees), all
+//!   answering uniformity-assumption range queries without scanning
+//!   every cell;
 //! * deterministic synthetic [`generators`] reproducing the spatial
 //!   character of the four datasets used in the paper (road, checkin,
 //!   landmark, storage);
@@ -64,7 +65,7 @@ mod sat;
 mod synopsis;
 
 pub use cell_index::{
-    BandIndex, BandStabStats, CellIndex, LatticeIndex, TwoLevelIndex, TwoLevelStats,
+    CellIndex, CutTreeIndex, CutTreeStats, LatticeIndex, TwoLevelIndex, TwoLevelStats,
 };
 pub use dataset::GeoDataset;
 pub use domain::Domain;

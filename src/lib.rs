@@ -41,10 +41,11 @@
 //! whose slots each hold their own sub-lattice (two-level partitions
 //! such as AG: one coarse lookup for the fully covered slots, one strip
 //! lookup per coarse column or row the query's edges cut, and one per
-//! corner slot); or a sorted row-band / interval index (irregular
-//! partitions such as KD trees; its band segment tree doubles as a
-//! coarse y-skip-list, so wide queries absorb whole fully-covered band
-//! runs in O(log bands) instead of stabbing each band). A JSON release
+//! corner slot); or a tree of the cuts no cell straddles (irregular
+//! partitions such as KD trees, whose recursive splits it rebuilds from
+//! the flat leaf list: an answer adds the nodes the query covers from
+//! their totals and descends only along its rim, and a part no line
+//! cuts is scanned, so overlapping cells stay exact). A JSON release
 //! loaded from disk is exactly as fast to query as the in-memory type
 //! that produced it.
 //! Batch endpoints (`Synopsis::answer_all`) answer small query slices

@@ -2,7 +2,8 @@
 //!
 //! A `Release` answers through a compiled index — a lattice, a coarse
 //! lattice of per-slot sub-lattices (two-level partitions such as AG),
-//! or a row-band index; those answers must match the naive linear scan
+//! or a tree of the cuts no cell straddles (KD trees and other irregular
+//! partitions); those answers must match the naive linear scan
 //! over the released cells — the semantics the index replaces — to
 //! within 1e-9, for every producing method, over a mixed workload of
 //! domain-spanning, sliver, cell-aligned and miss queries.
@@ -160,7 +161,7 @@ fn adaptive_grid_equivalence() {
             let ag = AdaptiveGrid::build(&ds, &config, &mut rng(seed ^ 0xA)).unwrap();
             let release = Release::from_synopsis("AG", &ag);
             // AG's two-level partition compiles to a lattice, never to
-            // the band index; an induced lattice within the cap is kept.
+            // the cut tree; an induced lattice within the cap is kept.
             let kind = release.surface().kind();
             assert!(
                 matches!(kind, SurfaceKind::Lattice { .. }),
@@ -224,9 +225,9 @@ fn kd_tree_equivalence() {
     }
 }
 
-/// Wide queries over band-path releases: the y-skip-list absorbs whole
-/// fully-covered band runs through aggregated tree nodes, and must do
-/// so without drifting from the linear-scan semantics.
+/// Wide queries over cut-tree releases: the tree adds whole nodes and
+/// runs of sibling nodes the query covers from their totals, and must
+/// do so without drifting from the linear-scan semantics.
 #[test]
 fn band_skip_list_wide_query_equivalence() {
     for seed in [1u64, 2, 3] {
@@ -236,8 +237,8 @@ fn band_skip_list_wide_query_equivalence() {
         cfg.height = Some(8);
         let kd = KdStandard::build(&ds, &cfg, &mut rng(seed ^ 0xD)).unwrap();
         let release = Release::from_synopsis("Kst", &kd);
-        // KD leaves are irregular: the surface must be on the band path
-        // for this test to exercise the skip list at all.
+        // KD leaves are irregular: the surface must be on the cut tree
+        // (still reported as `Bands`) for this test to exercise it.
         assert!(matches!(
             release.surface().kind(),
             SurfaceKind::Bands { .. }
@@ -249,10 +250,10 @@ fn band_skip_list_wide_query_equivalence() {
             // Full domain and beyond (absorbs at or near the root).
             *domain,
             Rect::new(x0 - w, y0 - h, x0 + 2.0 * w, y0 + 2.0 * h).unwrap(),
-            // Full-x strips: interior bands fully covered, rim partial.
+            // Full-x strips: interior rows fully covered, rim partial.
             Rect::new(x0 - 1.0, y0 + 0.05 * h, x0 + w + 1.0, y0 + 0.95 * h).unwrap(),
             Rect::new(x0 - 1.0, y0 + 0.3 * h, x0 + w + 1.0, y0 + 0.7 * h).unwrap(),
-            // Full-y strips: every band partially covered in x.
+            // Full-y strips: every row partially covered in x.
             Rect::new(x0 + 0.1 * w, y0 - 1.0, x0 + 0.9 * w, y0 + h + 1.0).unwrap(),
             // Large interior boxes (mixed absorb + stab).
             Rect::new(x0 + 0.05 * w, y0 + 0.05 * h, x0 + 0.95 * w, y0 + 0.95 * h).unwrap(),
