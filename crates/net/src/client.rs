@@ -1,14 +1,30 @@
 //! The blocking client: one TCP connection speaking the binary wire
 //! protocol.
 //!
-//! A [`TcpClient`] issues one request frame at a time and blocks for
-//! the matching response (ids are checked, so a desynchronised
-//! connection fails loudly instead of mismatching answers) — or
-//! pipelines many id-correlated frames before draining their
-//! responses ([`TcpClient::query_pipelined`]). It is deliberately not
-//! `Sync` — open one client per thread (or pool clients with
-//! [`crate::TcpClientPool`]); the server side is built for many cheap
-//! connections.
+//! Every call a [`TcpClient`] makes is one *train* of binary frames:
+//! it encodes its request frames (one for [`TcpClient::query`], one
+//! per request for [`TcpClient::query_pipelined`] and
+//! [`TcpClient::submit_reports`]) back to back into one buffer, each
+//! under its own id, ships them in a single write, then reads the
+//! replies in lockstep. The server answers a connection's frames in
+//! arrival order, so reply `i` answers frame `i`. The train's rules:
+//!
+//! * Every frame is encoded before any byte is written, so a frame the
+//!   encoder refuses (past the payload cap, an unknown oracle) fails
+//!   the call with nothing sent.
+//! * An error reply under frame `i`'s own id fills slot `i`; the drain
+//!   goes on and the connection stays.
+//! * An error under another id (the server reports a frame it could
+//!   not attribute under id 0) belongs to the frame when the train
+//!   holds one. In a longer train it means the lockstep is lost: the
+//!   call fails with [`NetError::Protocol`] and the connection is
+//!   dropped, never reused desynchronised. So does any other reply
+//!   under a wrong id.
+//! * A reply that does not hold one answer per rect sent fails typed.
+//!
+//! The client is deliberately not `Sync` — open one client per thread
+//! (or pool clients with [`crate::TcpClientPool`]); the server side is
+//! built for many cheap connections.
 //!
 //! # The handshake
 //!
@@ -28,9 +44,9 @@
 //! finds the connection *stale* — broken pipe, reset, or EOF where a
 //! response was due, the signature of a server restart or an idle
 //! timeout — it reconnects (repeating the handshake) and resends that
-//! frame **once** before surfacing a [`NetError`]. One retry is safe
-//! because the read-path requests are all idempotent (queries, stats,
-//! keys, ping); it is capped at one so a dead server fails fast
+//! train **once** before surfacing a [`NetError`]. One retry is safe
+//! because the read-path requests are all idempotent (queries, windows,
+//! stats, keys, ping); it is capped at one so a dead server fails fast
 //! instead of retry-looping. The write path is the deliberate
 //! exception: `Report` batches mutate collector state, so
 //! [`TcpClient::submit_report`] and [`TcpClient::submit_reports`]
@@ -41,12 +57,12 @@
 //! without being rebuilt.
 
 use std::borrow::Borrow;
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 
 use dpgrid_geo::Rect;
 use dpgrid_serve::wire::{
-    binary, HelloOffer, RequestBody, ResponseBody, WireError, WireQuery, WireRect, WireReportBatch,
+    binary, HelloOffer, RequestBody, ResponseBody, WireError, WireRect, WireReportBatch,
     WireRequest, WireResponse, WireWindow,
 };
 use dpgrid_serve::{
@@ -74,22 +90,21 @@ pub const DEFAULT_IO_TIMEOUT: Duration = Duration::from_secs(30);
 /// start at 1).
 const HELLO_ID: u64 = 0;
 
-/// One live connection: buffered reader/writer halves of a stream
-/// that has acked the binary codec, and the reusable buffers binary
-/// framing encodes into (cleared, never shrunk — steady-state encoding
-/// allocates nothing).
+/// Per-slot outcomes of a train: a typed server error isolates to its
+/// own frame.
+type Slots<T> = Vec<std::result::Result<T, WireError>>;
+
+/// One live connection: a stream that has acked the binary codec,
+/// read through a buffer and written directly, plus the reusable
+/// buffers frames are encoded into and decoded from (cleared, never
+/// shrunk — steady-state encoding allocates nothing).
 #[derive(Debug)]
 struct Conn {
-    reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
-    /// Outbound frame bytes (payload of one frame, or many whole
-    /// frames when pipelining).
+    stream: BufReader<TcpStream>,
+    /// Outbound bytes: the whole frames of one train.
     out_buf: Vec<u8>,
-    /// Inbound payload bytes of the response being decoded.
+    /// Inbound payload bytes of the reply being decoded.
     in_buf: Vec<u8>,
-    /// Scratch for converting `Rect`s to wire rects without a fresh
-    /// allocation per pipelined frame.
-    rect_scratch: Vec<WireRect>,
 }
 
 impl Conn {
@@ -99,17 +114,15 @@ impl Conn {
         stream.set_read_timeout(io_timeout)?;
         stream.set_write_timeout(io_timeout)?;
         let mut conn = Conn {
-            reader: BufReader::new(stream.try_clone()?),
-            writer: BufWriter::new(stream),
+            stream: BufReader::new(stream),
             out_buf: Vec::new(),
             in_buf: Vec::new(),
-            rect_scratch: Vec::new(),
         };
         conn.handshake()?;
         Ok(conn)
     }
 
-    /// Offers the binary codec in a JSON `Hello` and requires the
+    /// Offers the binary codec in a JSON `Hello` line and requires the
     /// server to ack exactly that version; anything else fails typed.
     fn handshake(&mut self) -> Result<()> {
         let offer = WireRequest::new(
@@ -118,7 +131,16 @@ impl Conn {
                 max_version: binary::PROTOCOL_VERSION,
             }),
         );
-        match self.roundtrip_json(&offer.encode())?.body {
+        let mut line = offer.encode();
+        line.push('\n');
+        self.stream.get_mut().write_all(line.as_bytes())?;
+        line.clear();
+        if self.stream.read_line(&mut line)? == 0 {
+            return Err(NetError::Disconnected);
+        }
+        let ack = WireResponse::decode(line.trim_end_matches(['\r', '\n']))
+            .map_err(|e| NetError::Protocol(e.error.to_string()))?;
+        match ack.body {
             ResponseBody::Hello(ack) if ack.version == binary::PROTOCOL_VERSION => Ok(()),
             ResponseBody::Hello(ack) => Err(NetError::Protocol(format!(
                 "server acked protocol {}, this client speaks only binary v{}",
@@ -133,168 +155,54 @@ impl Conn {
         }
     }
 
-    /// One binary frame exchange.
-    fn exchange(&mut self, body: &RequestBody, id: u64) -> Result<ResponseBody> {
-        let response = self.roundtrip_binary(body, id)?;
-        // Typed server errors win over the id check: a frame the
-        // server could not attribute (oversized, unparseable) is
-        // reported under id 0, and this path is strictly
-        // request-response, so any error frame belongs to the
-        // in-flight request.
-        match response.body {
-            ResponseBody::Error(e) => Err(NetError::Server(e)),
-            body if response.id == id => Ok(body),
-            _ => Err(NetError::Protocol(format!(
-                "response id {} does not match request id {id}",
-                response.id
-            ))),
+    /// Sends a train of `n` frames under ids `first_id..first_id + n`
+    /// and reads its `n` replies in lockstep, by the rules in the
+    /// module docs. `encode(i, id, out)` appends frame `i`; `accept(i,
+    /// body)` turns the non-error reply to frame `i` into its result.
+    fn train<T>(
+        &mut self,
+        first_id: u64,
+        n: usize,
+        mut encode: impl FnMut(usize, u64, &mut Vec<u8>) -> std::result::Result<(), WireError>,
+        mut accept: impl FnMut(usize, ResponseBody) -> Result<T>,
+    ) -> Result<Slots<T>> {
+        self.out_buf.clear();
+        for i in 0..n {
+            encode(i, first_id + i as u64, &mut self.out_buf)
+                .map_err(|e| NetError::Protocol(e.to_string()))?;
         }
-    }
+        self.stream.get_mut().write_all(&self.out_buf)?;
 
-    /// Writes one JSON line and reads the response line — the
-    /// handshake's codec.
-    fn roundtrip_json(&mut self, frame: &str) -> Result<WireResponse> {
-        self.writer.write_all(frame.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
-
-        let mut line = String::new();
-        if self.reader.read_line(&mut line)? == 0 {
-            return Err(NetError::Disconnected);
+        let mut slots = Vec::with_capacity(n);
+        for i in 0..n {
+            let id = first_id + i as u64;
+            let reply = self.read_reply()?;
+            match reply.body {
+                ResponseBody::Error(e) if reply.id == id || n == 1 => slots.push(Err(e)),
+                body if reply.id == id => slots.push(Ok(accept(i, body)?)),
+                body => {
+                    return Err(NetError::Protocol(format!(
+                        "frame {id} of a {n}-frame train got a reply under id {}: {body:?}",
+                        reply.id
+                    )))
+                }
+            }
         }
-        WireResponse::decode(line.trim_end_matches(['\r', '\n']))
-            .map_err(|e| NetError::Protocol(e.error.to_string()))
+        Ok(slots)
     }
 
-    /// Writes one binary frame and reads the binary response.
-    fn roundtrip_binary(&mut self, body: &RequestBody, id: u64) -> Result<WireResponse> {
-        let frame_type = binary::encode_request_payload(body, &mut self.out_buf)
-            .map_err(|e| NetError::Protocol(e.to_string()))?;
-        let header = binary::encode_header(frame_type, id, self.out_buf.len());
-        self.writer.write_all(&header)?;
-        self.writer.write_all(&self.out_buf)?;
-        self.writer.flush()?;
-        self.read_binary_response()
-    }
-
-    /// Reads one binary response frame (header, then exactly the
-    /// declared payload) into the reusable inbound buffer.
-    fn read_binary_response(&mut self) -> Result<WireResponse> {
+    /// Reads one binary reply frame (header, then exactly the declared
+    /// payload) into the reusable inbound buffer.
+    fn read_reply(&mut self) -> Result<WireResponse> {
         let mut header_buf = [0u8; binary::HEADER_BYTES];
-        self.reader.read_exact(&mut header_buf)?;
+        self.stream.read_exact(&mut header_buf)?;
         let header =
             binary::decode_header(&header_buf).map_err(|e| NetError::Protocol(e.to_string()))?;
         self.in_buf.clear();
         self.in_buf.resize(header.payload_len, 0);
-        self.reader.read_exact(&mut self.in_buf)?;
+        self.stream.read_exact(&mut self.in_buf)?;
         binary::decode_response(&header, &self.in_buf)
             .map_err(|e| NetError::Protocol(e.to_string()))
-    }
-
-    /// Encodes all `requests` as id-correlated Query frames into one
-    /// buffer, ships them with a single write, then drains the
-    /// responses in order. Sound because the server answers each
-    /// connection's frames sequentially, in arrival order — response
-    /// `i` is always the answer to frame `i`.
-    fn pipeline_binary(
-        &mut self,
-        requests: &[QueryRequest],
-        first_id: u64,
-    ) -> Result<Vec<std::result::Result<QueryResponse, WireError>>> {
-        self.out_buf.clear();
-        for (i, request) in requests.iter().enumerate() {
-            self.rect_scratch.clear();
-            self.rect_scratch
-                .extend(request.rects.iter().map(WireRect::from));
-            binary::append_query(
-                first_id + i as u64,
-                &request.release_key,
-                &self.rect_scratch,
-                &mut self.out_buf,
-            )
-            .map_err(|e| NetError::Protocol(e.to_string()))?;
-        }
-        self.writer.get_mut().write_all(&self.out_buf)?;
-
-        let mut results = Vec::with_capacity(requests.len());
-        for (i, request) in requests.iter().enumerate() {
-            let expect = first_id + i as u64;
-            let response = self.read_binary_response()?;
-            match response.body {
-                // A per-frame failure under the frame's own id fails
-                // only its slot; the drain continues in lockstep.
-                ResponseBody::Error(e) if response.id == expect => results.push(Err(e)),
-                // An error the server could not attribute (id 0 or
-                // otherwise off-sequence) means the lockstep is gone:
-                // fail the whole call as a framing problem so the
-                // connection is poisoned, not reused desynchronised.
-                ResponseBody::Error(e) => {
-                    return Err(NetError::Protocol(format!(
-                        "pipelined frame {expect} got server error under id {}: {e}",
-                        response.id
-                    )));
-                }
-                ResponseBody::Answers(a) if response.id == expect => {
-                    one_answer_per_rect(request.rects.len(), a.answers.len())?;
-                    results.push(Ok(a.into_response()));
-                }
-                other => {
-                    return Err(NetError::Protocol(format!(
-                        "pipelined frame {expect} got {other:?} under id {}",
-                        response.id
-                    )));
-                }
-            }
-        }
-        Ok(results)
-    }
-
-    /// Encodes all `batches` as id-correlated Report frames, ships
-    /// them in one write, then drains the acks in order — the same
-    /// lockstep contract as [`Conn::pipeline_binary`]. Encoding is
-    /// all-or-nothing *before* the write: a batch the binary codec
-    /// refuses (unknown oracle string) fails the call with zero bytes
-    /// sent, so nothing is half-applied.
-    fn pipeline_reports<B: Borrow<ReportBatch>>(
-        &mut self,
-        batches: &[B],
-        first_id: u64,
-    ) -> Result<Vec<std::result::Result<ReportAck, WireError>>> {
-        self.out_buf.clear();
-        for (i, batch) in batches.iter().enumerate() {
-            let wire = WireReportBatch::from_batch(batch.borrow());
-            binary::append_report(first_id + i as u64, &wire, &mut self.out_buf)
-                .map_err(|e| NetError::Protocol(e.to_string()))?;
-        }
-        self.writer.get_mut().write_all(&self.out_buf)?;
-
-        let mut results = Vec::with_capacity(batches.len());
-        for i in 0..batches.len() {
-            let expect = first_id + i as u64;
-            let response = self.read_binary_response()?;
-            match response.body {
-                // A rejected batch (sealed epoch, ε mismatch, a
-                // read-only server's `MalformedRequest`) fails only its
-                // slot; the drain continues in lockstep.
-                ResponseBody::Error(e) if response.id == expect => results.push(Err(e)),
-                ResponseBody::Error(e) => {
-                    return Err(NetError::Protocol(format!(
-                        "pipelined report {expect} got server error under id {}: {e}",
-                        response.id
-                    )));
-                }
-                ResponseBody::Report(ack) if response.id == expect => {
-                    results.push(Ok(ack.into_ack()));
-                }
-                other => {
-                    return Err(NetError::Protocol(format!(
-                        "pipelined report {expect} got {other:?} under id {}",
-                        response.id
-                    )));
-                }
-            }
-        }
-        Ok(results)
     }
 }
 
@@ -348,7 +256,7 @@ impl TcpClient {
     pub fn with_io_timeout(mut self, timeout: Option<Duration>) -> Result<Self> {
         self.io_timeout = timeout;
         if let Some(conn) = &self.conn {
-            let stream = conn.reader.get_ref();
+            let stream = conn.stream.get_ref();
             stream.set_read_timeout(timeout)?;
             stream.set_write_timeout(timeout)?;
         }
@@ -403,17 +311,15 @@ impl TcpClient {
     /// large for one frame fails with [`NetError::Protocol`] before
     /// any byte of it is sent.
     pub fn query(&mut self, key: &str, rects: &[Rect]) -> Result<QueryResponse> {
-        let query = WireQuery {
-            release_key: key.to_string(),
-            rects: rects.iter().map(WireRect::from).collect(),
-        };
-        match self.call(RequestBody::Query(query))? {
-            ResponseBody::Answers(answers) => {
-                one_answer_per_rect(rects.len(), answers.answers.len())?;
-                Ok(answers.into_response())
-            }
-            other => Err(unexpected("Answers", &other)),
-        }
+        let id = self.take_ids(1);
+        only(self.with_retry(|conn| {
+            conn.train(
+                id,
+                1,
+                |_, id, out| binary::append_query(id, key, rects, out),
+                |_, body| answers(rects.len(), body),
+            )
+        })?)
     }
 
     /// Answers a sliding-window query: the server sums `keyspace`'s
@@ -449,7 +355,8 @@ impl TcpClient {
     }
 
     /// Submits one batch of locally-perturbed reports to the server's
-    /// collector and blocks for the ack. Typed collector rejections
+    /// collector and blocks for the ack: a train of one
+    /// [`TcpClient::submit_reports`]. Typed collector rejections
     /// (sealed epoch, ε mismatch, overflow) come back as
     /// [`NetError::Server`]; a read-only server, which has no
     /// collector, answers `MalformedRequest`.
@@ -461,17 +368,12 @@ impl TcpClient {
     /// who knows whether their reports are deduplicable — decides
     /// whether to re-submit.
     pub fn submit_report(&mut self, batch: &ReportBatch) -> Result<ReportAck> {
-        let body = RequestBody::Report(WireReportBatch::from_batch(batch));
-        let id = self.take_ids(1);
-        match self.with_conn(|conn| conn.exchange(&body, id))? {
-            ResponseBody::Report(ack) => Ok(ack.into_ack()),
-            other => Err(unexpected("Report", &other)),
-        }
+        only(self.submit_reports(std::slice::from_ref(batch))?)
     }
 
-    /// Submits several report batches by **pipelining** one Report
-    /// frame per batch: all frames ship in a single write, then the
-    /// acks are drained in order, so the socket stays busy instead of
+    /// Submits several report batches as one train, one Report frame
+    /// per batch: all frames ship in a single write, then the acks are
+    /// drained in order, so the socket stays busy instead of
     /// ping-ponging per batch — this is the ingestion fast path.
     /// Per-batch rejections are isolated in the inner results; the
     /// outer `Result` is the transport.
@@ -489,51 +391,32 @@ impl TcpClient {
             return Ok(Vec::new());
         }
         let first_id = self.take_ids(batches.len());
-        self.with_conn(|conn| conn.pipeline_reports(batches, first_id))
+        self.with_conn(|conn| {
+            conn.train(
+                first_id,
+                batches.len(),
+                |i, id, out| {
+                    let wire = WireReportBatch::from_batch(batches[i].borrow());
+                    binary::append_report(id, &wire, out)
+                },
+                |_, body| match body {
+                    ResponseBody::Report(ack) => Ok(ack.into_ack()),
+                    other => Err(unexpected("Report", &other)),
+                },
+            )
+        })
     }
 
-    /// Answers several requests (possibly across releases) in one
-    /// round trip. The outer `Result` is the transport; each inner
-    /// result is that query's own outcome, failures isolated exactly
+    /// Answers several requests (possibly across releases) as one
+    /// train, one Query frame per request: all frames are encoded into
+    /// one buffer and shipped in a single write, then the replies are
+    /// drained in order — the socket stays busy instead of
+    /// ping-ponging per request, which is what keeps a shard router's
+    /// scatter leg fed. The outer `Result` is the transport; each
+    /// inner result is that request's own outcome, failures isolated
     /// as in [`dpgrid_serve::QueryEngine::answer_batch`].
-    pub fn query_batch(
-        &mut self,
-        requests: &[QueryRequest],
-    ) -> Result<Vec<std::result::Result<QueryResponse, WireError>>> {
-        let queries = requests.iter().map(WireQuery::from_request).collect();
-        match self.call(RequestBody::Batch(queries))? {
-            ResponseBody::Batch(outcomes) => {
-                if outcomes.len() != requests.len() {
-                    return Err(NetError::Protocol(format!(
-                        "batch of {} queries got {} outcomes",
-                        requests.len(),
-                        outcomes.len()
-                    )));
-                }
-                outcomes
-                    .into_iter()
-                    .zip(requests)
-                    .map(|(outcome, request)| match outcome {
-                        dpgrid_serve::wire::WireOutcome::Answered(a) => {
-                            one_answer_per_rect(request.rects.len(), a.answers.len())?;
-                            Ok(Ok(a.into_response()))
-                        }
-                        dpgrid_serve::wire::WireOutcome::Failed(e) => Ok(Err(e)),
-                    })
-                    .collect()
-            }
-            other => Err(unexpected("Batch", &other)),
-        }
-    }
-
-    /// Answers several requests by **pipelining** one Query frame per
-    /// request: all frames are encoded into one buffer and shipped in
-    /// a single write, then the responses are drained in order — the
-    /// socket stays busy instead of ping-ponging per request, which
-    /// is what keeps a shard router's scatter leg fed. Failures are
-    /// isolated per request exactly as in [`TcpClient::query_batch`].
     ///
-    /// The stale-connection retry covers the whole pipeline: ids are
+    /// The stale-connection retry covers the whole train: ids are
     /// re-issued on the fresh connection, and reads are idempotent.
     pub fn query_pipelined(
         &mut self,
@@ -543,14 +426,31 @@ impl TcpClient {
             return Ok(Vec::new());
         }
         let first_id = self.take_ids(requests.len());
-        self.with_retry(|conn| conn.pipeline_binary(requests, first_id))
+        self.with_retry(|conn| {
+            conn.train(
+                first_id,
+                requests.len(),
+                |i, id, out| {
+                    binary::append_query(id, &requests[i].release_key, &requests[i].rects, out)
+                },
+                |i, body| answers(requests[i].rects.len(), body),
+            )
+        })
     }
 
-    /// Sends one idempotent read frame and blocks for its response,
-    /// with the stale-connection resend of [`TcpClient::with_retry`].
+    /// Sends one idempotent read frame as a train of one and returns
+    /// its reply, with the stale-connection resend of
+    /// [`TcpClient::with_retry`].
     fn call(&mut self, body: RequestBody) -> Result<ResponseBody> {
-        let id = self.take_ids(1);
-        self.with_retry(|conn| conn.exchange(&body, id))
+        let request = WireRequest::new(self.take_ids(1), body);
+        only(self.with_retry(|conn| {
+            conn.train(
+                request.id,
+                1,
+                |_, _, out| binary::append_request(&request, out),
+                |_, body| Ok(body),
+            )
+        })?)
     }
 
     /// Reserves `n` consecutive request ids, returning the first.
@@ -605,6 +505,25 @@ fn is_stale_connection(e: &NetError) -> bool {
                 | std::io::ErrorKind::UnexpectedEof
         ),
         NetError::Protocol(_) | NetError::Server(_) => false,
+    }
+}
+
+/// The outcome of a train of one: its slot, a server error typed.
+fn only<T>(mut slots: Slots<T>) -> Result<T> {
+    slots
+        .pop()
+        .expect("a train of one fills one slot")
+        .map_err(NetError::Server)
+}
+
+/// The response an `Answers` reply to a query of `rects` rects carries.
+fn answers(rects: usize, body: ResponseBody) -> Result<QueryResponse> {
+    match body {
+        ResponseBody::Answers(answers) => {
+            one_answer_per_rect(rects, answers.answers.len())?;
+            Ok(answers.into_response())
+        }
+        other => Err(unexpected("Answers", &other)),
     }
 }
 

@@ -409,18 +409,22 @@ impl MuxConn {
         if frame.is_empty() {
             return;
         }
-        if let Some((id, client_max)) = wire::parse_hello(frame) {
-            let version = wire::negotiate(client_max, binary::PROTOCOL_VERSION);
-            self.respond_json(&wire::hello_ack(id, version), counters);
-            if version == binary::PROTOCOL_VERSION {
-                // The rest of `in_buf` (frames an optimistic client
-                // pipelined behind its offer) now parses as binary.
-                self.codec = Codec::Binary;
-                self.scan_from = 0;
-            }
-            return;
-        }
         let response = match wire::WireRequest::decode(frame) {
+            Ok(wire::WireRequest {
+                id,
+                body: wire::RequestBody::Hello(offer),
+                ..
+            }) => {
+                let version = wire::negotiate(offer.max_version, binary::PROTOCOL_VERSION);
+                self.respond_json(&wire::hello_ack(id, version), counters);
+                if version == binary::PROTOCOL_VERSION {
+                    // The rest of `in_buf` (frames an optimistic client
+                    // pipelined behind its offer) now parses as binary.
+                    self.codec = Codec::Binary;
+                    self.scan_from = 0;
+                }
+                return;
+            }
             Ok(request) => {
                 counters.add(&counters.frames_decoded, 1);
                 wire::dispatch(service, request.id, request.body)

@@ -3,8 +3,9 @@
 //! This crate is the network layer over
 //! [`dpgrid_serve::QueryService`]: a std-only TCP server
 //! ([`TcpServer`] — a small pool of readiness-multiplexed event loops
-//! with graceful shutdown), a blocking client ([`TcpClient`], with
-//! one-shot reconnection and request pipelining), a reconnecting
+//! with graceful shutdown), a blocking client ([`TcpClient`], which
+//! sends every call as one pipelined train of binary frames and
+//! redials once), a reconnecting
 //! connection pool ([`TcpClientPool`]), the remote leg of the sharded
 //! serving tier ([`RemoteShard`]) and the write-path fan-out for LDP
 //! report ingestion ([`ReportRouter`]) — all speaking the versioned
@@ -172,15 +173,22 @@
 //! Payloads carry rectangles and answers as raw `f64` arrays (no text
 //! round-trip — the dominant cost of v1 at serving batch sizes) and
 //! strings as length-prefixed UTF-8; both sides encode into reusable
-//! per-connection buffers, the server writes header + payload with one
-//! vectored write, and clients may **pipeline**: write N id-correlated
-//! request frames in one burst, then read the N responses in order
-//! ([`TcpClient::query_pipelined`], used by [`RemoteShard`] for every
-//! scattered sub-batch). Malformed *payloads* under intact framing get
-//! typed `MalformedRequest` replies and the connection survives;
-//! anything that destroys byte framing — wrong magic, an over-cap
-//! length prefix, a truncated frame — is answered typed and the
-//! connection closed, exactly as v1 treats its 16 MiB flood guard.
+//! per-connection buffers, and the server writes header + payload with
+//! one vectored write. The server answers each connection's frames in
+//! arrival order, so a client may **pipeline**: write N id-correlated
+//! request frames in one burst, then read the N responses in order.
+//! [`TcpClient`] sends every call that way, as one train of one or more
+//! frames ([`TcpClient::query_pipelined`], used by [`RemoteShard`] for
+//! every scattered sub-batch; [`TcpClient::submit_reports`] on the write
+//! path). The `Batch` request kind stays in both codecs for raw-line
+//! and hand-built peers, but no client sends it. Since one connection's
+//! frames are answered one after another, parallelism over TCP comes
+//! from several connections ([`TcpClientPool`], [`RemoteShard`]), not
+//! from one many-request frame. Malformed *payloads* under intact
+//! framing get typed `MalformedRequest` replies and the connection
+//! survives; anything that destroys byte framing — wrong magic, an
+//! over-cap length prefix, a truncated frame — is answered typed and
+//! the connection closed, exactly as v1 treats its 16 MiB flood guard.
 //! NaN/infinite coordinates travel bit-exactly in v2 (unlike JSON's
 //! `null` detour) and are rejected by the same boundary validation, so
 //! codec choice never changes what reaches an engine.
@@ -367,7 +375,7 @@ mod tests {
         assert_eq!(remote.version, 1);
 
         let outcomes = client
-            .query_batch(&[
+            .query_pipelined(&[
                 QueryRequest::new("b", vec![q]),
                 QueryRequest::new("nope", vec![q]),
             ])
@@ -430,6 +438,68 @@ mod tests {
         }
         drop(client);
         fake.join().unwrap();
+    }
+
+    #[test]
+    fn unattributed_errors_in_a_longer_train_drop_the_connection() {
+        // In a train of three, an error under id 0 belongs to no frame:
+        // the lockstep is lost, so the call fails as a protocol error
+        // and the next call redials (the fake sees a second `Hello`)
+        // instead of reading the train's stray replies.
+        use dpgrid_serve::wire::{binary, hello_ack, WireError};
+        use std::io::Read;
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let fake = std::thread::spawn(move || {
+            let mut hellos = 0;
+            let mut open = Vec::new();
+            for reply in [None, Some(ResponseBody::Pong)] {
+                let (stream, _) = listener.accept().unwrap();
+                let mut peer = BufReader::new(stream);
+                let mut offer = String::new();
+                peer.read_line(&mut offer).unwrap();
+                let offer = WireRequest::decode(offer.trim_end()).unwrap();
+                assert!(matches!(offer.body, RequestBody::Hello(_)), "{offer:?}");
+                hellos += 1;
+                let mut out = hello_ack(0, binary::PROTOCOL_VERSION).encode().into_bytes();
+                out.push(b'\n');
+                peer.get_mut().write_all(&out).unwrap();
+                // Read the first frame only; answer it under id 0 on
+                // the first connection, in lockstep on the second.
+                let mut head = [0u8; binary::HEADER_BYTES];
+                peer.read_exact(&mut head).unwrap();
+                let header = binary::decode_header(&head).unwrap();
+                peer.read_exact(&mut vec![0u8; header.payload_len]).unwrap();
+                let response = match reply {
+                    None => WireResponse::error(
+                        0,
+                        WireError::new(ErrorCode::MalformedRequest, "frame exceeds the cap"),
+                    ),
+                    Some(body) => WireResponse::new(header.id, body),
+                };
+                binary::encode_response(&response, &mut out).unwrap();
+                peer.get_mut().write_all(&out).unwrap();
+                open.push(peer);
+            }
+            // Hold both connections until the client hangs up.
+            let _ = open[1].read(&mut [0u8; 1]);
+            hellos
+        });
+        let mut client = TcpClient::connect(addr).unwrap();
+        let q = Rect::new(-120.0, 20.0, -90.0, 40.0).unwrap();
+        let train = [
+            QueryRequest::new("a", vec![q]),
+            QueryRequest::new("b", vec![q]),
+            QueryRequest::new("c", vec![q]),
+        ];
+        match client.query_pipelined(&train) {
+            Err(NetError::Protocol(why)) => assert!(why.contains("under id 0"), "{why}"),
+            other => panic!("expected a protocol error, got {other:?}"),
+        }
+        assert!(!client.is_connected());
+        client.ping().unwrap();
+        drop(client);
+        assert_eq!(fake.join().unwrap(), 2);
     }
 
     #[test]
@@ -597,7 +667,6 @@ mod tests {
         assert!(short(client.query(&key, &rects).unwrap_err()));
         assert!(short(client.window("taxi", 0, 1, &rects).unwrap_err()));
         let requests = [QueryRequest::new(key.clone(), rects.to_vec())];
-        assert!(short(client.query_batch(&requests).unwrap_err()));
         assert!(short(client.query_pipelined(&requests).unwrap_err()));
         // A one-rect query comes back empty, also typed.
         assert!(matches!(
@@ -699,6 +768,40 @@ mod tests {
         // Sealing turns the epoch into an ordinary served release.
         service.publish_open_epoch(&mut service.inner()).unwrap();
         assert_eq!(client.keys().unwrap(), vec!["taxi@epoch:0".to_string()]);
+        server.shutdown();
+    }
+
+    #[test]
+    fn report_trains_are_not_resent_across_a_server_restart() {
+        let service = collecting("taxi");
+        let server = TcpServer::bind(Arc::clone(&service), "127.0.0.1:0").unwrap();
+        let addr = server.local_addr();
+        let eps = service.with_collector(|c| c.open_epsilon().unwrap());
+        let mut client = TcpClient::connect(addr).unwrap();
+        client
+            .submit_reports(&[grr_batch("taxi", 0, eps, vec![1])])
+            .unwrap();
+        server.shutdown();
+
+        // Restart on the same port with a fresh collector. The stranded
+        // train dies with the old connection and is not resent: the
+        // server may or may not have applied a written report, so only
+        // the caller can decide to submit again.
+        let fresh = collecting("taxi");
+        let server = TcpServer::bind(Arc::clone(&fresh), addr).unwrap();
+        let train = [
+            grr_batch("taxi", 0, eps, vec![2, 3]),
+            grr_batch("taxi", 0, eps, vec![4]),
+        ];
+        assert!(client.submit_reports(&train).is_err());
+        assert!(!client.is_connected());
+        assert_eq!(fresh.with_collector(|c| c.open_reports()), 0);
+
+        // The next call redials once, and its reports count once.
+        let acks = client.submit_reports(&train).unwrap();
+        assert!(acks.iter().all(|ack| ack.is_ok()), "{acks:?}");
+        assert_eq!(fresh.with_collector(|c| c.open_reports()), 3);
+        assert_eq!(server.transport_stats().accepted, 1);
         server.shutdown();
     }
 

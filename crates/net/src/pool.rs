@@ -1,7 +1,7 @@
 //! A small reconnecting pool of [`TcpClient`] connections to one
 //! server.
 //!
-//! [`TcpClient`] is deliberately not `Sync` (one in-flight frame per
+//! [`TcpClient`] is deliberately not `Sync` (one in-flight train per
 //! connection), but a sharded router fans sub-batches out from many
 //! threads at once. [`TcpClientPool`] bridges the two: callers borrow
 //! a connection for one call ([`TcpClientPool::with_client`]), idle

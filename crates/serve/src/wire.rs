@@ -219,10 +219,11 @@ pub struct WireWindowAnswers {
 
 impl WireWindowAnswers {
     /// Builds the wire form of an in-process
-    /// [`WindowAnswer`](crate::window::WindowAnswer).
-    pub fn from_answer(answer: &crate::window::WindowAnswer) -> Self {
+    /// [`WindowAnswer`](crate::window::WindowAnswer), moving its
+    /// keyspace and answers into the frame.
+    pub fn from_answer(answer: crate::window::WindowAnswer) -> Self {
         WireWindowAnswers {
-            keyspace: answer.keyspace.clone(),
+            keyspace: answer.keyspace,
             covered: answer
                 .covered
                 .iter()
@@ -231,7 +232,7 @@ impl WireWindowAnswers {
                     end: r.end,
                 })
                 .collect(),
-            answers: answer.answers.clone(),
+            answers: answer.answers,
         }
     }
 
@@ -259,14 +260,6 @@ impl WireWindowAnswers {
 }
 
 impl WireQuery {
-    /// Builds the wire form of an in-process [`QueryRequest`].
-    pub fn from_request(request: &QueryRequest) -> Self {
-        WireQuery {
-            release_key: request.release_key.clone(),
-            rects: request.rects.iter().map(WireRect::from).collect(),
-        }
-    }
-
     /// Validates every rectangle, producing the typed in-process
     /// request. Fails on the first invalid rectangle with its index.
     pub fn validate(&self) -> crate::Result<QueryRequest> {
@@ -608,13 +601,14 @@ pub struct WireAnswers {
 }
 
 impl WireAnswers {
-    /// Builds the wire form of an in-process [`QueryResponse`].
-    pub fn from_response(response: &QueryResponse) -> Self {
+    /// Builds the wire form of an in-process [`QueryResponse`],
+    /// moving its key and answers into the frame.
+    pub fn from_response(response: QueryResponse) -> Self {
         WireAnswers {
-            release_key: response.release_key.clone(),
+            release_key: response.release_key,
             version: response.version,
             cache: response.cache,
-            answers: response.answers.clone(),
+            answers: response.answers,
         }
     }
 
@@ -927,24 +921,10 @@ pub fn negotiate(client_max: u32, server_max: u32) -> u32 {
     client_max.min(server_max).max(PROTOCOL_VERSION)
 }
 
-/// Decodes `line` as a [`RequestBody::Hello`] offer, returning its
-/// `(id, max_version)`. `None` for anything else — including frames
-/// that fail to decode, which the caller hands to [`handle_frame`] for
-/// the usual typed error. Transports with a binary mode call this on
-/// each JSON line *before* [`handle_frame`], because switching codecs
-/// is connection state only the transport holds.
-pub fn parse_hello(line: &str) -> Option<(u64, u32)> {
-    match WireRequest::decode(line) {
-        Ok(WireRequest {
-            id,
-            body: RequestBody::Hello(offer),
-            ..
-        }) => Some((id, offer.max_version)),
-        _ => None,
-    }
-}
-
-/// The negotiation answer a transport sends after [`parse_hello`].
+/// The negotiation answer to a [`RequestBody::Hello`] offer. A
+/// transport with a binary mode matches `Hello` on each decoded JSON
+/// line *before* [`dispatch`] and answers it with this, because
+/// switching codecs is connection state only the transport holds.
 pub fn hello_ack(id: u64, version: u32) -> WireResponse {
     WireResponse::new(id, ResponseBody::Hello(HelloAck { version }))
 }
@@ -999,7 +979,7 @@ pub fn dispatch<S: QueryService + ?Sized>(service: &S, id: u64, body: RequestBod
             Ok(query) => match crate::window::answer_window(service, &query) {
                 Ok(answer) => WireResponse::new(
                     id,
-                    ResponseBody::Window(WireWindowAnswers::from_answer(&answer)),
+                    ResponseBody::Window(WireWindowAnswers::from_answer(answer)),
                 ),
                 Err(e) => WireResponse::error(id, WireError::from_serve(&e)),
             },
@@ -1011,7 +991,7 @@ pub fn dispatch<S: QueryService + ?Sized>(service: &S, id: u64, body: RequestBod
                 match results.pop() {
                     Some(Ok(response)) => WireResponse::new(
                         id,
-                        ResponseBody::Answers(WireAnswers::from_response(&response)),
+                        ResponseBody::Answers(WireAnswers::from_response(response)),
                     ),
                     Some(Err(e)) => WireResponse::error(id, WireError::from_serve(&e)),
                     None => WireResponse::error(
@@ -1042,7 +1022,7 @@ pub fn dispatch<S: QueryService + ?Sized>(service: &S, id: u64, body: RequestBod
                 if slot.is_none() {
                     *slot = Some(match results.next() {
                         Some(Ok(response)) => {
-                            WireOutcome::Answered(WireAnswers::from_response(&response))
+                            WireOutcome::Answered(WireAnswers::from_response(response))
                         }
                         Some(Err(e)) => WireOutcome::Failed(WireError::from_serve(&e)),
                         None => WireOutcome::Failed(WireError::new(

@@ -91,12 +91,19 @@
 //!
 //! Encoders append into a caller-owned `Vec<u8>` that is cleared, not
 //! shrunk — a connection reusing one buffer per direction reaches a
-//! steady state where encoding allocates nothing. Decoders borrow the
-//! payload slice and allocate only the owned frame values they return.
-//! Servers encode each response whole ([`encode_response`]) into a
-//! recycled buffer and gather queued frames into one vectored write;
-//! clients append whole frames back to back ([`append_request`]) to
-//! pipeline many requests into one write.
+//! steady state where encoding allocates nothing. Every encoder is a
+//! front for one private frame writer, which reserves the header slot,
+//! writes the payload, checks it against [`MAX_PAYLOAD_BYTES`], unwinds
+//! a refused frame and fills in the header, so each public encoder
+//! differs only in where its payload comes from. Servers encode each
+//! response whole ([`encode_response`]) into a recycled buffer and
+//! gather queued frames into one vectored write; clients append whole
+//! frames back to back ([`append_request`], [`append_query`],
+//! [`append_report`]) and ship a train of them in one write. Decoders
+//! borrow the payload slice and allocate only the owned frame values
+//! they return.
+
+use dpgrid_geo::Rect;
 
 use super::{
     ErrorCode, OverloadInfo, RequestBody, ResponseBody, WireAnswers, WireEpochSpan, WireError,
@@ -245,17 +252,6 @@ pub fn decode_header(bytes: &[u8; HEADER_BYTES]) -> Result<FrameHeader, WireErro
     })
 }
 
-/// Encodes one request's payload into `out` (cleared first, capacity
-/// kept), returning the frame type byte for [`encode_header`]. Fails
-/// for [`RequestBody::Hello`] — negotiation frames travel as JSON v1
-/// by definition — and for a payload past [`MAX_PAYLOAD_BYTES`].
-pub fn encode_request_payload(body: &RequestBody, out: &mut Vec<u8>) -> Result<u8, WireError> {
-    out.clear();
-    let frame_type = append_request_payload(body, out)?;
-    check_payload_len(out.len())?;
-    Ok(frame_type)
-}
-
 /// Encodes one complete request frame (header + payload) into `out`
 /// (cleared first, capacity kept).
 pub fn encode_request(request: &WireRequest, out: &mut Vec<u8>) -> Result<(), WireError> {
@@ -264,106 +260,90 @@ pub fn encode_request(request: &WireRequest, out: &mut Vec<u8>) -> Result<(), Wi
 }
 
 /// Appends one complete request frame to `out` **without clearing
-/// it** — the pipelining primitive: a client encodes N id-correlated
-/// frames back to back into one buffer and ships them with one write.
-/// A refused frame (Hello, oversized) leaves `out` exactly as it was.
+/// it**, so a client can put N id-correlated frames back to back in
+/// one buffer and ship them with one write. Fails for
+/// [`RequestBody::Hello`] (negotiation frames travel as JSON v1 by
+/// definition) and for a payload past [`MAX_PAYLOAD_BYTES`]; a refused
+/// frame leaves `out` exactly as it was.
 pub fn append_request(request: &WireRequest, out: &mut Vec<u8>) -> Result<(), WireError> {
-    let start = out.len();
-    out.extend_from_slice(&[0u8; HEADER_BYTES]);
-    let frame_type = match append_request_payload(&request.body, out) {
-        Ok(frame_type) => frame_type,
-        Err(e) => {
-            out.truncate(start);
-            return Err(e);
-        }
-    };
-    let payload_len = out.len() - start - HEADER_BYTES;
-    if let Err(e) = check_payload_len(payload_len) {
-        out.truncate(start);
-        return Err(e);
-    }
-    out[start..start + HEADER_BYTES].copy_from_slice(&encode_header(
-        frame_type,
-        request.id,
-        payload_len,
-    ));
-    Ok(())
+    append_frame(request.id, out, |out| {
+        append_request_payload(&request.body, out)
+    })
 }
 
-/// Appends one complete Query frame encoded straight from its parts —
-/// the pipelining client's hot path, skipping the owned
-/// [`WireQuery`]. Same unwind guarantee as [`append_request`].
+/// Appends one complete Query frame encoded straight from the caller's
+/// key and rects, with no owned [`WireQuery`] in between. Same bytes
+/// and same refusal rules as [`append_request`].
 pub fn append_query(
     id: u64,
     release_key: &str,
-    rects: &[WireRect],
+    rects: &[Rect],
     out: &mut Vec<u8>,
 ) -> Result<(), WireError> {
-    let start = out.len();
-    out.extend_from_slice(&[0u8; HEADER_BYTES]);
-    put_str(out, release_key);
-    put_u32(out, rects.len());
-    for rect in rects {
-        put_rect(out, rect);
-    }
-    let payload_len = out.len() - start - HEADER_BYTES;
-    if let Err(e) = check_payload_len(payload_len) {
-        out.truncate(start);
-        return Err(e);
-    }
-    out[start..start + HEADER_BYTES].copy_from_slice(&encode_header(
-        frame_type::QUERY,
-        id,
-        payload_len,
-    ));
-    Ok(())
+    append_frame(id, out, |out| {
+        put_query(out, release_key, rects.iter().map(WireRect::from));
+        Ok(frame_type::QUERY)
+    })
 }
 
 /// Appends one complete Report frame encoded straight from a borrowed
-/// batch — the report-submitting client's hot path, skipping the owned
-/// [`RequestBody`]. Same unwind guarantee as [`append_request`].
+/// batch, with no owned [`RequestBody`] in between. Same bytes and
+/// same refusal rules as [`append_request`].
 pub fn append_report(id: u64, batch: &WireReportBatch, out: &mut Vec<u8>) -> Result<(), WireError> {
-    let start = out.len();
-    out.extend_from_slice(&[0u8; HEADER_BYTES]);
-    if let Err(e) = put_report(out, batch) {
-        out.truncate(start);
-        return Err(e);
-    }
-    let payload_len = out.len() - start - HEADER_BYTES;
-    if let Err(e) = check_payload_len(payload_len) {
-        out.truncate(start);
-        return Err(e);
-    }
-    out[start..start + HEADER_BYTES].copy_from_slice(&encode_header(
-        frame_type::REPORT,
-        id,
-        payload_len,
-    ));
-    Ok(())
+    append_frame(id, out, |out| {
+        put_report(out, batch)?;
+        Ok(frame_type::REPORT)
+    })
 }
 
 /// Encodes one complete response frame (header + payload) into `out`
 /// (cleared first, capacity kept).
 pub fn encode_response(response: &WireResponse, out: &mut Vec<u8>) -> Result<(), WireError> {
     out.clear();
+    append_frame(response.id, out, |out| {
+        append_response_payload(&response.body, out)
+    })
+}
+
+/// The one frame writer: reserves the header slot at the end of `out`,
+/// lets `payload` write the payload and name the frame type, checks the
+/// cap and fills in the header. A refused frame (the payload writer
+/// fails, or the payload is past [`MAX_PAYLOAD_BYTES`]) is unwound, so
+/// `out` holds only whole frames.
+fn append_frame(
+    id: u64,
+    out: &mut Vec<u8>,
+    payload: impl FnOnce(&mut Vec<u8>) -> Result<u8, WireError>,
+) -> Result<(), WireError> {
+    let start = out.len();
     out.extend_from_slice(&[0u8; HEADER_BYTES]);
-    let frame_type = append_response_payload(&response.body, out)?;
-    let payload_len = out.len() - HEADER_BYTES;
-    check_payload_len(payload_len)?;
-    out[..HEADER_BYTES].copy_from_slice(&encode_header(frame_type, response.id, payload_len));
-    Ok(())
+    let header = payload(out).and_then(|frame_type| {
+        let payload_len = out.len() - start - HEADER_BYTES;
+        check_payload_len(payload_len)?;
+        Ok(encode_header(frame_type, id, payload_len))
+    });
+    match header {
+        Ok(header) => {
+            out[start..start + HEADER_BYTES].copy_from_slice(&header);
+            Ok(())
+        }
+        Err(e) => {
+            out.truncate(start);
+            Err(e)
+        }
+    }
 }
 
 fn append_request_payload(body: &RequestBody, out: &mut Vec<u8>) -> Result<u8, WireError> {
     Ok(match body {
         RequestBody::Query(query) => {
-            put_query(out, query);
+            put_query(out, &query.release_key, query.rects.iter().copied());
             frame_type::QUERY
         }
         RequestBody::Batch(queries) => {
             put_u32(out, queries.len());
             for query in queries {
-                put_query(out, query);
+                put_query(out, &query.release_key, query.rects.iter().copied());
             }
             frame_type::BATCH
         }
@@ -374,10 +354,7 @@ fn append_request_payload(body: &RequestBody, out: &mut Vec<u8>) -> Result<u8, W
             put_str(out, &window.keyspace);
             put_u64(out, window.epoch_start);
             put_u64(out, window.epoch_end);
-            put_u32(out, window.rects.len());
-            for rect in &window.rects {
-                put_rect(out, rect);
-            }
+            put_rects(out, window.rects.iter().copied());
             frame_type::WINDOW
         }
         RequestBody::Report(batch) => {
@@ -612,19 +589,19 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
-fn put_rect(out: &mut Vec<u8>, rect: &WireRect) {
-    put_f64(out, rect.x0);
-    put_f64(out, rect.y0);
-    put_f64(out, rect.x1);
-    put_f64(out, rect.y1);
+fn put_rects(out: &mut Vec<u8>, rects: impl ExactSizeIterator<Item = WireRect>) {
+    put_u32(out, rects.len());
+    for rect in rects {
+        put_f64(out, rect.x0);
+        put_f64(out, rect.y0);
+        put_f64(out, rect.x1);
+        put_f64(out, rect.y1);
+    }
 }
 
-fn put_query(out: &mut Vec<u8>, query: &WireQuery) {
-    put_str(out, &query.release_key);
-    put_u32(out, query.rects.len());
-    for rect in &query.rects {
-        put_rect(out, rect);
-    }
+fn put_query(out: &mut Vec<u8>, release_key: &str, rects: impl ExactSizeIterator<Item = WireRect>) {
+    put_str(out, release_key);
+    put_rects(out, rects);
 }
 
 fn put_report(out: &mut Vec<u8>, batch: &WireReportBatch) -> Result<(), WireError> {
@@ -1291,18 +1268,8 @@ mod tests {
     #[test]
     fn append_query_matches_the_generic_encoder() {
         let rects = vec![
-            WireRect {
-                x0: 1.5,
-                y0: -2.0,
-                x1: 3.25,
-                y1: 4.0,
-            },
-            WireRect {
-                x0: 0.0,
-                y0: 0.0,
-                x1: 1.0,
-                y1: 1.0,
-            },
+            Rect::new(1.5, -2.0, 3.25, 4.0).unwrap(),
+            Rect::new(0.0, 0.0, 1.0, 1.0).unwrap(),
         ];
         let mut direct = Vec::new();
         append_query(9, "key", &rects, &mut direct).unwrap();
@@ -1311,7 +1278,7 @@ mod tests {
             9,
             RequestBody::Query(WireQuery {
                 release_key: "key".into(),
-                rects: rects.clone(),
+                rects: rects.iter().map(WireRect::from).collect(),
             }),
         );
         encode_request(&request, &mut generic).unwrap();

@@ -9,7 +9,7 @@
 //! into a memory-budgeted `Catalog`, a `QueryEngine` (with admission
 //! control) implements `QueryService`, a `TcpServer` exposes it over
 //! TCP, and a blocking `TcpClient` — binary v2 frames after one JSON
-//! `Hello` — pings, queries, batches, observes typed errors (unknown
+//! `Hello` — pings, queries, pipelines, observes typed errors (unknown
 //! key, invalid rect semantics, overload) and reads engine stats over
 //! the same connection — with every remote answer checked against the
 //! in-process engine.
@@ -75,13 +75,13 @@ fn main() {
         );
     }
 
-    // 4. One batch frame across both releases, failures isolated.
+    // 4. One pipelined train across both releases, failures isolated.
     let outcomes = client
-        .query_batch(&[
+        .query_pipelined(&[
             QueryRequest::new("storage", queries.to_vec()),
             QueryRequest::new("not-published", queries.to_vec()),
         ])
-        .expect("batch transport");
+        .expect("pipelined transport");
     assert!(outcomes[0].is_ok());
     match &outcomes[1] {
         Err(e) if e.code == ErrorCode::UnknownKey => {

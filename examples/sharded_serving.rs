@@ -107,7 +107,10 @@ fn main() {
         .iter()
         .map(|k| QueryRequest::new(k.clone(), queries.to_vec()))
         .collect();
-    for (key, outcome) in keys.iter().zip(client.query_batch(&batch).expect("batch")) {
+    for (key, outcome) in keys
+        .iter()
+        .zip(client.query_pipelined(&batch).expect("pipelined"))
+    {
         let remote = outcome.expect("answered");
         let local = reference
             .answer(&QueryRequest::new(key.clone(), queries.to_vec()))

@@ -20,7 +20,7 @@ use dpgrid::net::{NetError, RemoteShard, TcpClient, TcpClientPool, TcpServer, DE
 use dpgrid::prelude::*;
 use dpgrid::serve::wire::{
     self, binary, ErrorCode, HelloAck, HelloOffer, RequestBody, ResponseBody, WireError,
-    WireRequest, WireResponse,
+    WireOutcome, WireRect, WireRequest, WireResponse,
 };
 
 const CLIENT_THREADS: usize = 4;
@@ -130,13 +130,13 @@ fn four_clients_three_releases_match_reference_within_budget() {
                         assert_eq!(&response.release_key, key);
                         verify(key, &response.answers, expect);
                     } else {
-                        // One batch frame across all three releases.
+                        // One pipelined train across all three releases.
                         let batch: Vec<QueryRequest> = expected
                             .iter()
                             .map(|(k, _)| QueryRequest::new(k.clone(), rects.clone()))
                             .collect();
                         for (outcome, (k, e)) in client
-                            .query_batch(&batch)
+                            .query_pipelined(&batch)
                             .unwrap()
                             .into_iter()
                             .zip(expected)
@@ -171,7 +171,7 @@ fn four_clients_three_releases_match_reference_within_budget() {
     assert_eq!(
         checked.load(Ordering::Relaxed),
         (CLIENT_THREADS * ITERATIONS * 2 * rects.len()) as u64,
-        "every iteration verifies one single query or one triple batch"
+        "every iteration verifies one single query or one triple train"
     );
     // Quiesced: no lease can defer a victim, so the bound is strict.
     let stats = engine.stats();
@@ -639,5 +639,94 @@ fn over_cap_request_fails_typed_before_a_byte_is_sent() {
     assert_eq!(server.frames_served(), served);
     // The same client keeps working.
     client.ping().unwrap();
+    server.shutdown();
+}
+
+#[test]
+fn over_cap_frame_fails_its_whole_train_before_a_byte_is_sent() {
+    let engine = Arc::new(QueryEngine::new(Catalog::new()));
+    let server = TcpServer::bind(engine, "127.0.0.1:0").unwrap();
+    let mut client = TcpClient::connect(server.local_addr()).unwrap();
+
+    // The train's second request is past the binary payload cap. The
+    // whole train is encoded before its one write, so the refusal
+    // names the cap and not even the first frame reaches the server.
+    let q = Rect::new(-100.0, 30.0, -90.0, 40.0).unwrap();
+    let train = [
+        QueryRequest::new("storage", vec![q]),
+        QueryRequest::new("storage", vec![q; 524_289]),
+        QueryRequest::new("storage", vec![q]),
+    ];
+    let served = server.frames_served();
+    match client.query_pipelined(&train) {
+        Err(NetError::Protocol(why)) => {
+            assert!(
+                why.contains(&binary::MAX_PAYLOAD_BYTES.to_string()),
+                "{why}"
+            );
+        }
+        other => panic!("expected a typed over-cap refusal, got {other:?}"),
+    }
+    assert_eq!(server.frames_served(), served);
+    // The client keeps working, and the engine never saw the train's
+    // first request, which would have failed as an unknown key.
+    let stats = client.stats().unwrap();
+    assert_eq!(stats.unknown_keys, 0);
+    server.shutdown();
+}
+
+#[test]
+fn raw_binary_batch_frames_isolate_failures_per_query() {
+    // No client sends the `Batch` kind any more; it stays in the
+    // protocol for hand-built peers, so its binary path is driven here
+    // with a hand-encoded frame after a `Hello`.
+    let (engine, rects) = storage_engine(48, 4);
+    let server = TcpServer::bind(Arc::clone(&engine), "127.0.0.1:0").unwrap();
+    let (mut reader, mut writer) = hello_upgrade(server.local_addr());
+    let query = |key: &str, rects: Vec<WireRect>| wire::WireQuery {
+        release_key: key.into(),
+        rects,
+    };
+    let wire_rects: Vec<WireRect> = rects.iter().map(Into::into).collect();
+    let inverted = WireRect {
+        x0: 1.0,
+        y0: 0.0,
+        x1: 0.0,
+        y1: 1.0,
+    };
+    let batch = WireRequest::new(
+        11,
+        RequestBody::Batch(vec![
+            query("storage", wire_rects.clone()),
+            query("nope", wire_rects),
+            query("storage", vec![inverted]),
+        ]),
+    );
+    let mut frame = Vec::new();
+    binary::encode_request(&batch, &mut frame).unwrap();
+    writer.write_all(&frame).unwrap();
+
+    let reply = read_binary_response(&mut reader);
+    assert_eq!(reply.id, 11);
+    let ResponseBody::Batch(outcomes) = reply.body else {
+        panic!("expected a batch reply, got {:?}", reply.body);
+    };
+    assert_eq!(outcomes.len(), 3);
+    let local = engine
+        .answer(&QueryRequest::new("storage", rects.clone()))
+        .unwrap();
+    match &outcomes[0] {
+        WireOutcome::Answered(a) => assert_eq!(a.answers, local.answers),
+        other => panic!("expected answers, got {other:?}"),
+    }
+    for (outcome, code) in outcomes[1..]
+        .iter()
+        .zip([ErrorCode::UnknownKey, ErrorCode::InvalidQuery])
+    {
+        match outcome {
+            WireOutcome::Failed(e) => assert_eq!(e.code, code),
+            other => panic!("expected {code:?}, got {other:?}"),
+        }
+    }
     server.shutdown();
 }

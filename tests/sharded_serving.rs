@@ -230,7 +230,7 @@ fn front_door_server_proxies_the_fleet_over_one_socket() {
         .iter()
         .map(|k| QueryRequest::new(k.clone(), rects.clone()))
         .collect();
-    let outcomes = client.query_batch(&batch).unwrap();
+    let outcomes = client.query_pipelined(&batch).unwrap();
     for (key, outcome) in fleet.keys.iter().zip(outcomes) {
         let remote = outcome.unwrap();
         let local = fleet
@@ -244,7 +244,7 @@ fn front_door_server_proxies_the_fleet_over_one_socket() {
     }
     // An unknown key through the front door fails alone, typed.
     let outcomes = client
-        .query_batch(&[
+        .query_pipelined(&[
             QueryRequest::new(fleet.keys[0].clone(), rects.clone()),
             QueryRequest::new("nope", rects.clone()),
         ])

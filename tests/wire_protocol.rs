@@ -1,14 +1,21 @@
 //! Wire-protocol regression: proptest round-trips of every frame
 //! variant through *both* codecs (one-line JSON v1 and the binary v2
 //! frame format), single-line framing under adversarial strings,
-//! byte-mutated binary payloads, cross-codec dispatch equivalence, and
-//! the boundary validation that keeps malformed rectangles out of the
+//! byte-mutated binary payloads and JSON lines (decoded directly, and
+//! sent live to a server), cross-codec dispatch equivalence, and the
+//! boundary validation that keeps malformed rectangles out of the
 //! engine.
 
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
+use std::sync::Arc;
+use std::time::Duration;
+
+use dpgrid::net::TcpServer;
 use dpgrid::prelude::*;
 use dpgrid::serve::wire::{
-    self, binary, ErrorCode, RequestBody, ResponseBody, WireAnswers, WireError, WireOutcome,
-    WireQuery, WireRect, WireRequest, WireResponse, PROTOCOL_VERSION,
+    self, binary, ErrorCode, HelloOffer, RequestBody, ResponseBody, WireAnswers, WireError,
+    WireOutcome, WireQuery, WireRect, WireRequest, WireResponse, WireWindow, PROTOCOL_VERSION,
 };
 use dpgrid::serve::CacheState;
 use dpgrid::serve::{CatalogStats, EngineStats, ServeError};
@@ -300,6 +307,81 @@ fn mutate_and_decode<T>(
     }
 }
 
+/// One valid JSON request line: any `arb_request` body, or a `Window`
+/// or `Hello` body, which `arb_request` does not draw (binary frames
+/// carry no `Hello`).
+fn arb_json_line(rng: &mut StdRng) -> String {
+    let request = match rng.random_range(0..4u32) {
+        0 => {
+            let n = rng.random_range(0..4usize);
+            let window = WireWindow {
+                keyspace: arb_key(rng),
+                epoch_start: arb_id(rng),
+                epoch_end: arb_id(rng),
+                rects: (0..n).map(|_| arb_rect(rng)).collect(),
+            };
+            WireRequest::new(arb_id(rng), RequestBody::Window(window))
+        }
+        1 => {
+            let offer = HelloOffer {
+                max_version: rng.random_range(0..4u32),
+            };
+            WireRequest::new(arb_id(rng), RequestBody::Hello(offer))
+        }
+        _ => arb_request(rng),
+    };
+    request.encode()
+}
+
+/// Up to 18 mutants of one valid JSON line, six of each kind: a
+/// truncation; a one-bit flip; and a splice of a hostile token (a
+/// number past every integer and float range, a lone surrogate, a
+/// short `\u` escape, or nesting deeper than the parser's cap), either
+/// over a run of digits (a number the parser must read) or at a random
+/// byte. Mutants that are not UTF-8 are dropped: the server refuses
+/// those before any decoding.
+fn json_mutants(rng: &mut StdRng, line: &str) -> Vec<String> {
+    let tokens = [
+        "1e999999".to_string(),
+        "9".repeat(400),
+        "18446744073709551616".to_string(),
+        r"\uD800".to_string(),
+        r"\u12".to_string(),
+        "[".repeat(200),
+        "{".repeat(200),
+    ];
+    let bytes = line.as_bytes();
+    let digit_runs: Vec<(usize, usize)> = (0..bytes.len())
+        .filter(|&i| bytes[i].is_ascii_digit() && (i == 0 || !bytes[i - 1].is_ascii_digit()))
+        .map(|i| {
+            (
+                i,
+                bytes[i..].iter().take_while(|b| b.is_ascii_digit()).count(),
+            )
+        })
+        .collect();
+    let mut mutants = Vec::new();
+    for _ in 0..6 {
+        let cut = bytes[..rng.random_range(0..bytes.len())].to_vec();
+        let mut flipped = bytes.to_vec();
+        flipped[rng.random_range(0..bytes.len())] ^= 1 << rng.random_range(0..8u32);
+        let (at, len) = if !digit_runs.is_empty() && rng.random::<bool>() {
+            digit_runs[rng.random_range(0..digit_runs.len())]
+        } else {
+            (rng.random_range(0..=bytes.len()), 0)
+        };
+        let mut spliced = bytes[..at].to_vec();
+        spliced.extend_from_slice(tokens[rng.random_range(0..tokens.len())].as_bytes());
+        spliced.extend_from_slice(&bytes[at + len..]);
+        mutants.extend(
+            [cut, flipped, spliced]
+                .into_iter()
+                .filter_map(|m| String::from_utf8(m).ok()),
+        );
+    }
+    mutants
+}
+
 proptest! {
     /// Every request frame round-trips bit-exactly through its
     /// one-line JSON encoding, whatever variant and key content.
@@ -442,6 +524,28 @@ proptest! {
         mutate_and_decode(&mut rng, &frame, binary::decode_response);
     }
 
+    /// Mutated JSON request lines decode to `Ok`, or fail typed as
+    /// `MalformedRequest` (or `UnsupportedVersion`, where a mutant
+    /// still declares a version), never with a panic.
+    #[test]
+    fn mutated_json_lines_decode_or_fail_typed(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let line = arb_json_line(&mut rng);
+        for mutant in json_mutants(&mut rng, &line) {
+            if let Err(e) = WireRequest::decode(&mutant) {
+                prop_assert!(
+                    matches!(
+                        e.error.code,
+                        ErrorCode::MalformedRequest | ErrorCode::UnsupportedVersion
+                    ),
+                    "{}: {}",
+                    mutant,
+                    e.error
+                );
+            }
+        }
+    }
+
     /// The two codecs agree: a frame encoded through JSON v1 and the
     /// same frame encoded through binary v2 decode to the same body.
     #[test]
@@ -478,6 +582,73 @@ proptest! {
         let validated = q.rects[0].validate().unwrap();
         prop_assert_eq!(validated, rect);
     }
+}
+
+/// The JSON mutants, live: sent as raw lines over one connection to a
+/// server, every non-blank mutant gets exactly one reply, and the same
+/// connection still answers a valid `Ping` after all of them.
+#[test]
+fn mutated_json_lines_get_one_reply_each_on_a_live_connection() {
+    let engine = Arc::new(QueryEngine::new(Catalog::new()));
+    let server = TcpServer::bind(engine, "127.0.0.1:0").unwrap();
+    let stream = TcpStream::connect(server.local_addr()).unwrap();
+    // A missing reply fails the test at the timeout instead of hanging.
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    let mut line = String::new();
+    let mut sent = 0;
+    for seed in 0..200u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let valid = arb_json_line(&mut rng);
+        // A mutant that is still a `Hello` may switch the connection to
+        // binary, so it stays out of this line-only run.
+        let mutants: Vec<String> = json_mutants(&mut rng, &valid)
+            .into_iter()
+            .filter(|m| !m.contains('\n'))
+            .filter(|m| {
+                !matches!(
+                    WireRequest::decode(m),
+                    Ok(WireRequest {
+                        body: RequestBody::Hello(_),
+                        ..
+                    })
+                )
+            })
+            .collect();
+        let mut burst = Vec::new();
+        for mutant in &mutants {
+            burst.extend_from_slice(mutant.as_bytes());
+            burst.push(b'\n');
+        }
+        writer.write_all(&burst).unwrap();
+        let replies = mutants
+            .iter()
+            .filter(|m| !m.trim_end_matches('\r').is_empty())
+            .count();
+        for _ in 0..replies {
+            line.clear();
+            reader.read_line(&mut line).unwrap();
+            WireResponse::decode(line.trim_end()).unwrap_or_else(|e| panic!("{line}: {e:?}"));
+        }
+        sent += replies;
+    }
+    assert!(sent > 1_000, "only {sent} mutants reached the server");
+    let ping = WireRequest::new(u64::from(u32::MAX), RequestBody::Ping);
+    writer
+        .write_all(format!("{}\n", ping.encode()).as_bytes())
+        .unwrap();
+    line.clear();
+    reader.read_line(&mut line).unwrap();
+    let pong = WireResponse::decode(line.trim_end()).unwrap();
+    assert_eq!(
+        (pong.id, pong.body),
+        (ping.id, ResponseBody::Pong),
+        "{line}"
+    );
+    server.shutdown();
 }
 
 #[test]
