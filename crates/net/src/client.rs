@@ -9,9 +9,10 @@
 //! replies in lockstep. The server answers a connection's frames in
 //! arrival order, so reply `i` answers frame `i`. The train's rules:
 //!
-//! * Every frame is encoded before any byte is written, so a frame the
-//!   encoder refuses (past the payload cap, an unknown oracle) fails
-//!   the call with nothing sent.
+//! * Every frame is encoded into a buffer the client owns before a
+//!   connection is touched or dialed, so a frame the encoder refuses
+//!   (past the payload cap) fails the call with nothing sent, and the
+//!   connection stays.
 //! * An error reply under frame `i`'s own id fills slot `i`; the drain
 //!   goes on and the connection stays.
 //! * An error under another id (the server reports a frame it could
@@ -22,31 +23,23 @@
 //!   under a wrong id.
 //! * A reply that does not hold one answer per rect sent fails typed.
 //!
+//! Binary frames name their codec by their first bytes, so the client
+//! writes its first frame straight after the dial: no handshake, and no
+//! protocol state outlives a connection.
+//!
 //! The client is deliberately not `Sync` — open one client per thread
 //! (or pool clients with [`crate::TcpClientPool`]); the server side is
 //! built for many cheap connections.
-//!
-//! # The handshake
-//!
-//! Every connection starts in JSON v1, so the client's first frame is
-//! a JSON `Hello` offering [`binary::PROTOCOL_VERSION`]; the server's
-//! ack switches the connection to binary framing. The client speaks
-//! nothing else. A server that acks another version, or answers the
-//! offer with an error (a JSON-only peer rejects the unknown request
-//! kind), fails the dial with [`NetError::Protocol`] carrying the
-//! server's answer. The handshake belongs to the *connection*, not the
-//! client: every redial repeats it, so a client never writes binary
-//! frames at a restarted peer that has not acked them.
 //!
 //! # Reconnection
 //!
 //! The client remembers the address it connected to and, when a call
 //! finds the connection *stale* — broken pipe, reset, or EOF where a
 //! response was due, the signature of a server restart or an idle
-//! timeout — it reconnects (repeating the handshake) and resends that
-//! train **once** before surfacing a [`NetError`]. One retry is safe
-//! because the read-path requests are all idempotent (queries, windows,
-//! stats, keys, ping); it is capped at one so a dead server fails fast
+//! timeout — it redials and resends the same encoded train **once**
+//! before surfacing a [`NetError`]. One resend is safe because the
+//! read-path requests are all idempotent (queries, windows, stats,
+//! keys, ping); it is capped at one so a dead server fails fast
 //! instead of retry-looping. The write path is the deliberate
 //! exception: `Report` batches mutate collector state, so
 //! [`TcpClient::submit_report`] and [`TcpClient::submit_reports`]
@@ -57,13 +50,12 @@
 //! without being rebuilt.
 
 use std::borrow::Borrow;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 
 use dpgrid_geo::Rect;
 use dpgrid_serve::wire::{
-    binary, HelloOffer, RequestBody, ResponseBody, WireError, WireRect, WireReportBatch,
-    WireRequest, WireResponse, WireWindow,
+    binary, RequestBody, ResponseBody, WireError, WireRect, WireRequest, WireResponse, WireWindow,
 };
 use dpgrid_serve::{
     EngineStats, QueryRequest, QueryResponse, ReportAck, ReportBatch, WindowAnswer,
@@ -85,24 +77,27 @@ pub const CONNECT_TIMEOUT: Duration = Duration::from_secs(10);
 /// it. Tune or disable per client with [`TcpClient::with_io_timeout`].
 pub const DEFAULT_IO_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// The request id the `Hello` handshake travels under.
-/// Connection-level, never allocated to an application request (those
-/// start at 1).
-const HELLO_ID: u64 = 0;
-
 /// Per-slot outcomes of a train: a typed server error isolates to its
 /// own frame.
 type Slots<T> = Vec<std::result::Result<T, WireError>>;
 
-/// One live connection: a stream that has acked the binary codec,
-/// read through a buffer and written directly, plus the reusable
-/// buffers frames are encoded into and decoded from (cleared, never
-/// shrunk — steady-state encoding allocates nothing).
+/// Whether a train may go out again on a fresh connection when the
+/// first one turns out stale.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Resend {
+    /// Idempotent reads: redial and resend once.
+    Once,
+    /// Reports mutate collector state: never resent.
+    Never,
+}
+
+/// One live connection: a stream read through a buffer and written
+/// directly, plus the reusable buffer replies are decoded from
+/// (cleared, never shrunk — steady-state decoding allocates only the
+/// values it returns).
 #[derive(Debug)]
 struct Conn {
     stream: BufReader<TcpStream>,
-    /// Outbound bytes: the whole frames of one train.
-    out_buf: Vec<u8>,
     /// Inbound payload bytes of the reply being decoded.
     in_buf: Vec<u8>,
 }
@@ -113,66 +108,24 @@ impl Conn {
         stream.set_nodelay(true)?;
         stream.set_read_timeout(io_timeout)?;
         stream.set_write_timeout(io_timeout)?;
-        let mut conn = Conn {
+        Ok(Conn {
             stream: BufReader::new(stream),
-            out_buf: Vec::new(),
             in_buf: Vec::new(),
-        };
-        conn.handshake()?;
-        Ok(conn)
+        })
     }
 
-    /// Offers the binary codec in a JSON `Hello` line and requires the
-    /// server to ack exactly that version; anything else fails typed.
-    fn handshake(&mut self) -> Result<()> {
-        let offer = WireRequest::new(
-            HELLO_ID,
-            RequestBody::Hello(HelloOffer {
-                max_version: binary::PROTOCOL_VERSION,
-            }),
-        );
-        let mut line = offer.encode();
-        line.push('\n');
-        self.stream.get_mut().write_all(line.as_bytes())?;
-        line.clear();
-        if self.stream.read_line(&mut line)? == 0 {
-            return Err(NetError::Disconnected);
-        }
-        let ack = WireResponse::decode(line.trim_end_matches(['\r', '\n']))
-            .map_err(|e| NetError::Protocol(e.error.to_string()))?;
-        match ack.body {
-            ResponseBody::Hello(ack) if ack.version == binary::PROTOCOL_VERSION => Ok(()),
-            ResponseBody::Hello(ack) => Err(NetError::Protocol(format!(
-                "server acked protocol {}, this client speaks only binary v{}",
-                ack.version,
-                binary::PROTOCOL_VERSION
-            ))),
-            ResponseBody::Error(e) => Err(NetError::Protocol(format!(
-                "server refused the binary v{} handshake: {e}",
-                binary::PROTOCOL_VERSION
-            ))),
-            other => Err(unexpected("Hello", &other)),
-        }
-    }
-
-    /// Sends a train of `n` frames under ids `first_id..first_id + n`
-    /// and reads its `n` replies in lockstep, by the rules in the
-    /// module docs. `encode(i, id, out)` appends frame `i`; `accept(i,
-    /// body)` turns the non-error reply to frame `i` into its result.
-    fn train<T>(
+    /// Writes `train`, the `n` encoded frames under ids
+    /// `first_id..first_id + n`, and reads its `n` replies in lockstep,
+    /// by the rules in the module docs. `accept(i, body)` turns the
+    /// non-error reply to frame `i` into its result.
+    fn exchange<T>(
         &mut self,
+        train: &[u8],
         first_id: u64,
         n: usize,
-        mut encode: impl FnMut(usize, u64, &mut Vec<u8>) -> std::result::Result<(), WireError>,
-        mut accept: impl FnMut(usize, ResponseBody) -> Result<T>,
+        accept: &mut impl FnMut(usize, ResponseBody) -> Result<T>,
     ) -> Result<Slots<T>> {
-        self.out_buf.clear();
-        for i in 0..n {
-            encode(i, first_id + i as u64, &mut self.out_buf)
-                .map_err(|e| NetError::Protocol(e.to_string()))?;
-        }
-        self.stream.get_mut().write_all(&self.out_buf)?;
-
+        self.stream.get_mut().write_all(train)?;
         let mut slots = Vec::with_capacity(n);
         for i in 0..n {
             let id = first_id + i as u64;
@@ -207,7 +160,7 @@ impl Conn {
 }
 
 /// A blocking binary-v2 connection to a [`crate::TcpServer`] (or
-/// anything else that acks the binary codec), with one-shot
+/// anything else that answers binary frames), with one-shot
 /// reconnection on stale connections and bounded waits (see
 /// [`CONNECT_TIMEOUT`] / [`DEFAULT_IO_TIMEOUT`]).
 #[derive(Debug)]
@@ -216,14 +169,17 @@ pub struct TcpClient {
     conn: Option<Conn>,
     io_timeout: Option<Duration>,
     next_id: u64,
+    /// The frames of the call in flight, encoded before any connection
+    /// is touched and kept for its one resend (cleared, never shrunk —
+    /// steady-state encoding allocates nothing).
+    out_buf: Vec<u8>,
 }
 
 impl TcpClient {
-    /// Connects to `addr` and completes the binary handshake; a peer
-    /// that does not ack binary v2 fails with [`NetError::Protocol`].
-    /// When `addr` resolves to several addresses the first that
-    /// connects wins, and that concrete address is what reconnection
-    /// later dials.
+    /// Dials `addr`; nothing is written until the first call. When
+    /// `addr` resolves to several addresses the first that connects
+    /// wins, and that concrete address is what reconnection later
+    /// dials.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Self> {
         let io_timeout = Some(DEFAULT_IO_TIMEOUT);
         let mut last_err: Option<NetError> = None;
@@ -235,6 +191,7 @@ impl TcpClient {
                         conn: Some(conn),
                         io_timeout,
                         next_id: 1,
+                        out_buf: Vec::new(),
                     })
                 }
                 Err(e) => last_err = Some(e),
@@ -311,15 +268,12 @@ impl TcpClient {
     /// large for one frame fails with [`NetError::Protocol`] before
     /// any byte of it is sent.
     pub fn query(&mut self, key: &str, rects: &[Rect]) -> Result<QueryResponse> {
-        let id = self.take_ids(1);
-        only(self.with_retry(|conn| {
-            conn.train(
-                id,
-                1,
-                |_, id, out| binary::append_query(id, key, rects, out),
-                |_, body| answers(rects.len(), body),
-            )
-        })?)
+        only(self.train(
+            1,
+            Resend::Once,
+            |_, id, out| binary::append_query(id, key, rects, out),
+            |_, body| answers(rects.len(), body),
+        )?)
     }
 
     /// Answers a sliding-window query: the server sums `keyspace`'s
@@ -372,11 +326,12 @@ impl TcpClient {
     }
 
     /// Submits several report batches as one train, one Report frame
-    /// per batch: all frames ship in a single write, then the acks are
-    /// drained in order, so the socket stays busy instead of
-    /// ping-ponging per batch — this is the ingestion fast path.
-    /// Per-batch rejections are isolated in the inner results; the
-    /// outer `Result` is the transport.
+    /// per batch, each encoded straight from its typed batch: all
+    /// frames ship in a single write, then the acks are drained in
+    /// order, so the socket stays busy instead of ping-ponging per
+    /// batch — this is the ingestion fast path. Per-batch rejections
+    /// are isolated in the inner results; the outer `Result` is the
+    /// transport.
     ///
     /// Like [`TcpClient::submit_report`] this is never resent on a
     /// stale connection — see there for why. On a transport error the
@@ -390,21 +345,15 @@ impl TcpClient {
         if batches.is_empty() {
             return Ok(Vec::new());
         }
-        let first_id = self.take_ids(batches.len());
-        self.with_conn(|conn| {
-            conn.train(
-                first_id,
-                batches.len(),
-                |i, id, out| {
-                    let wire = WireReportBatch::from_batch(batches[i].borrow());
-                    binary::append_report(id, &wire, out)
-                },
-                |_, body| match body {
-                    ResponseBody::Report(ack) => Ok(ack.into_ack()),
-                    other => Err(unexpected("Report", &other)),
-                },
-            )
-        })
+        self.train(
+            batches.len(),
+            Resend::Never,
+            |i, id, out| binary::append_report(id, batches[i].borrow(), out),
+            |_, body| match body {
+                ResponseBody::Report(ack) => Ok(ack.into_ack()),
+                other => Err(unexpected("Report", &other)),
+            },
+        )
     }
 
     /// Answers several requests (possibly across releases) as one
@@ -416,8 +365,9 @@ impl TcpClient {
     /// inner result is that request's own outcome, failures isolated
     /// as in [`dpgrid_serve::QueryEngine::answer_batch`].
     ///
-    /// The stale-connection retry covers the whole train: ids are
-    /// re-issued on the fresh connection, and reads are idempotent.
+    /// The stale-connection resend covers the whole train: the same
+    /// frames, ids included, go out on the fresh connection, and reads
+    /// are idempotent.
     pub fn query_pipelined(
         &mut self,
         requests: &[QueryRequest],
@@ -425,68 +375,77 @@ impl TcpClient {
         if requests.is_empty() {
             return Ok(Vec::new());
         }
-        let first_id = self.take_ids(requests.len());
-        self.with_retry(|conn| {
-            conn.train(
-                first_id,
-                requests.len(),
-                |i, id, out| {
-                    binary::append_query(id, &requests[i].release_key, &requests[i].rects, out)
-                },
-                |i, body| answers(requests[i].rects.len(), body),
-            )
-        })
+        self.train(
+            requests.len(),
+            Resend::Once,
+            |i, id, out| {
+                binary::append_query(id, &requests[i].release_key, &requests[i].rects, out)
+            },
+            |i, body| answers(requests[i].rects.len(), body),
+        )
     }
 
     /// Sends one idempotent read frame as a train of one and returns
-    /// its reply, with the stale-connection resend of
-    /// [`TcpClient::with_retry`].
+    /// its reply.
     fn call(&mut self, body: RequestBody) -> Result<ResponseBody> {
-        let request = WireRequest::new(self.take_ids(1), body);
-        only(self.with_retry(|conn| {
-            conn.train(
-                request.id,
-                1,
-                |_, _, out| binary::append_request(&request, out),
-                |_, body| Ok(body),
-            )
-        })?)
+        let mut request = WireRequest::new(0, body);
+        only(self.train(
+            1,
+            Resend::Once,
+            |_, id, out| {
+                request.id = id;
+                binary::append_request(&request, out)
+            },
+            |_, body| Ok(body),
+        )?)
     }
 
-    /// Reserves `n` consecutive request ids, returning the first.
-    fn take_ids(&mut self, n: usize) -> u64 {
-        let first = self.next_id;
+    /// Sends a train of `n` frames under the next `n` ids and drains
+    /// its replies, by the rules in the module docs. `encode(i, id,
+    /// out)` appends frame `i`; `accept(i, body)` turns the non-error
+    /// reply to frame `i` into its result. Every frame is encoded into
+    /// the client's own buffer first, so a refused frame fails the call
+    /// before a connection is touched or dialed. A stale connection is
+    /// redialed and the same bytes sent once more when `resend` allows.
+    fn train<T>(
+        &mut self,
+        n: usize,
+        resend: Resend,
+        mut encode: impl FnMut(usize, u64, &mut Vec<u8>) -> std::result::Result<(), WireError>,
+        mut accept: impl FnMut(usize, ResponseBody) -> Result<T>,
+    ) -> Result<Slots<T>> {
+        let first_id = self.next_id;
         self.next_id += n as u64;
-        first
-    }
-
-    /// [`TcpClient::with_conn`], but a *stale* connection (the server
-    /// went away between calls: broken pipe, reset, EOF in place of a
-    /// response) is redialed — repeating the handshake — and `f` rerun
-    /// exactly once. Only idempotent reads come through here (mutating
-    /// `Report` frames use [`TcpClient::with_conn`] directly), so the
-    /// retry cannot double-apply anything.
-    fn with_retry<T>(&mut self, mut f: impl FnMut(&mut Conn) -> Result<T>) -> Result<T> {
-        match self.with_conn(&mut f) {
-            Err(e) if is_stale_connection(&e) => self.with_conn(f),
+        self.out_buf.clear();
+        for i in 0..n {
+            encode(i, first_id + i as u64, &mut self.out_buf)
+                .map_err(|e| NetError::Protocol(e.to_string()))?;
+        }
+        match self.exchange(first_id, n, &mut accept) {
+            Err(e) if resend == Resend::Once && is_stale_connection(&e) => {
+                self.exchange(first_id, n, &mut accept)
+            }
             result => result,
         }
     }
 
-    /// Runs `f` once on the current connection, dialing a fresh one
-    /// when none is held (no bytes of the request have been written
-    /// yet, so that dial risks nothing). Transport and framing errors
-    /// poison the connection — a desynchronised stream must not serve
-    /// the next call — while typed server errors leave it healthy.
-    fn with_conn<T>(&mut self, f: impl FnOnce(&mut Conn) -> Result<T>) -> Result<T> {
-        if self.conn.is_none() {
-            self.conn = Some(Conn::open(self.peer, self.io_timeout)?);
-        }
-        let result = f(self.conn.as_mut().expect("connection just ensured"));
-        if matches!(result, Err(ref e) if !matches!(e, NetError::Server(_))) {
-            self.conn = None;
-        }
-        result
+    /// Exchanges the encoded train on the held connection, dialing one
+    /// when none is held. The connection is kept only when the
+    /// exchange succeeds: a transport or framing error may leave it
+    /// desynchronised, so it must not serve the next call.
+    fn exchange<T>(
+        &mut self,
+        first_id: u64,
+        n: usize,
+        accept: &mut impl FnMut(usize, ResponseBody) -> Result<T>,
+    ) -> Result<Slots<T>> {
+        let mut conn = match self.conn.take() {
+            Some(conn) => conn,
+            None => Conn::open(self.peer, self.io_timeout)?,
+        };
+        let slots = conn.exchange(&self.out_buf, first_id, n, accept)?;
+        self.conn = Some(conn);
+        Ok(slots)
     }
 }
 
@@ -495,7 +454,6 @@ impl TcpClient {
 /// opposed to a live server actively answering with an error.
 fn is_stale_connection(e: &NetError) -> bool {
     match e {
-        NetError::Disconnected => true,
         NetError::Io(io) => matches!(
             io.kind(),
             std::io::ErrorKind::BrokenPipe

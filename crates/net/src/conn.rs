@@ -1,19 +1,24 @@
 //! The nonblocking per-connection state machine — the *dispatch*
 //! third of the poller / run-loop / dispatch seam.
 //!
-//! One [`MuxConn`] owns everything a connection is: its socket, the
-//! codec it has negotiated (every connection starts in JSON v1 and
-//! may upgrade to binary v2 via `Hello`), a reassembly buffer for
-//! partially-read frames, and a bounded outbound queue of encoded
-//! responses. It never blocks: the run loop calls
-//! [`MuxConn::on_ready`] with the socket's readiness and gets back
-//! what the connection wants to wait for next.
+//! One [`MuxConn`] owns everything a connection is: its socket, a
+//! reassembly buffer for partially-read frames, and a bounded outbound
+//! queue of encoded responses. It keeps no codec state: each frame
+//! names its codec by its first bytes and is answered in it, so one
+//! connection may mix JSON v1 lines and binary v2 frames freely. It
+//! never blocks: the run loop calls [`MuxConn::on_ready`] with the
+//! socket's readiness and gets back what the connection wants to wait
+//! for next.
 //!
 //! # Wire behavior
 //!
 //! The contract, pinned by the unit tests below and the acceptance
 //! suites, holds however a peer's bytes are split across reads:
 //!
+//! * A frame opening with [`binary::MAGIC`] is a binary frame; any
+//!   other byte opens a JSON line (a JSON text begins with an ASCII
+//!   byte, the magic does not). A lone first magic byte waits for the
+//!   next byte before the codec is decided.
 //! * JSON frames that are not UTF-8, or do not parse, are answered
 //!   with a typed `MalformedRequest` and the connection survives;
 //!   blank lines are tolerated as keep-alives.
@@ -23,11 +28,11 @@
 //!   `MalformedRequest` ("frame exceeds 16777216 bytes") under id 0
 //!   and closes; bytes past the cap are never searched, so the
 //!   reassembly buffer stays bounded.
-//! * A binary header that loses byte framing (bad magic, foreign
-//!   version, over-cap length prefix) is answered typed under id 0
-//!   and the connection closes — without ever buffering the claimed
-//!   payload. A payload that decodes badly under intact framing fails
-//!   only its own frame.
+//! * A binary header that loses byte framing (foreign version,
+//!   over-cap length prefix) is answered typed under id 0 and the
+//!   connection closes — without ever buffering the claimed payload.
+//!   A payload that decodes badly under intact framing fails only its
+//!   own frame.
 //! * EOF inside a frame is answered before closing: a JSON final
 //!   frame missing its newline is served; a binary frame cut
 //!   mid-header/mid-payload gets the matching typed error.
@@ -74,12 +79,6 @@ const SPARE_BUFFERS: usize = 8;
 
 const MAX_FRAME_BYTES: usize = wire::MAX_FRAME_BYTES;
 
-/// Which codec the connection currently speaks.
-enum Codec {
-    Json,
-    Binary,
-}
-
 /// What a connection wants from the poller after an [`on_ready`]
 /// pass, or that it is finished.
 ///
@@ -95,14 +94,13 @@ pub(crate) enum ConnState {
 /// One multiplexed connection's complete state.
 pub(crate) struct MuxConn {
     stream: TcpStream,
-    codec: Codec,
-    /// Unconsumed input: partial frames under reassembly (and, right
-    /// after an upgrade, binary frames an optimistic client sent
-    /// before reading the `Hello` ack).
+    /// Unconsumed input: complete frames not yet served and at most
+    /// one partial frame under reassembly, in arrival order.
     in_buf: Vec<u8>,
-    /// Where the next newline scan resumes (JSON mode) — bytes before
-    /// this are known newline-free, so a slowloris connection costs
-    /// one scan per byte, not one scan of the whole frame per byte.
+    /// Where the newline scan of a partial JSON line resumes — bytes
+    /// before this are known newline-free, so a slowloris connection
+    /// costs one scan per byte, not one scan of the whole frame per
+    /// byte.
     scan_from: usize,
     /// Encoded, unsent response frames, oldest first.
     out: VecDeque<Vec<u8>>,
@@ -132,7 +130,6 @@ impl MuxConn {
     pub(crate) fn new(stream: TcpStream) -> Self {
         MuxConn {
             stream,
-            codec: Codec::Json,
             in_buf: Vec::new(),
             scan_from: 0,
             out: VecDeque::new(),
@@ -191,7 +188,7 @@ impl MuxConn {
             if self.closing || self.paused {
                 return Ok(());
             }
-            self.process_input(service, counters)?;
+            self.process_input(service, counters);
             if self.closing || self.paused {
                 // Re-enter: flush the newly queued responses, and on
                 // a drain-below-low-water resume buffered input — a
@@ -200,7 +197,7 @@ impl MuxConn {
                 continue;
             }
             if self.peer_eof {
-                self.finish_eof(service, counters)?;
+                self.finish_eof(service, counters);
                 continue;
             }
             match self.read_some(counters)? {
@@ -299,92 +296,101 @@ impl MuxConn {
 
     // --- frame processing --------------------------------------------
 
-    /// Dispatches every complete frame already in `in_buf`, stopping
-    /// on a partial frame, a pause, or a close.
+    /// Dispatches every complete frame already in `in_buf`, each in
+    /// the codec its first bytes name, stopping on a partial frame, a
+    /// pause, or a close.
     fn process_input<S: QueryService + ?Sized>(
         &mut self,
         service: &S,
         counters: &TransportCounters,
-    ) -> Result<(), ()> {
-        loop {
-            if self.paused || self.closing {
-                return Ok(());
-            }
-            match self.codec {
-                Codec::Json => {
-                    // Only the first MAX_FRAME_BYTES bytes may hold the
-                    // newline: one read can carry a line across the cap.
-                    let capped = self.in_buf.len().min(MAX_FRAME_BYTES);
-                    let Some(nl) = self.in_buf[self.scan_from..capped]
-                        .iter()
-                        .position(|&b| b == b'\n')
-                        .map(|i| self.scan_from + i)
-                    else {
-                        self.scan_from = capped;
-                        if self.in_buf.len() >= MAX_FRAME_BYTES {
-                            // A newline-free stream must not grow this
-                            // buffer unboundedly.
-                            self.reject_and_close(
-                                wire::WireResponse::error(
-                                    0,
-                                    wire::WireError::new(
-                                        wire::ErrorCode::MalformedRequest,
-                                        format!("frame exceeds {MAX_FRAME_BYTES} bytes"),
-                                    ),
-                                ),
-                                counters,
-                            );
-                        }
-                        return Ok(());
-                    };
-                    let line: Vec<u8> = self.in_buf.drain(..=nl).collect();
-                    self.scan_from = 0;
-                    self.handle_json_frame(&line, service, counters);
-                }
-                Codec::Binary => {
-                    if self.in_buf.len() < binary::HEADER_BYTES {
-                        return Ok(());
-                    }
-                    let header_bytes: &[u8; binary::HEADER_BYTES] = self.in_buf
-                        [..binary::HEADER_BYTES]
-                        .try_into()
-                        .expect("length checked");
-                    let header = match binary::decode_header(header_bytes) {
-                        Ok(header) => header,
-                        Err(e) => {
-                            // Byte framing is lost (bad magic, foreign
-                            // version, over-cap length): typed reject
-                            // under id 0, close — and never buffer the
-                            // claimed payload.
-                            self.reject_and_close(wire::WireResponse::error(0, e), counters);
-                            return Ok(());
-                        }
-                    };
-                    let total = binary::HEADER_BYTES + header.payload_len;
-                    if self.in_buf.len() < total {
-                        return Ok(());
-                    }
-                    let response = match binary::decode_request(
-                        &header,
-                        &self.in_buf[binary::HEADER_BYTES..total],
-                    ) {
-                        Ok(request) => {
-                            counters.add(&counters.frames_decoded, 1);
-                            wire::dispatch(service, request.id, request.body)
-                        }
-                        // Framing held; only this frame fails.
-                        Err(e) => wire::WireResponse::error(header.id, e),
-                    };
-                    counters.count_report_ack(&response);
-                    self.in_buf.drain(..total);
-                    self.respond_binary(&response, counters);
-                }
+    ) {
+        while !self.paused && !self.closing && !self.in_buf.is_empty() {
+            let served = if opens_binary(&self.in_buf) {
+                self.serve_binary_frame(service, counters)
+            } else {
+                self.serve_json_line(service, counters)
+            };
+            if !served {
+                return;
             }
         }
     }
 
-    /// One raw JSON line: UTF-8 check, blank-line tolerance, `Hello`
-    /// interception (this transport *can* switch framing), protocol
+    /// Serves the JSON line at the head of `in_buf`; `false` while its
+    /// newline has not arrived.
+    fn serve_json_line<S: QueryService + ?Sized>(
+        &mut self,
+        service: &S,
+        counters: &TransportCounters,
+    ) -> bool {
+        // Only the first MAX_FRAME_BYTES bytes may hold the newline:
+        // one read can carry a line across the cap.
+        let capped = self.in_buf.len().min(MAX_FRAME_BYTES);
+        let Some(nl) = self.in_buf[self.scan_from..capped]
+            .iter()
+            .position(|&b| b == b'\n')
+            .map(|i| self.scan_from + i)
+        else {
+            self.scan_from = capped;
+            if self.in_buf.len() >= MAX_FRAME_BYTES {
+                // A newline-free stream must not grow this buffer
+                // unboundedly.
+                let cap = wire::WireError::new(
+                    wire::ErrorCode::MalformedRequest,
+                    format!("frame exceeds {MAX_FRAME_BYTES} bytes"),
+                );
+                self.respond_json(&wire::WireResponse::error(0, cap), counters);
+                self.close_after_flush();
+            }
+            return false;
+        };
+        let line: Vec<u8> = self.in_buf.drain(..=nl).collect();
+        self.scan_from = 0;
+        self.handle_json_frame(&line, service, counters);
+        true
+    }
+
+    /// Serves the binary frame at the head of `in_buf`; `false` while
+    /// it is incomplete, or when its header loses byte framing.
+    fn serve_binary_frame<S: QueryService + ?Sized>(
+        &mut self,
+        service: &S,
+        counters: &TransportCounters,
+    ) -> bool {
+        let Some(header_bytes) = self.in_buf.first_chunk::<{ binary::HEADER_BYTES }>() else {
+            return false;
+        };
+        let header = match binary::decode_header(header_bytes) {
+            Ok(header) => header,
+            Err(e) => {
+                // Byte framing is lost (foreign version, over-cap
+                // length): typed reject under id 0, close — and never
+                // buffer the claimed payload.
+                self.respond_binary(&wire::WireResponse::error(0, e), counters);
+                self.close_after_flush();
+                return false;
+            }
+        };
+        let total = binary::HEADER_BYTES + header.payload_len;
+        if self.in_buf.len() < total {
+            return false;
+        }
+        let response =
+            match binary::decode_request(&header, &self.in_buf[binary::HEADER_BYTES..total]) {
+                Ok(request) => {
+                    counters.add(&counters.frames_decoded, 1);
+                    wire::dispatch(service, request.id, request.body)
+                }
+                // Framing held; only this frame fails.
+                Err(e) => wire::WireResponse::error(header.id, e),
+            };
+        counters.count_report_ack(&response);
+        self.in_buf.drain(..total);
+        self.respond_binary(&response, counters);
+        true
+    }
+
+    /// One raw JSON line: UTF-8 check, blank-line tolerance, protocol
     /// dispatch.
     fn handle_json_frame<S: QueryService + ?Sized>(
         &mut self,
@@ -410,21 +416,6 @@ impl MuxConn {
             return;
         }
         let response = match wire::WireRequest::decode(frame) {
-            Ok(wire::WireRequest {
-                id,
-                body: wire::RequestBody::Hello(offer),
-                ..
-            }) => {
-                let version = wire::negotiate(offer.max_version, binary::PROTOCOL_VERSION);
-                self.respond_json(&wire::hello_ack(id, version), counters);
-                if version == binary::PROTOCOL_VERSION {
-                    // The rest of `in_buf` (frames an optimistic client
-                    // pipelined behind its offer) now parses as binary.
-                    self.codec = Codec::Binary;
-                    self.scan_from = 0;
-                }
-                return;
-            }
             Ok(request) => {
                 counters.add(&counters.frames_decoded, 1);
                 wire::dispatch(service, request.id, request.body)
@@ -435,59 +426,42 @@ impl MuxConn {
         self.respond_json(&response, counters);
     }
 
-    /// The peer will send nothing more: answer any frame cut short by
-    /// the close, then close after the flush.
-    fn finish_eof<S: QueryService + ?Sized>(
-        &mut self,
-        service: &S,
-        counters: &TransportCounters,
-    ) -> Result<(), ()> {
-        match self.codec {
-            Codec::Json => {
-                if !self.in_buf.is_empty() {
-                    // A final frame missing only its newline is
-                    // answered before closing. (An upgrade on the
-                    // final frame is moot — the peer already closed.)
-                    let line = std::mem::take(&mut self.in_buf);
-                    self.scan_from = 0;
-                    self.handle_json_frame(&line, service, counters);
-                }
-            }
-            Codec::Binary => {
-                if !self.in_buf.is_empty() {
-                    // Complete frames were consumed before EOF was
-                    // processed, so whatever remains is truncated.
-                    let response = if self.in_buf.len() < binary::HEADER_BYTES {
-                        wire::WireResponse::error(
-                            0,
-                            wire::WireError::new(
-                                wire::ErrorCode::MalformedRequest,
-                                "connection closed mid-header",
-                            ),
-                        )
-                    } else {
-                        let header_bytes: &[u8; binary::HEADER_BYTES] = self.in_buf
-                            [..binary::HEADER_BYTES]
-                            .try_into()
-                            .expect("length checked");
-                        match binary::decode_header(header_bytes) {
-                            Ok(header) => wire::WireResponse::error(
-                                header.id,
-                                wire::WireError::new(
-                                    wire::ErrorCode::MalformedRequest,
-                                    "connection closed mid-payload",
-                                ),
-                            ),
-                            Err(e) => wire::WireResponse::error(0, e),
-                        }
-                    };
-                    self.in_buf.clear();
-                    self.respond_binary(&response, counters);
-                }
-            }
-        }
+    /// The peer will send nothing more: answer the frame cut short by
+    /// the close, if any, then close after the flush.
+    fn finish_eof<S: QueryService + ?Sized>(&mut self, service: &S, counters: &TransportCounters) {
         self.closing = true;
-        Ok(())
+        // Complete frames were served before EOF was processed, so
+        // whatever remains is one truncated frame.
+        let rest = std::mem::take(&mut self.in_buf);
+        self.scan_from = 0;
+        if rest.is_empty() {
+            return;
+        }
+        if !opens_binary(&rest) {
+            // A final JSON line missing only its newline is served.
+            self.handle_json_frame(&rest, service, counters);
+            return;
+        }
+        let response = match rest.first_chunk::<{ binary::HEADER_BYTES }>() {
+            None => wire::WireResponse::error(
+                0,
+                wire::WireError::new(
+                    wire::ErrorCode::MalformedRequest,
+                    "connection closed mid-header",
+                ),
+            ),
+            Some(header_bytes) => match binary::decode_header(header_bytes) {
+                Ok(header) => wire::WireResponse::error(
+                    header.id,
+                    wire::WireError::new(
+                        wire::ErrorCode::MalformedRequest,
+                        "connection closed mid-payload",
+                    ),
+                ),
+                Err(e) => wire::WireResponse::error(0, e),
+            },
+        };
+        self.respond_binary(&response, counters);
     }
 
     // --- response queueing -------------------------------------------
@@ -534,17 +508,20 @@ impl MuxConn {
         }
     }
 
-    /// Queues a typed rejection and flags the connection to close once
-    /// the queue flushes.
-    fn reject_and_close(&mut self, response: wire::WireResponse, counters: &TransportCounters) {
-        match self.codec {
-            Codec::Json => self.respond_json(&response, counters),
-            Codec::Binary => self.respond_binary(&response, counters),
-        }
+    /// Flags the connection to close once its queue flushes, after a
+    /// typed rejection that lost the peer's framing.
+    fn close_after_flush(&mut self) {
         self.closing = true;
         // Closing overrides backpressure: drain and go.
         self.paused = false;
     }
+}
+
+/// Whether `buf`, the head of a frame, opens a binary frame: it starts
+/// with [`binary::MAGIC`], or is so far only a prefix of it (a lone
+/// first magic byte, whose codec the next byte decides).
+fn opens_binary(buf: &[u8]) -> bool {
+    binary::MAGIC.starts_with(&buf[..buf.len().min(binary::MAGIC.len())])
 }
 
 #[cfg(test)]
@@ -555,7 +532,16 @@ mod tests {
     use std::sync::atomic::Ordering;
     use std::time::{Duration, Instant};
 
-    use dpgrid_serve::{Catalog, QueryEngine};
+    use dpgrid_core::{epoch_key, EpochRange, Method, Pipeline, Release};
+    use dpgrid_geo::generators::PaperDataset;
+    use dpgrid_geo::Domain;
+    use dpgrid_ldp::{CollectingService, CollectorConfig, ReportCollector};
+    use dpgrid_mech::BudgetSchedule;
+    use dpgrid_serve::wire::{
+        RequestBody, ResponseBody, WireQuery, WireRect, WireReportBatch, WireRequest, WireResponse,
+        WireWindow,
+    };
+    use dpgrid_serve::{Catalog, QueryEngine, ReportBatch, ReportPayload};
 
     /// A server-side connection and its client over loopback.
     fn loopback_pair() -> (MuxConn, TcpStream) {
@@ -570,9 +556,7 @@ mod tests {
     }
 
     fn ping_line() -> Vec<u8> {
-        let mut line = wire::WireRequest::new(1, wire::RequestBody::Ping)
-            .encode()
-            .into_bytes();
+        let mut line = WireRequest::new(1, RequestBody::Ping).encode().into_bytes();
         line.push(b'\n');
         line
     }
@@ -583,15 +567,15 @@ mod tests {
 
     /// Runs readiness passes, as the run loop would, until `done`
     /// holds or the connection closes. Returns whether it closed.
-    fn pump_until(
+    fn pump_until<S: QueryService + ?Sized>(
         conn: &mut MuxConn,
+        service: &S,
         counters: &TransportCounters,
         done: impl Fn(&MuxConn) -> bool,
     ) -> bool {
-        let engine = QueryEngine::new(Catalog::new());
         let deadline = Instant::now() + Duration::from_secs(10);
         loop {
-            if conn.on_ready(&engine, counters) == ConnState::Closed {
+            if conn.on_ready(service, counters) == ConnState::Closed {
                 return true;
             }
             if done(conn) {
@@ -611,17 +595,18 @@ mod tests {
         bytes: &[u8],
         done: impl Fn(&MuxConn) -> bool,
     ) -> bool {
+        let engine = QueryEngine::new(Catalog::new());
         std::thread::scope(|scope| {
             let mut writer = client.try_clone().unwrap();
             scope.spawn(move || writer.write_all(bytes).unwrap());
-            pump_until(conn, counters, done)
+            pump_until(conn, &engine, counters, done)
         })
     }
 
-    fn read_response(client: &TcpStream) -> wire::WireResponse {
+    fn read_response(client: &TcpStream) -> WireResponse {
         let mut line = String::new();
         BufReader::new(client).read_line(&mut line).unwrap();
-        wire::WireResponse::decode(line.trim_end()).unwrap()
+        WireResponse::decode(line.trim_end()).unwrap()
     }
 
     #[test]
@@ -636,9 +621,10 @@ mod tests {
 
         // One write carries the line's newline across the cap.
         (&client).write_all(&ping_line()).unwrap();
-        let closed = pump_until(&mut conn, &counters, |_| answered(&counters));
+        let engine = QueryEngine::new(Catalog::new());
+        let closed = pump_until(&mut conn, &engine, &counters, |_| answered(&counters));
         match read_response(&client).body {
-            wire::ResponseBody::Error(e) => {
+            ResponseBody::Error(e) => {
                 assert_eq!(e.code, wire::ErrorCode::MalformedRequest);
                 assert_eq!(e.message, format!("frame exceeds {MAX_FRAME_BYTES} bytes"));
             }
@@ -662,6 +648,257 @@ mod tests {
             answered(&counters)
         });
         assert!(!closed);
-        assert_eq!(read_response(&client).body, wire::ResponseBody::Pong);
+        assert_eq!(read_response(&client).body, ResponseBody::Pong);
+    }
+
+    /// Serves one connection whose peer sends `writes` in order, each
+    /// only once the server has read every byte before it, and then
+    /// half-closes. Returns every reply byte the peer received.
+    fn serve_writes<'a, S: QueryService + ?Sized>(
+        service: &S,
+        writes: impl IntoIterator<Item = &'a [u8]>,
+    ) -> Vec<u8> {
+        let (mut conn, mut client) = loopback_pair();
+        let counters = TransportCounters::default();
+        let mut sent = 0;
+        for bytes in writes {
+            client.write_all(bytes).unwrap();
+            sent += bytes.len() as u64;
+            let read_all = |_: &MuxConn| counters.bytes_in.load(Ordering::Relaxed) == sent;
+            assert!(!pump_until(&mut conn, service, &counters, read_all));
+        }
+        client.shutdown(std::net::Shutdown::Write).unwrap();
+        assert!(pump_until(&mut conn, service, &counters, |_| false));
+        drop(conn);
+        let mut replies = Vec::new();
+        client.read_to_end(&mut replies).unwrap();
+        replies
+    }
+
+    /// Splits a reply stream into its frames, each decoded in the codec
+    /// its first bytes name (`true` = binary).
+    fn decode_replies(mut bytes: &[u8]) -> Vec<(bool, WireResponse)> {
+        let mut replies = Vec::new();
+        while !bytes.is_empty() {
+            if bytes.starts_with(&binary::MAGIC) {
+                let header = binary::decode_header(bytes.first_chunk().unwrap()).unwrap();
+                let end = binary::HEADER_BYTES + header.payload_len;
+                let payload = &bytes[binary::HEADER_BYTES..end];
+                replies.push((true, binary::decode_response(&header, payload).unwrap()));
+                bytes = &bytes[end..];
+            } else {
+                let nl = bytes.iter().position(|&b| b == b'\n').unwrap();
+                let line = std::str::from_utf8(&bytes[..nl]).unwrap();
+                replies.push((false, WireResponse::decode(line).unwrap()));
+                bytes = &bytes[nl + 1..];
+            }
+        }
+        replies
+    }
+
+    /// One release `a` and two epochs of keyspace `taxi`.
+    fn releases() -> Vec<(String, Release)> {
+        let data = PaperDataset::Storage.generate_n(5, 1_000).unwrap();
+        let keys = [
+            "a".to_string(),
+            epoch_key("taxi", EpochRange::single(0)),
+            epoch_key("taxi", EpochRange::single(1)),
+        ];
+        (1..)
+            .zip(keys)
+            .map(|(seed, key)| {
+                let release = Pipeline::new(&data)
+                    .method(Method::ug(8))
+                    .seed(seed)
+                    .publish()
+                    .unwrap();
+                (key, release)
+            })
+            .collect()
+    }
+
+    /// A collecting service over `releases` in a fresh catalog, with an
+    /// 8 × 8 collector for keyspace `ldp`: every run starts from the
+    /// same state, so its replies repeat byte for byte.
+    fn fresh_service(releases: &[(String, Release)]) -> CollectingService<QueryEngine> {
+        let mut catalog = Catalog::new();
+        for (key, release) in releases {
+            catalog.insert(key.clone(), release.clone());
+        }
+        let config = CollectorConfig::new(
+            "ldp",
+            Domain::from_corners(0.0, 0.0, 8.0, 8.0).unwrap(),
+            8,
+            8,
+            BudgetSchedule::uniform(1.0, 4).unwrap(),
+        )
+        .unwrap();
+        CollectingService::new(
+            QueryEngine::new(catalog),
+            ReportCollector::new(config).unwrap(),
+        )
+    }
+
+    /// Every request kind in both codecs, a query for a missing key in
+    /// each, and a blank line after a binary frame. Returns the train
+    /// and, per reply, its codec (`true` = binary) and id.
+    fn mixed_train(epsilon: f64) -> (Vec<u8>, Vec<(bool, u64)>) {
+        let rect = WireRect {
+            x0: -120.0,
+            y0: 20.0,
+            x1: -90.0,
+            y1: 40.0,
+        };
+        let query = |key: &str| {
+            RequestBody::Query(WireQuery {
+                release_key: key.into(),
+                rects: vec![rect, rect],
+            })
+        };
+        let window = || {
+            RequestBody::Window(WireWindow {
+                keyspace: "taxi".into(),
+                epoch_start: 0,
+                epoch_end: 2,
+                rects: vec![rect],
+            })
+        };
+        let report = |payload| {
+            RequestBody::Report(WireReportBatch::from_batch(&ReportBatch {
+                keyspace: "ldp".into(),
+                epoch: 0,
+                epsilon,
+                cells: 64,
+                payload,
+            }))
+        };
+        let frames = [
+            Some((false, query("a"))),
+            Some((true, query("a"))),
+            None,
+            Some((true, window())),
+            Some((false, window())),
+            Some((false, report(ReportPayload::Grr(vec![1, 2, 63])))),
+            Some((
+                true,
+                report(ReportPayload::Oue {
+                    count: 2,
+                    bits: vec![1 << 5, u64::MAX],
+                }),
+            )),
+            Some((true, RequestBody::Keys)),
+            Some((false, RequestBody::Keys)),
+            Some((false, RequestBody::Ping)),
+            Some((true, RequestBody::Ping)),
+            Some((true, query("missing"))),
+            Some((false, query("missing"))),
+            Some((false, RequestBody::Stats)),
+            Some((true, RequestBody::Stats)),
+        ];
+        let mut train = Vec::new();
+        let mut expected = Vec::new();
+        for frame in frames {
+            let Some((is_binary, body)) = frame else {
+                train.push(b'\n');
+                continue;
+            };
+            let request = WireRequest::new(expected.len() as u64 + 1, body);
+            if is_binary {
+                binary::append_request(&request, &mut train).unwrap();
+            } else {
+                train.extend_from_slice(request.encode().as_bytes());
+                train.push(b'\n');
+            }
+            expected.push((is_binary, request.id));
+        }
+        (train, expected)
+    }
+
+    #[test]
+    fn mixed_train_reassembles_identically_however_it_is_split() {
+        let releases = releases();
+        let epsilon = fresh_service(&releases).with_collector(|c| c.open_epsilon().unwrap());
+        let (train, expected) = mixed_train(epsilon);
+        let whole = serve_writes(&fresh_service(&releases), [&train[..]]);
+
+        // Every frame is answered once, in order, in its own codec.
+        let replies = decode_replies(&whole);
+        let codec_and_id: Vec<(bool, u64)> = replies.iter().map(|(b, r)| (*b, r.id)).collect();
+        assert_eq!(codec_and_id, expected);
+        for pair in replies.chunks(2) {
+            let [(_, json_or_first), (_, second)] = pair else {
+                panic!("replies come in pairs");
+            };
+            match (&json_or_first.body, &second.body) {
+                (ResponseBody::Answers(a), ResponseBody::Answers(b)) => {
+                    assert_eq!(a.answers, b.answers)
+                }
+                (ResponseBody::Window(a), ResponseBody::Window(b)) => assert_eq!(a, b),
+                (ResponseBody::Report(a), ResponseBody::Report(b)) => {
+                    assert_eq!((a.accepted, b.accepted), (3, 2))
+                }
+                (ResponseBody::Keys(a), ResponseBody::Keys(b)) => assert_eq!(a, b),
+                (ResponseBody::Pong, ResponseBody::Pong) => {}
+                (ResponseBody::Error(a), ResponseBody::Error(b)) => {
+                    assert_eq!(a.code, wire::ErrorCode::UnknownKey);
+                    assert_eq!(a, b);
+                }
+                (ResponseBody::Stats(a), ResponseBody::Stats(b)) => {
+                    assert_eq!(a, b)
+                }
+                other => panic!("mismatched replies {other:?}"),
+            }
+        }
+
+        // The same bytes, split into two writes at every boundary and
+        // then one byte per write, get the same reply bytes.
+        for cut in 1..train.len() {
+            let split = serve_writes(&fresh_service(&releases), [&train[..cut], &train[cut..]]);
+            assert!(split == whole, "split at byte {cut} of {}", train.len());
+        }
+        let dribbled = serve_writes(&fresh_service(&releases), train.chunks(1));
+        assert!(dribbled == whole, "one byte per write");
+    }
+
+    #[test]
+    fn eof_inside_a_frame_is_answered_in_its_codec() {
+        let engine = QueryEngine::new(Catalog::new());
+        // A JSON line cut before its newline is served.
+        let ping = WireRequest::new(7, RequestBody::Ping);
+        let replies = decode_replies(&serve_writes(&engine, [ping.encode().as_bytes()]));
+        assert_eq!(replies, [(false, WireResponse::new(7, ResponseBody::Pong))]);
+
+        // A binary frame cut short fails typed, in binary: under id 0
+        // inside the header (a lone first magic byte included), under
+        // the header's id inside the payload.
+        let query = WireRequest::new(
+            9,
+            RequestBody::Query(WireQuery {
+                release_key: "k".into(),
+                rects: Vec::new(),
+            }),
+        );
+        let mut frame = Vec::new();
+        binary::append_request(&query, &mut frame).unwrap();
+        for cut in [
+            1,
+            2,
+            binary::HEADER_BYTES - 1,
+            binary::HEADER_BYTES,
+            frame.len() - 1,
+        ] {
+            let (id, why) = if cut < binary::HEADER_BYTES {
+                (0, "connection closed mid-header")
+            } else {
+                (9, "connection closed mid-payload")
+            };
+            let replies = decode_replies(&serve_writes(&engine, [&frame[..cut]]));
+            let mut error = WireResponse::error(
+                id,
+                wire::WireError::new(wire::ErrorCode::MalformedRequest, why),
+            );
+            error.protocol_version = binary::PROTOCOL_VERSION;
+            assert_eq!(replies, [(true, error)], "cut at {cut}");
+        }
     }
 }

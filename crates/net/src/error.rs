@@ -18,8 +18,6 @@ pub enum NetError {
     /// [`WireError::code`] (e.g. `Overloaded` means back off and
     /// retry, `UnknownKey` means the release is not published).
     Server(WireError),
-    /// The connection closed while a response was pending.
-    Disconnected,
 }
 
 impl fmt::Display for NetError {
@@ -28,7 +26,6 @@ impl fmt::Display for NetError {
             NetError::Io(e) => write!(f, "socket error: {e}"),
             NetError::Protocol(why) => write!(f, "protocol violation: {why}"),
             NetError::Server(e) => write!(f, "server error: {e}"),
-            NetError::Disconnected => write!(f, "connection closed mid-request"),
         }
     }
 }
@@ -38,7 +35,7 @@ impl std::error::Error for NetError {
         match self {
             NetError::Io(e) => Some(e),
             NetError::Server(e) => Some(e),
-            NetError::Protocol(_) | NetError::Disconnected => None,
+            NetError::Protocol(_) => None,
         }
     }
 }

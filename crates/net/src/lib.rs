@@ -10,13 +10,14 @@
 //! serving tier ([`RemoteShard`]) and the write-path fan-out for LDP
 //! report ingestion ([`ReportRouter`]) — all speaking the versioned
 //! wire protocol defined in [`dpgrid_serve::wire`]. The server speaks
-//! both of its codecs; the client side speaks binary v2 only, reached
-//! by one JSON `Hello` per connection. It deliberately uses no async
-//! runtime and no external networking dependencies — everything is
-//! `std::net` + `std::thread` plus a thin readiness shim over the
-//! platform's `epoll`/`poll(2)`, consistent with the workspace's
-//! vendored-stubs constraint, and the protocol layer is shared so an
-//! async transport can later reuse it unchanged.
+//! both of its codecs on every connection, frame by frame; the client
+//! side writes binary v2 frames only, from its first byte. It
+//! deliberately uses no async runtime and no external networking
+//! dependencies — everything is `std::net` + `std::thread` plus a
+//! thin readiness shim over the platform's `epoll`/`poll(2)`,
+//! consistent with the workspace's vendored-stubs constraint, and the
+//! protocol layer is shared so an async transport can later reuse it
+//! unchanged.
 //!
 //! # Transport architecture
 //!
@@ -38,8 +39,8 @@
 //!   connection is ever touched by two threads, so connection state
 //!   needs no locks. The run loop knows nothing about frame formats.
 //! * **Dispatch** (the private `conn` module): one nonblocking state
-//!   machine per connection — handshake (JSON until a `Hello` negotiates v2),
-//!   partial-frame reassembly for both codecs, the frame caps,
+//!   machine per connection — each frame's codec read from its first
+//!   bytes, partial-frame reassembly for both codecs, the frame caps,
 //!   protocol dispatch through the `dpgrid_serve::wire` entry points,
 //!   and a write queue drained with vectored writes.
 //!
@@ -111,10 +112,12 @@
 //! # Frame formats
 //!
 //! Two codecs share one request/response vocabulary (the types in
-//! [`dpgrid_serve::wire`]); which one a connection speaks is decided
-//! once, at connect time (see *Versioning and the handshake* below).
+//! [`dpgrid_serve::wire`]). Nothing is negotiated: every frame names
+//! its codec by its first bytes, the server answers each frame in the
+//! codec it arrived in, and one connection may mix the two frame by
+//! frame (see *Versioning* below).
 //!
-//! ## JSON v1 (the bootstrap codec)
+//! ## JSON v1 (the raw-line codec)
 //!
 //! One frame per line, newline-delimited (`\n`; a trailing `\r` is
 //! tolerated). Each line is a single JSON object:
@@ -126,8 +129,7 @@
 //!   larger ids round in transit); `body` is externally
 //!   tagged, one of
 //!   `{"Query": {"release_key": "…", "rects": [{"x0":…,"y0":…,"x1":…,"y1":…}, …]}}`,
-//!   `{"Batch": [query, …]}`, `"Stats"`, `"Keys"`, `"Ping"`,
-//!   `{"Hello": {"max_version": …}}` (negotiation, below),
+//!   `"Stats"`, `"Keys"`, `"Ping"`,
 //!   `{"Window": {"keyspace": "…", "epoch_start": …, "epoch_end": …,
 //!   "rects": […]}}` (sliding-window sum over epoch releases, below)
 //!   or `{"Report": {"keyspace": "…", "epoch": …, "epsilon": …,
@@ -137,8 +139,7 @@
 //!   64 bits).
 //! * response: `{"protocol_version": 1, "id": 7, "body": …}` — see
 //!   [`dpgrid_serve::wire::WireResponse`]; `body` is one of
-//!   `{"Answers": …}`, `{"Batch": […]}`, `{"Stats": …}`,
-//!   `{"Keys": […]}`, `"Pong"`, `{"Hello": {"version": …}}`,
+//!   `{"Answers": …}`, `{"Stats": …}`, `{"Keys": […]}`, `"Pong"`,
 //!   `{"Window": {"keyspace": "…", "covered": [{"start": …, "end": …},
 //!   …], "answers": […]}}`,
 //!   `{"Report": {"keyspace": "…", "epoch": …, "accepted": …,
@@ -164,9 +165,9 @@
 //!
 //! | bytes   | field        | value                                        |
 //! |---------|--------------|----------------------------------------------|
-//! | 0–1     | magic        | `0xD6 0xB2` (can never begin a JSON frame)   |
+//! | 0–1     | magic        | `0xD6 0xB2` (`0xD6` is not ASCII; a JSON text begins with an ASCII byte) |
 //! | 2       | version      | `2`                                          |
-//! | 3       | frame type   | requests `0x01..=0x07`, responses `0x81..=0x88` |
+//! | 3       | frame type   | requests `0x01`, `0x03..=0x07`, responses `0x81`, `0x83..=0x88` |
 //! | 4–11    | id           | `u64` LE — full range, no `2⁵³` ceiling      |
 //! | 12–15   | payload len  | `u32` LE, capped at 16 MiB − 16 B            |
 //!
@@ -180,15 +181,14 @@
 //! [`TcpClient`] sends every call that way, as one train of one or more
 //! frames ([`TcpClient::query_pipelined`], used by [`RemoteShard`] for
 //! every scattered sub-batch; [`TcpClient::submit_reports`] on the write
-//! path). The `Batch` request kind stays in both codecs for raw-line
-//! and hand-built peers, but no client sends it. Since one connection's
-//! frames are answered one after another, parallelism over TCP comes
-//! from several connections ([`TcpClientPool`], [`RemoteShard`]), not
-//! from one many-request frame. Malformed *payloads* under intact
-//! framing get typed `MalformedRequest` replies and the connection
-//! survives; anything that destroys byte framing — wrong magic, an
-//! over-cap length prefix, a truncated frame — is answered typed and
-//! the connection closed, exactly as v1 treats its 16 MiB flood guard.
+//! path). Since one connection's frames are answered one after
+//! another, parallelism over TCP comes from several connections
+//! ([`TcpClientPool`], [`RemoteShard`]), not from one many-request
+//! frame. Malformed *payloads* under intact framing get typed
+//! `MalformedRequest` replies and the connection survives; anything
+//! that destroys byte framing — a foreign version byte, an over-cap
+//! length prefix, a truncated frame — is answered typed and the
+//! connection closed, exactly as v1 treats its 16 MiB flood guard.
 //! NaN/infinite coordinates travel bit-exactly in v2 (unlike JSON's
 //! `null` detour) and are rejected by the same boundary validation, so
 //! codec choice never changes what reaches an engine.
@@ -199,7 +199,7 @@
 //! time epoch under the key grammar of `dpgrid_core::temporal`:
 //! `{keyspace}@epoch:{i}` for a fine epoch, `{keyspace}@epoch:{s}-{e}`
 //! for a compacted half-open tier. These are ordinary release keys —
-//! they travel through `Query`/`Batch`/`Keys` unchanged, place on
+//! they travel through `Query`/`Keys` unchanged, place on
 //! shards by the same rendezvous hash, and `Keys` enumerates every
 //! epoch of a keyspace. The `Window` request kind (JSON `{"Window":…}`
 //! / binary `0x06`) asks the server to resolve and sum the surfaces
@@ -243,27 +243,26 @@
 //! | `UnsupportedVersion` | `protocol_version` mismatch                | upgrade one side |
 //! | `Internal`           | server-side failure                        | report / retry |
 //!
-//! # Versioning and the handshake
+//! # Versioning
 //!
-//! Every connection starts in JSON v1, the codec a script or `nc` can
-//! speak by hand; the server answers such raw-line peers for as long
-//! as they stay on it. [`TcpClient`] instead sends one JSON
-//! `Hello {max_version: 2}` frame (id 0) as its first message, and the
-//! server replies `Hello {version: min(client_max, server_max)}`. When
-//! that lands on 2 the **same connection** switches to binary frames —
-//! both directions, no reconnect. The client speaks binary v2 only: an
-//! ack of any other version, or an error reply to the offer (what a
-//! JSON-only peer sends for the unknown kind), fails the dial with a
-//! typed [`NetError::Protocol`]. The handshake lives and dies with the
-//! connection — a reconnecting client ([`TcpClient`]'s one-shot
-//! redial, every pool checkout) repeats it, so a replaced server is
-//! never sent binary frames it has not acked.
+//! A connection holds no codec state. A frame whose first two bytes are
+//! the binary magic `0xD6 0xB2` is binary v2; any other frame is a JSON
+//! v1 line. The two cannot be confused: an RFC 8259 JSON text begins
+//! with ASCII whitespace or an ASCII value byte, and `0xD6` is not
+//! ASCII. A lone `0xD6` waits for the next byte. A script or `nc`
+//! speaks JSON lines by hand; [`TcpClient`] writes binary frames from
+//! its first byte, with no handshake, and reads only binary replies.
 //!
 //! Within one codec, `protocol_version` (JSON:
 //! [`dpgrid_serve::wire::PROTOCOL_VERSION`] = 1, binary:
-//! [`dpgrid_serve::wire::binary::PROTOCOL_VERSION`] = 2) bumps on any
-//! incompatible change; both peers reject other versions with
-//! `UnsupportedVersion` rather than guessing. The
+//! [`dpgrid_serve::wire::binary::PROTOCOL_VERSION`] = 2) bumps when the
+//! bytes of an existing kind change meaning; both peers reject other
+//! versions with `UnsupportedVersion` rather than guessing. Adding or
+//! removing a kind does not bump it: a kind a server lacks, whether
+//! added after it or removed before it, is answered `MalformedRequest`
+//! under the frame's id and the connection stays. So raw-line peers of
+//! earlier builds keep working for every kind both sides know, and a
+//! `Hello` or `Batch` line from one gets that reply. The
 //! [`dpgrid_serve::wire::ErrorCode`] table is shared by both codecs:
 //! JSON spells the *names*, binary carries one stable byte per code
 //! ([`dpgrid_serve::wire::binary::code_byte`]) — both append-only,
@@ -348,8 +347,7 @@ mod tests {
     }
 
     /// Sends `body` as one raw JSON line on `json` and reads the reply
-    /// line — the server's JSON codec as a script or `nc` speaks it,
-    /// with no `Hello`.
+    /// line — the server's JSON codec as a script or `nc` speaks it.
     fn json_line(json: &mut BufReader<TcpStream>, id: u64, body: RequestBody) -> ResponseBody {
         let frame = WireRequest::new(id, body).encode();
         json.get_mut().write_all(frame.as_bytes()).unwrap();
@@ -406,28 +404,23 @@ mod tests {
         // A server that cannot attribute a frame replies under id 0
         // (e.g. the frame-cap rejection); the client must surface the
         // typed error, not a confusing id-mismatch protocol error.
-        // Simulated with a one-shot fake server that acks the
-        // handshake, then answers the first binary frame that way.
-        use dpgrid_serve::wire::{binary, hello_ack, WireError};
+        // Simulated with a one-shot fake server that answers the first
+        // binary frame that way.
+        use dpgrid_serve::wire::{binary, WireError};
         use std::io::Read;
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let fake = std::thread::spawn(move || {
-            let (stream, _) = listener.accept().unwrap();
-            let mut peer = BufReader::new(stream);
-            let mut offer = String::new();
-            peer.read_line(&mut offer).unwrap();
-            let mut out = hello_ack(0, binary::PROTOCOL_VERSION).encode().into_bytes();
-            out.push(b'\n');
-            peer.get_mut().write_all(&out).unwrap();
+            let (mut peer, _) = listener.accept().unwrap();
             let mut ping = [0u8; binary::HEADER_BYTES];
             peer.read_exact(&mut ping).unwrap();
             let reject = WireResponse::error(
                 0,
                 WireError::new(ErrorCode::MalformedRequest, "frame exceeds the cap"),
             );
+            let mut out = Vec::new();
             binary::encode_response(&reject, &mut out).unwrap();
-            peer.get_mut().write_all(&out).unwrap();
+            peer.write_all(&out).unwrap();
             // Hold the connection until the client hangs up.
             let _ = peer.read(&mut [0u8; 1]);
         });
@@ -444,26 +437,19 @@ mod tests {
     fn unattributed_errors_in_a_longer_train_drop_the_connection() {
         // In a train of three, an error under id 0 belongs to no frame:
         // the lockstep is lost, so the call fails as a protocol error
-        // and the next call redials (the fake sees a second `Hello`)
-        // instead of reading the train's stray replies.
-        use dpgrid_serve::wire::{binary, hello_ack, WireError};
+        // and the next call redials (the fake accepts a second
+        // connection) instead of reading the train's stray replies.
+        use dpgrid_serve::wire::{binary, WireError};
         use std::io::Read;
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let fake = std::thread::spawn(move || {
-            let mut hellos = 0;
+            let mut dials = 0;
             let mut open = Vec::new();
+            let mut out = Vec::new();
             for reply in [None, Some(ResponseBody::Pong)] {
-                let (stream, _) = listener.accept().unwrap();
-                let mut peer = BufReader::new(stream);
-                let mut offer = String::new();
-                peer.read_line(&mut offer).unwrap();
-                let offer = WireRequest::decode(offer.trim_end()).unwrap();
-                assert!(matches!(offer.body, RequestBody::Hello(_)), "{offer:?}");
-                hellos += 1;
-                let mut out = hello_ack(0, binary::PROTOCOL_VERSION).encode().into_bytes();
-                out.push(b'\n');
-                peer.get_mut().write_all(&out).unwrap();
+                let (mut peer, _) = listener.accept().unwrap();
+                dials += 1;
                 // Read the first frame only; answer it under id 0 on
                 // the first connection, in lockstep on the second.
                 let mut head = [0u8; binary::HEADER_BYTES];
@@ -478,12 +464,12 @@ mod tests {
                     Some(body) => WireResponse::new(header.id, body),
                 };
                 binary::encode_response(&response, &mut out).unwrap();
-                peer.get_mut().write_all(&out).unwrap();
+                peer.write_all(&out).unwrap();
                 open.push(peer);
             }
             // Hold both connections until the client hangs up.
             let _ = open[1].read(&mut [0u8; 1]);
-            hellos
+            dials
         });
         let mut client = TcpClient::connect(addr).unwrap();
         let q = Rect::new(-120.0, 20.0, -90.0, 40.0).unwrap();
@@ -531,8 +517,9 @@ mod tests {
         // The next call fails with a transport error, not a hang: the
         // one-shot reconnect finds nothing listening.
         let err = client.ping().unwrap_err();
-        assert!(matches!(err, NetError::Disconnected | NetError::Io(_)));
+        assert!(matches!(err, NetError::Io(_)));
         assert!(!client.is_connected());
+        assert_eq!(client.protocol_version(), None);
     }
 
     #[test]

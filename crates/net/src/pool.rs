@@ -8,15 +8,16 @@
 //! connections are parked for reuse up to a cap, and a connection
 //! that surfaces a transport error is simply dropped — the next
 //! checkout dials a fresh one, on top of each client's own one-shot
-//! reconnect. No health-check thread, no handshake state: the pool's
-//! only invariant is "parked connections answered their last call".
+//! reconnect. No health-check thread and no per-connection protocol
+//! state: the pool's only invariant is "parked connections answered
+//! their last call".
 
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::Mutex;
 use std::time::Duration;
 
 use crate::client::{TcpClient, DEFAULT_IO_TIMEOUT};
-use crate::error::{NetError, Result};
+use crate::error::Result;
 
 /// Default cap on parked idle connections per pool.
 pub const DEFAULT_MAX_IDLE: usize = 4;
@@ -34,8 +35,7 @@ impl TcpClientPool {
     /// Creates a pool dialing `addr`, verifying reachability with one
     /// pinged connection (parked for reuse). When `addr` resolves to
     /// several addresses the first that connects wins. Every pooled
-    /// connection is a [`TcpClient`], so each dial completes the binary
-    /// handshake or fails typed.
+    /// connection is a [`TcpClient`] speaking binary frames.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Self> {
         let mut client = TcpClient::connect(addr)?;
         client.ping()?;
@@ -85,29 +85,21 @@ impl TcpClientPool {
     }
 
     /// Runs `f` with a pooled connection: checks one out (dialing if
-    /// none is parked), and returns it to the pool only when `f`
-    /// succeeds — a connection that surfaced an error is dropped, so
-    /// the pool never parks a stream in an unknown state.
+    /// none is parked), and returns it to the pool only while it still
+    /// holds its connection. A [`TcpClient`] drops its connection on
+    /// every transport or framing error and keeps it through typed
+    /// server errors and frames refused before sending, so the pool
+    /// never parks a stream in an unknown state.
     pub fn with_client<T>(&self, f: impl FnOnce(&mut TcpClient) -> Result<T>) -> Result<T> {
         let mut client = match self.lock().pop() {
             Some(client) => client,
             None => TcpClient::connect(self.addr)?.with_io_timeout(self.io_timeout)?,
         };
-        match f(&mut client) {
-            Ok(value) => {
-                self.check_in(client);
-                Ok(value)
-            }
-            Err(e) => {
-                // Typed server errors leave the connection healthy —
-                // the framing completed — so keep it; everything else
-                // drops the connection with the error.
-                if matches!(e, NetError::Server(_)) {
-                    self.check_in(client);
-                }
-                Err(e)
-            }
+        let result = f(&mut client);
+        if client.is_connected() {
+            self.check_in(client);
         }
+        result
     }
 
     fn check_in(&self, client: TcpClient) {

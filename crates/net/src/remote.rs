@@ -17,8 +17,9 @@
 //! wire error's `overload` field). One honest loss of fidelity:
 //! unexpected codes (`Internal`, `MalformedRequest`, …) collapse into
 //! [`ServeError::Unavailable`]. A *transport* failure — the host is
-//! unreachable, the pool's dial failed, the peer refused the binary
-//! handshake — fails the whole sub-batch with
+//! unreachable, the pool's dial failed, the peer broke off a train or
+//! answered bytes that are not binary frames — fails the whole
+//! sub-batch with
 //! [`ServeError::Unavailable`], which the router isolates to exactly
 //! the requests routed here.
 
@@ -145,10 +146,7 @@ impl QueryService for RemoteShard {
                 // Attribute UnknownKey to the window's own epoch key
                 // (the same label the in-process resolver uses for an
                 // uncovered range).
-                let key = format!(
-                    "{}@epoch:{}-{}",
-                    query.keyspace, query.range.start, query.range.end
-                );
+                let key = dpgrid_core::epoch_key(&query.keyspace, query.range);
                 Err(wire_to_serve(e, &self.label, &key))
             }
             Err(e) => Err(self.unavailable(&e)),

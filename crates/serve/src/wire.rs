@@ -30,28 +30,30 @@
 //!
 //! # Versioning policy
 //!
-//! [`PROTOCOL_VERSION`] bumps on any incompatible change (renamed
-//! fields, changed semantics, removed variants). Peers reject frames
-//! from other versions with `UnsupportedVersion`. Encoders write every
-//! field of a frame, and a frame missing one does not decode.
+//! [`PROTOCOL_VERSION`] bumps when the bytes of an existing frame kind
+//! change meaning (renamed fields, changed semantics). Peers reject
+//! frames from other versions with `UnsupportedVersion`. Encoders write
+//! every field of a frame, and a frame missing one does not decode.
+//! Adding or removing a *kind* does not bump it: a kind a server lacks,
+//! whether added after it or removed before it, fails to decode and is
+//! answered `MalformedRequest` under the frame's id, and the connection
+//! stays usable. So a raw-line peer of any earlier build keeps working
+//! for every kind both sides know.
 //!
 //! # Two codecs, one protocol
 //!
 //! The frame *types* above are codec-agnostic. Two encodings carry
-//! them:
+//! them, and every frame names its own by its first bytes:
 //!
 //! * **JSON v1** — single-line JSON frames (this module's
-//!   `encode`/`decode`), the format every connection starts in and
-//!   what raw-line peers (scripts, `nc`) speak throughout.
-//! * **Binary v2** — length-prefixed binary frames ([`binary`]),
-//!   negotiated per connection: a client offers v2 with a
-//!   [`RequestBody::Hello`] JSON frame, the server answers
-//!   [`ResponseBody::Hello`] with the version both sides will speak
-//!   (see [`negotiate`]), and when that is 2 the *same connection*
-//!   switches to binary framing for every subsequent frame. The
-//!   `dpgrid-net` client speaks only this codec and refuses a server
-//!   that does not ack it. Negotiation frames themselves always travel
-//!   as JSON v1.
+//!   `encode`/`decode`), what raw-line peers (scripts, `nc`) speak.
+//! * **Binary v2** — length-prefixed binary frames ([`binary`]), each
+//!   opening with [`binary::MAGIC`]. A JSON text begins with ASCII
+//!   whitespace or an ASCII value byte, and the magic's first byte is
+//!   not ASCII, so a transport tells the codecs apart frame by frame
+//!   and answers each frame in the codec it arrived in. There is no
+//!   negotiation and no per-connection codec state. The `dpgrid-net`
+//!   client speaks only this codec.
 //!
 //! Dispatch is codec-generic: both codecs decode into the same
 //! [`RequestBody`], go through the same [`dispatch`] (one validation
@@ -69,13 +71,10 @@ use crate::service::QueryService;
 
 pub mod binary;
 
-/// Version of the JSON line frame format defined by this module —
-/// the codec every peer speaks on connect. Incompatible changes bump
-/// it; both sides reject other versions. The binary codec is
-/// [`binary::PROTOCOL_VERSION`] (2), reached only through [`Hello`]
-/// negotiation.
-///
-/// [`Hello`]: RequestBody::Hello
+/// Version of the JSON line frame format defined by this module.
+/// Incompatible changes bump it; both sides reject other versions. The
+/// binary codec carries its own, [`binary::PROTOCOL_VERSION`] (2), in
+/// every frame header.
 pub const PROTOCOL_VERSION: u32 = 1;
 
 /// Upper bound on one encoded frame's bytes (newline included), in
@@ -521,31 +520,11 @@ impl WireReportAck {
     }
 }
 
-/// A client's codec offer: the highest protocol version it speaks.
-/// Travels inside [`RequestBody::Hello`], always as JSON v1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct HelloOffer {
-    /// Highest protocol version the client can speak (≥ 1).
-    pub max_version: u32,
-}
-
-/// The server's negotiation answer: the version both sides will speak
-/// from the next frame on. Travels inside [`ResponseBody::Hello`],
-/// always as JSON v1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct HelloAck {
-    /// The negotiated protocol version (see [`negotiate`]).
-    pub version: u32,
-}
-
 /// The payload of one request frame.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum RequestBody {
     /// Answer one release query.
     Query(WireQuery),
-    /// Answer several queries (possibly across releases) in one round
-    /// trip; per-query failures are isolated in the response.
-    Batch(Vec<WireQuery>),
     /// Report [`EngineStats`].
     Stats,
     /// List the service's advertised release keys (sorted), answered
@@ -558,12 +537,6 @@ pub enum RequestBody {
     /// Liveness / protocol check; answered with
     /// [`ResponseBody::Pong`].
     Ping,
-    /// Offer to upgrade this connection's codec, answered with
-    /// [`ResponseBody::Hello`]. Transports that support binary framing
-    /// intercept this frame themselves (the negotiated codec is
-    /// connection state, which [`dispatch`] does not hold); at the
-    /// dispatch layer it always acks version 1.
-    Hello(HelloOffer),
     /// Upload a batch of locally-perturbed LDP reports — the
     /// protocol's only **mutating** request — answered with
     /// [`ResponseBody::Report`]. A read-only service has no collector
@@ -623,23 +596,11 @@ impl WireAnswers {
     }
 }
 
-/// Outcome of one query inside a [`RequestBody::Batch`] — failures are
-/// isolated per query, mirroring the engine's batch contract.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum WireOutcome {
-    /// The query was answered.
-    Answered(WireAnswers),
-    /// The query failed with a typed error.
-    Failed(WireError),
-}
-
 /// The payload of one response frame.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ResponseBody {
     /// Answers to a [`RequestBody::Query`].
     Answers(WireAnswers),
-    /// Per-query outcomes of a [`RequestBody::Batch`], in order.
-    Batch(Vec<WireOutcome>),
     /// The service's counters ([`RequestBody::Stats`]).
     Stats(EngineStats),
     /// The service's advertised release keys ([`RequestBody::Keys`]).
@@ -648,8 +609,6 @@ pub enum ResponseBody {
     Window(WireWindowAnswers),
     /// Reply to [`RequestBody::Ping`].
     Pong,
-    /// The negotiation answer to a [`RequestBody::Hello`].
-    Hello(HelloAck),
     /// The receipt for an accepted [`RequestBody::Report`] batch.
     Report(WireReportAck),
     /// The whole frame failed.
@@ -914,21 +873,6 @@ impl WireResponse {
     }
 }
 
-/// Picks the protocol version two peers will speak: the highest both
-/// support, never below the baseline [`PROTOCOL_VERSION`] every peer
-/// speaks (a nonsense offer of 0 still negotiates to 1).
-pub fn negotiate(client_max: u32, server_max: u32) -> u32 {
-    client_max.min(server_max).max(PROTOCOL_VERSION)
-}
-
-/// The negotiation answer to a [`RequestBody::Hello`] offer. A
-/// transport with a binary mode matches `Hello` on each decoded JSON
-/// line *before* [`dispatch`] and answers it with this, because
-/// switching codecs is connection state only the transport holds.
-pub fn hello_ack(id: u64, version: u32) -> WireResponse {
-    WireResponse::new(id, ResponseBody::Hello(HelloAck { version }))
-}
-
 /// Decodes one request line, dispatches it against `service`, and
 /// produces the response frame — the complete server-side protocol
 /// step minus transport framing. Every failure becomes a typed
@@ -949,10 +893,6 @@ pub fn handle_frame<S: QueryService + ?Sized>(service: &S, line: &str) -> WireRe
 pub fn dispatch<S: QueryService + ?Sized>(service: &S, id: u64, body: RequestBody) -> WireResponse {
     match body {
         RequestBody::Ping => WireResponse::new(id, ResponseBody::Pong),
-        // The dispatch layer cannot switch framing, so it caps the
-        // negotiation at the JSON baseline; binary-capable transports
-        // intercept Hello before dispatch ever sees it.
-        RequestBody::Hello(offer) => hello_ack(id, negotiate(offer.max_version, PROTOCOL_VERSION)),
         RequestBody::Stats => WireResponse::new(id, ResponseBody::Stats(service.stats())),
         RequestBody::Keys => WireResponse::new(id, ResponseBody::Keys(service.keys())),
         RequestBody::Report(batch) => match service.reports() {
@@ -1001,47 +941,6 @@ pub fn dispatch<S: QueryService + ?Sized>(service: &S, id: u64, body: RequestBod
                 }
             }
         },
-        RequestBody::Batch(queries) => {
-            // Invalid queries fail in place; the valid remainder goes
-            // to the service as one batch, preserving order.
-            let mut outcomes: Vec<Option<WireOutcome>> = Vec::with_capacity(queries.len());
-            let mut admitted = Vec::new();
-            for query in &queries {
-                match query.validate() {
-                    Ok(request) => {
-                        outcomes.push(None);
-                        admitted.push(request);
-                    }
-                    Err(e) => {
-                        outcomes.push(Some(WireOutcome::Failed(WireError::from_serve(&e))));
-                    }
-                }
-            }
-            let mut results = service.answer_batch(&admitted).into_iter();
-            for slot in &mut outcomes {
-                if slot.is_none() {
-                    *slot = Some(match results.next() {
-                        Some(Ok(response)) => {
-                            WireOutcome::Answered(WireAnswers::from_response(response))
-                        }
-                        Some(Err(e)) => WireOutcome::Failed(WireError::from_serve(&e)),
-                        None => WireOutcome::Failed(WireError::new(
-                            ErrorCode::Internal,
-                            "service returned too few responses",
-                        )),
-                    });
-                }
-            }
-            WireResponse::new(
-                id,
-                ResponseBody::Batch(
-                    outcomes
-                        .into_iter()
-                        .map(|o| o.expect("every slot filled"))
-                        .collect(),
-                ),
-            )
-        }
     }
 }
 
@@ -1268,29 +1167,39 @@ mod tests {
     }
 
     #[test]
-    fn handle_frame_batch_isolates_invalid_and_unknown_queries() {
+    fn kinds_this_server_lacks_are_answered_malformed_request() {
+        // A kind removed before this build (`Hello`, `Batch`) or added
+        // after it fails to decode like any unknown variant: typed
+        // `MalformedRequest` under the frame's own id, no version bump.
         let engine = engine();
-        let frame = WireRequest::new(
-            9,
-            RequestBody::Batch(vec![
-                query("a", &[(-130.0, 10.0, -70.0, 50.0)]),
-                query("a", &[(f64::NAN, 0.0, 1.0, 1.0)]),
-                query("missing", &[(-100.0, 20.0, -90.0, 30.0)]),
-                query("b", &[(-130.0, 10.0, -70.0, 50.0)]),
-            ]),
-        )
-        .encode();
-        let response = handle_frame(&engine, &frame);
-        let ResponseBody::Batch(outcomes) = response.body else {
-            panic!("expected batch");
+        for (id, body) in [
+            (3, r#"{"Hello": {"max_version": 2}}"#),
+            (4, r#"{"Batch": [{"release_key": "a", "rects": []}]}"#),
+            (5, r#"{"Heatmap": {"keyspace": "a"}}"#),
+        ] {
+            let line = format!(r#"{{"protocol_version": 1, "id": {id}, "body": {body}}}"#);
+            let response = handle_frame(&engine, &line);
+            assert_eq!(response.id, id);
+            let ResponseBody::Error(e) = response.body else {
+                panic!("expected an error for {body}, got {:?}", response.body);
+            };
+            assert_eq!(e.code, ErrorCode::MalformedRequest, "{body}");
+        }
+        // The binary codec's retired `Batch` frame types fail the same
+        // way in both directions.
+        let header = binary::FrameHeader {
+            frame_type: 0x02,
+            id: 4,
+            payload_len: 0,
         };
-        assert_eq!(outcomes.len(), 4);
-        assert!(matches!(&outcomes[0], WireOutcome::Answered(a) if a.release_key == "a"));
-        assert!(
-            matches!(&outcomes[1], WireOutcome::Failed(e) if e.code == ErrorCode::InvalidQuery)
-        );
-        assert!(matches!(&outcomes[2], WireOutcome::Failed(e) if e.code == ErrorCode::UnknownKey));
-        assert!(matches!(&outcomes[3], WireOutcome::Answered(a) if a.release_key == "b"));
+        let err = binary::decode_request(&header, &[]).unwrap_err();
+        assert_eq!(err.code, ErrorCode::MalformedRequest);
+        let header = binary::FrameHeader {
+            frame_type: 0x82,
+            ..header
+        };
+        let err = binary::decode_response(&header, &[]).unwrap_err();
+        assert_eq!(err.code, ErrorCode::MalformedRequest);
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! [`super::dispatch`], same stable [`ErrorCode`] table — but encodes
 //! rectangles and answers as raw little-endian `f64` arrays instead of
 //! text, so the hot serving path is bounded by memory copies, not
-//! float formatting. A connection speaks it only after `Hello`
-//! negotiation (see the [`super`] module docs); negotiation frames
-//! themselves always travel as JSON v1.
+//! float formatting. Every frame opens with [`MAGIC`], which is how a
+//! transport tells it from a JSON line (see the [`super`] module
+//! docs), so a connection may mix the two codecs frame by frame.
 //!
 //! # Frame layout
 //!
@@ -23,9 +23,12 @@
 //! | 4      | 8    | correlation id, `u64`                        |
 //! | 12     | 4    | payload length in bytes, `u32`               |
 //!
-//! Both magic bytes are UTF-8 continuation bytes, so a binary frame
-//! can never be mistaken for the start of a JSON line (and vice
-//! versa). `payload_len` is capped at [`MAX_PAYLOAD_BYTES`] — the
+//! An RFC 8259 JSON text begins with ASCII whitespace or an ASCII
+//! value byte (`{`, `[`, `"`, `-`, a digit, `t`, `f` or `n`), and the
+//! magic's first byte `0xD6` is not ASCII, so no JSON line begins a
+//! binary frame and no binary frame begins a JSON line. (`D6 B2` is
+//! itself valid UTF-8, U+05B2; the lead byte alone is what decides.)
+//! `payload_len` is capped at [`MAX_PAYLOAD_BYTES`] — the
 //! protocol-wide [`MAX_FRAME_BYTES`] minus the header — and a header
 //! declaring more is rejected before any payload is read.
 //!
@@ -34,14 +37,12 @@
 //! | byte   | frame            | payload                            |
 //! |--------|------------------|------------------------------------|
 //! | `0x01` | Query            | query                              |
-//! | `0x02` | Batch request    | `u32` n, n × query                 |
 //! | `0x03` | Stats request    | empty                              |
 //! | `0x04` | Keys request     | empty                              |
 //! | `0x05` | Ping             | empty                              |
 //! | `0x06` | Window           | window                             |
 //! | `0x07` | Report           | report batch                       |
 //! | `0x81` | Answers          | answers                            |
-//! | `0x82` | Batch response   | `u32` n, n × outcome               |
 //! | `0x83` | Stats response   | stats (15 × `u64` + flagged tail)  |
 //! | `0x84` | Keys response    | `u32` n, n × string                |
 //! | `0x85` | Pong             | empty                              |
@@ -67,7 +68,6 @@
 //!   before any buffer trusts them
 //! * report ack = `str` keyspace, `u64` epoch, `u64` accepted,
 //!   `u64` epoch_total
-//! * outcome = `u8` tag (0 answered, 1 failed) + answers / error
 //! * error   = `u8` code (see [`code_byte`]), `str` message, `u8`
 //!   overload flag, then 2 × `u64` (`inflight_rects`, `limit`) when
 //!   the flag is 1
@@ -107,20 +107,20 @@ use dpgrid_geo::Rect;
 
 use super::{
     ErrorCode, OverloadInfo, RequestBody, ResponseBody, WireAnswers, WireEpochSpan, WireError,
-    WireOutcome, WireQuery, WireRect, WireReportAck, WireReportBatch, WireRequest, WireResponse,
-    WireWindow, WireWindowAnswers, MAX_FRAME_BYTES,
+    WireQuery, WireRect, WireReportAck, WireReportBatch, WireRequest, WireResponse, WireWindow,
+    WireWindowAnswers, MAX_FRAME_BYTES,
 };
 use crate::catalog::{CacheState, CatalogStats};
 use crate::engine::{EngineStats, KernelBackend, TransportStats};
+use crate::report::{ReportBatch, ReportPayload};
 
-/// The binary codec's protocol version, as offered/negotiated in
-/// [`super::HelloOffer`]/[`super::HelloAck`] and carried in every
-/// frame header.
+/// The binary codec's protocol version, carried in every frame header.
 pub const PROTOCOL_VERSION: u32 = 2;
 
-/// First two bytes of every binary frame. Both are UTF-8 continuation
-/// bytes: no JSON line can start with them, and no binary frame can
-/// decode as the start of a JSON line.
+/// First two bytes of every binary frame. A JSON text begins with ASCII
+/// whitespace or an ASCII value byte (RFC 8259), and `0xD6` is not
+/// ASCII, so a transport that sees it at a frame boundary knows a
+/// binary frame starts there.
 pub const MAGIC: [u8; 2] = [0xD6, 0xB2];
 
 /// Fixed size of the frame header.
@@ -131,14 +131,13 @@ pub const HEADER_BYTES: usize = 16;
 /// an oversized frame fails fast and attributably at the sender.
 pub const MAX_PAYLOAD_BYTES: usize = MAX_FRAME_BYTES - HEADER_BYTES;
 
-/// The frame type bytes. Requests are `0x0_`, responses `0x8_`; the
-/// table is append-only, mirroring the JSON codec's stable variant
-/// names.
+/// The frame type bytes. Requests are `0x0_`, responses `0x8_`; a byte
+/// never changes meaning, mirroring the JSON codec's stable variant
+/// names, so the retired `0x02` and `0x82` are never reused and decode
+/// as unknown frame types.
 pub mod frame_type {
     /// [`crate::wire::RequestBody::Query`].
     pub const QUERY: u8 = 0x01;
-    /// [`crate::wire::RequestBody::Batch`].
-    pub const BATCH: u8 = 0x02;
     /// [`crate::wire::RequestBody::Stats`].
     pub const STATS: u8 = 0x03;
     /// [`crate::wire::RequestBody::Keys`].
@@ -151,8 +150,6 @@ pub mod frame_type {
     pub const REPORT: u8 = 0x07;
     /// [`crate::wire::ResponseBody::Answers`].
     pub const ANSWERS: u8 = 0x81;
-    /// [`crate::wire::ResponseBody::Batch`].
-    pub const BATCH_RESPONSE: u8 = 0x82;
     /// [`crate::wire::ResponseBody::Stats`].
     pub const STATS_RESPONSE: u8 = 0x83;
     /// [`crate::wire::ResponseBody::Keys`].
@@ -261,10 +258,10 @@ pub fn encode_request(request: &WireRequest, out: &mut Vec<u8>) -> Result<(), Wi
 
 /// Appends one complete request frame to `out` **without clearing
 /// it**, so a client can put N id-correlated frames back to back in
-/// one buffer and ship them with one write. Fails for
-/// [`RequestBody::Hello`] (negotiation frames travel as JSON v1 by
-/// definition) and for a payload past [`MAX_PAYLOAD_BYTES`]; a refused
-/// frame leaves `out` exactly as it was.
+/// one buffer and ship them with one write. Fails for a `Report` whose
+/// oracle tag names no family and for a payload past
+/// [`MAX_PAYLOAD_BYTES`]; a refused frame leaves `out` exactly as it
+/// was.
 pub fn append_request(request: &WireRequest, out: &mut Vec<u8>) -> Result<(), WireError> {
     append_frame(request.id, out, |out| {
         append_request_payload(&request.body, out)
@@ -286,12 +283,24 @@ pub fn append_query(
     })
 }
 
-/// Appends one complete Report frame encoded straight from a borrowed
-/// batch, with no owned [`RequestBody`] in between. Same bytes and
-/// same refusal rules as [`append_request`].
-pub fn append_report(id: u64, batch: &WireReportBatch, out: &mut Vec<u8>) -> Result<(), WireError> {
+/// Appends one complete Report frame encoded straight from a typed
+/// batch, with no [`WireReportBatch`] in between: the same bytes as
+/// [`append_request`] on [`WireReportBatch::from_batch`], refused only
+/// past [`MAX_PAYLOAD_BYTES`].
+pub fn append_report(id: u64, batch: &ReportBatch, out: &mut Vec<u8>) -> Result<(), WireError> {
+    let reports = match &batch.payload {
+        ReportPayload::Grr(cells) => Reports::Grr(cells),
+        ReportPayload::Oue { count, bits } => Reports::Oue(*count, bits),
+    };
     append_frame(id, out, |out| {
-        put_report(out, batch)?;
+        put_report(
+            out,
+            &batch.keyspace,
+            batch.epoch,
+            batch.epsilon,
+            batch.cells,
+            reports,
+        );
         Ok(frame_type::REPORT)
     })
 }
@@ -340,13 +349,6 @@ fn append_request_payload(body: &RequestBody, out: &mut Vec<u8>) -> Result<u8, W
             put_query(out, &query.release_key, query.rects.iter().copied());
             frame_type::QUERY
         }
-        RequestBody::Batch(queries) => {
-            put_u32(out, queries.len());
-            for query in queries {
-                put_query(out, &query.release_key, query.rects.iter().copied());
-            }
-            frame_type::BATCH
-        }
         RequestBody::Stats => frame_type::STATS,
         RequestBody::Keys => frame_type::KEYS,
         RequestBody::Ping => frame_type::PING,
@@ -358,13 +360,24 @@ fn append_request_payload(body: &RequestBody, out: &mut Vec<u8>) -> Result<u8, W
             frame_type::WINDOW
         }
         RequestBody::Report(batch) => {
-            put_report(out, batch)?;
+            let reports = match batch.oracle.as_str() {
+                "grr" => Reports::Grr(&batch.grr),
+                "oue" => Reports::Oue(batch.oue_count, &batch.oue_bits),
+                other => {
+                    return Err(malformed(format!(
+                        "unknown oracle tag {other:?}: expected \"grr\" or \"oue\""
+                    )))
+                }
+            };
+            put_report(
+                out,
+                &batch.keyspace,
+                batch.epoch,
+                batch.epsilon,
+                batch.cells,
+                reports,
+            );
             frame_type::REPORT
-        }
-        RequestBody::Hello(_) => {
-            return Err(malformed(
-                "Hello frames negotiate the codec and always travel as JSON v1",
-            ))
         }
     })
 }
@@ -374,22 +387,6 @@ fn append_response_payload(body: &ResponseBody, out: &mut Vec<u8>) -> Result<u8,
         ResponseBody::Answers(answers) => {
             put_answers(out, answers);
             frame_type::ANSWERS
-        }
-        ResponseBody::Batch(outcomes) => {
-            put_u32(out, outcomes.len());
-            for outcome in outcomes {
-                match outcome {
-                    WireOutcome::Answered(answers) => {
-                        out.push(0);
-                        put_answers(out, answers);
-                    }
-                    WireOutcome::Failed(error) => {
-                        out.push(1);
-                        put_error(out, error);
-                    }
-                }
-            }
-            frame_type::BATCH_RESPONSE
         }
         ResponseBody::Stats(stats) => {
             put_stats(out, stats);
@@ -427,11 +424,6 @@ fn append_response_payload(body: &ResponseBody, out: &mut Vec<u8>) -> Result<u8,
             put_u64(out, ack.epoch_total);
             frame_type::REPORT_RESPONSE
         }
-        ResponseBody::Hello(_) => {
-            return Err(malformed(
-                "Hello frames negotiate the codec and always travel as JSON v1",
-            ))
-        }
     })
 }
 
@@ -444,14 +436,6 @@ pub fn decode_request(header: &FrameHeader, payload: &[u8]) -> Result<WireReques
     let mut r = Reader::new(payload);
     let body = match header.frame_type {
         frame_type::QUERY => RequestBody::Query(r.query()?),
-        frame_type::BATCH => {
-            let n = r.len_prefix("batch queries")?;
-            let mut queries = Vec::with_capacity(n);
-            for _ in 0..n {
-                queries.push(r.query()?);
-            }
-            RequestBody::Batch(queries)
-        }
         frame_type::STATS => RequestBody::Stats,
         frame_type::KEYS => RequestBody::Keys,
         frame_type::PING => RequestBody::Ping,
@@ -492,18 +476,6 @@ pub fn decode_response(header: &FrameHeader, payload: &[u8]) -> Result<WireRespo
     let mut r = Reader::new(payload);
     let body = match header.frame_type {
         frame_type::ANSWERS => ResponseBody::Answers(r.answers()?),
-        frame_type::BATCH_RESPONSE => {
-            let n = r.len_prefix("batch outcomes")?;
-            let mut outcomes = Vec::with_capacity(n);
-            for _ in 0..n {
-                outcomes.push(match r.u8()? {
-                    0 => WireOutcome::Answered(r.answers()?),
-                    1 => WireOutcome::Failed(r.error()?),
-                    tag => return Err(malformed(format!("unknown outcome tag {tag}"))),
-                });
-            }
-            ResponseBody::Batch(outcomes)
-        }
         frame_type::STATS_RESPONSE => ResponseBody::Stats(r.stats()?),
         frame_type::KEYS_RESPONSE => {
             let n = r.len_prefix("keys")?;
@@ -604,33 +576,44 @@ fn put_query(out: &mut Vec<u8>, release_key: &str, rects: impl ExactSizeIterator
     put_rects(out, rects);
 }
 
-fn put_report(out: &mut Vec<u8>, batch: &WireReportBatch) -> Result<(), WireError> {
-    put_str(out, &batch.keyspace);
-    put_u64(out, batch.epoch);
-    put_f64(out, batch.epsilon);
-    put_u32(out, batch.cells as usize);
-    match batch.oracle.as_str() {
-        "grr" => {
+/// A Report payload's reports, borrowed from a typed [`ReportBatch`] or
+/// a [`WireReportBatch`], so both encoders share [`put_report`].
+enum Reports<'a> {
+    /// One perturbed cell index per report.
+    Grr(&'a [u32]),
+    /// A report count and its packed bit words.
+    Oue(u32, &'a [u64]),
+}
+
+/// The one writer of the report batch grammar.
+fn put_report(
+    out: &mut Vec<u8>,
+    keyspace: &str,
+    epoch: u64,
+    epsilon: f64,
+    cells: u32,
+    reports: Reports<'_>,
+) {
+    put_str(out, keyspace);
+    put_u64(out, epoch);
+    put_f64(out, epsilon);
+    put_u32(out, cells as usize);
+    match reports {
+        Reports::Grr(indices) => {
             out.push(0);
-            put_u32(out, batch.grr.len());
-            for &cell in &batch.grr {
+            put_u32(out, indices.len());
+            for &cell in indices {
                 put_u32(out, cell as usize);
             }
         }
-        "oue" => {
+        Reports::Oue(count, bits) => {
             out.push(1);
-            put_u32(out, batch.oue_count as usize);
-            for &word in &batch.oue_bits {
+            put_u32(out, count as usize);
+            for &word in bits {
                 put_u64(out, word);
             }
         }
-        other => {
-            return Err(malformed(format!(
-                "unknown oracle tag {other:?}: expected \"grr\" or \"oue\""
-            )))
-        }
     }
-    Ok(())
 }
 
 fn put_answers(out: &mut Vec<u8>, answers: &WireAnswers) {
@@ -945,7 +928,6 @@ impl<'a> Reader<'a> {
 
 #[cfg(test)]
 mod tests {
-    use super::super::{hello_ack, HelloOffer};
     use super::*;
 
     fn roundtrip_request(request: &WireRequest) -> WireRequest {
@@ -1149,11 +1131,15 @@ mod tests {
     }
 
     #[test]
-    fn hello_refuses_binary_encoding() {
-        let mut buf = Vec::new();
-        let offer = WireRequest::new(1, RequestBody::Hello(HelloOffer { max_version: 2 }));
-        assert!(encode_request(&offer, &mut buf).is_err());
-        assert!(encode_response(&hello_ack(1, 2), &mut buf).is_err());
+    fn magic_cannot_begin_a_json_text() {
+        // RFC 8259: a JSON text is optional whitespace, then a value;
+        // every byte either can start with is ASCII, and 0xD6 is not.
+        let json_starts = b" \t\n\r{[\"-0123456789tfn";
+        assert!(json_starts.iter().all(u8::is_ascii));
+        assert!(!MAGIC[0].is_ascii());
+        // The magic is itself valid UTF-8 (a lead byte and its
+        // continuation): the lead byte alone is what decides.
+        assert_eq!(std::str::from_utf8(&MAGIC), Ok("\u{05B2}"));
     }
 
     #[test]
@@ -1285,16 +1271,6 @@ mod tests {
         assert_eq!(direct, generic, "two paths, one wire form");
     }
 
-    #[test]
-    fn append_request_unwinds_cleanly_on_refusal() {
-        let mut buf = Vec::new();
-        append_request(&WireRequest::new(1, RequestBody::Ping), &mut buf).unwrap();
-        let len = buf.len();
-        let hello = WireRequest::new(2, RequestBody::Hello(HelloOffer { max_version: 2 }));
-        assert!(append_request(&hello, &mut buf).is_err());
-        assert_eq!(buf.len(), len, "refused frame leaves no partial bytes");
-    }
-
     fn grr_batch() -> WireReportBatch {
         WireReportBatch {
             keyspace: "taxi@西".into(),
@@ -1341,16 +1317,18 @@ mod tests {
 
     #[test]
     fn append_report_matches_the_generic_encoder() {
-        let batch = oue_batch();
-        let mut direct = Vec::new();
-        append_report(11, &batch, &mut direct).unwrap();
-        let mut generic = Vec::new();
-        encode_request(
-            &WireRequest::new(11, RequestBody::Report(batch)),
-            &mut generic,
-        )
-        .unwrap();
-        assert_eq!(direct, generic, "two paths, one wire form");
+        for wire in [grr_batch(), oue_batch()] {
+            let typed = wire.validate().unwrap();
+            let mut direct = Vec::new();
+            append_report(11, &typed, &mut direct).unwrap();
+            let mut generic = Vec::new();
+            encode_request(
+                &WireRequest::new(11, RequestBody::Report(wire)),
+                &mut generic,
+            )
+            .unwrap();
+            assert_eq!(direct, generic, "two paths, one wire form");
+        }
     }
 
     #[test]
@@ -1415,7 +1393,8 @@ mod tests {
         let mut buf = Vec::new();
         append_request(&WireRequest::new(1, RequestBody::Ping), &mut buf).unwrap();
         let len = buf.len();
-        let err = append_report(2, &batch, &mut buf).unwrap_err();
+        let report = WireRequest::new(2, RequestBody::Report(batch));
+        let err = append_request(&report, &mut buf).unwrap_err();
         assert_eq!(err.code, ErrorCode::MalformedRequest);
         assert_eq!(buf.len(), len, "refused frame leaves no partial bytes");
     }

@@ -6,8 +6,8 @@
 //! ```
 //!
 //! Part 1 runs the whole loop on one node: a simulated fleet perturbs
-//! its grid cell on-device (half GRR, half OUE), batches travel over a
-//! negotiated binary-v2 connection into a `CollectingService`, a wrong
+//! its grid cell on-device (half GRR, half OUE), batches travel as
+//! binary v2 frames into a `CollectingService`, a wrong
 //! ε is rejected typed without touching the accumulator, and two
 //! sealed epochs are queried back over the same connection — the
 //! morning/evening hotspot shift is visible in the noisy counts even

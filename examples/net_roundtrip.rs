@@ -8,11 +8,11 @@
 //! Demonstrates the whole transport-ready stack: `Pipeline` publishes
 //! into a memory-budgeted `Catalog`, a `QueryEngine` (with admission
 //! control) implements `QueryService`, a `TcpServer` exposes it over
-//! TCP, and a blocking `TcpClient` — binary v2 frames after one JSON
-//! `Hello` — pings, queries, pipelines, observes typed errors (unknown
-//! key, invalid rect semantics, overload) and reads engine stats over
-//! the same connection — with every remote answer checked against the
-//! in-process engine.
+//! TCP, and a blocking `TcpClient` — binary v2 frames from its first
+//! byte, no handshake — pings, queries, pipelines, observes typed
+//! errors (unknown key, invalid rect semantics, overload) and reads
+//! engine stats over the same connection — with every remote answer
+//! checked against the in-process engine.
 
 use std::sync::Arc;
 

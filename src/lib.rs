@@ -84,8 +84,9 @@
 //! Transports plug into the engine through one seam, the
 //! [`serve::QueryService`] trait, and speak the versioned wire
 //! protocol of [`serve::wire`]: single-line JSON frames (v1) or
-//! length-prefixed binary frames (v2, reached by a JSON `Hello` on
-//! each connection; [`net::TcpClient`] speaks only v2),
+//! length-prefixed binary frames (v2, told apart from JSON by their
+//! first byte, so one connection may mix both; [`net::TcpClient`]
+//! speaks only v2),
 //! rectangle validation at the boundary (NaN / inverted rects never
 //! reach the engine), and stable error codes (`UnknownKey`,
 //! `InvalidQuery`, `Overloaded`, …). The first transport ships in [`net`]

@@ -1,15 +1,15 @@
 //! End-to-end acceptance of the LDP ingestion front door.
 //!
 //! Simulated users perturb their grid cell on-device (half GRR, half
-//! OUE), ship batched reports over a live negotiated binary-v2 TCP
-//! connection into a [`CollectingService`], and the sealed epochs are
+//! OUE), ship batched reports over a live binary-v2 TCP connection
+//! into a [`CollectingService`], and the sealed epochs are
 //! inserted into the very engine that answered the reports. The test
 //! then checks the whole loop three ways:
 //!
 //! 1. **Wire fidelity** — range queries answered over TCP against the
 //!    sealed release match an in-process collector fed the identical
-//!    batches to ≤ 1e-9 relative: nothing about TCP framing, codec
-//!    negotiation, or epoch publication perturbs the estimate.
+//!    batches to ≤ 1e-9 relative: nothing about TCP framing, the
+//!    binary codec, or epoch publication perturbs the estimate.
 //! 2. **Statistical utility** — the normalized per-cell MAE against
 //!    the (simulation-known) ground truth shrinks as the population
 //!    grows: LDP noise is per-user, so frequencies concentrate at
@@ -161,7 +161,7 @@ fn populations_ingest_over_binary_tcp_and_sealed_epochs_serve_exactly() {
     assert_eq!(
         client.protocol_version(),
         Some(2),
-        "the ingestion path must run over negotiated binary v2"
+        "the ingestion path must run over binary v2"
     );
 
     // The in-process reference: an identical collector fed the

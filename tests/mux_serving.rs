@@ -64,8 +64,8 @@ fn read_json_frame(reader: &mut BufReader<TcpStream>) -> WireResponse {
 }
 
 /// Writes `requests` as raw JSON lines in one burst — the server's
-/// JSON codec as a script or `nc` speaks it, no `Hello` — then reads
-/// one response line per request, in order.
+/// JSON codec as a script or `nc` speaks it — then reads one response
+/// line per request, in order.
 fn json_burst(stream: &mut BufReader<TcpStream>, requests: &[WireRequest]) -> Vec<ResponseBody> {
     let mut burst = String::new();
     for request in requests {
@@ -81,6 +81,34 @@ fn json_burst(stream: &mut BufReader<TcpStream>, requests: &[WireRequest]) -> Ve
             response.body
         })
         .collect()
+}
+
+/// Writes `requests` as binary frames in one burst on a raw connection
+/// — no JSON line needed first — then reads one binary response per
+/// request, in order.
+fn binary_burst(stream: &mut BufReader<TcpStream>, requests: &[WireRequest]) -> Vec<ResponseBody> {
+    let mut burst = Vec::new();
+    for request in requests {
+        binary::append_request(request, &mut burst).unwrap();
+    }
+    stream.get_mut().write_all(&burst).unwrap();
+    requests
+        .iter()
+        .map(|request| {
+            let response = read_binary_frame(stream);
+            assert_eq!(response.id, request.id, "binary responses out of order");
+            response.body
+        })
+        .collect()
+}
+
+fn read_binary_frame(reader: &mut BufReader<TcpStream>) -> WireResponse {
+    let mut header_buf = [0u8; binary::HEADER_BYTES];
+    reader.read_exact(&mut header_buf).unwrap();
+    let header = binary::decode_header(&header_buf).unwrap();
+    let mut payload = vec![0u8; header.payload_len];
+    reader.read_exact(&mut payload).unwrap();
+    binary::decode_response(&header, &payload).unwrap()
 }
 
 fn wire_query(key: &str, rects: &[Rect]) -> wire::WireQuery {
@@ -124,20 +152,9 @@ fn slowloris_frames_are_reassembled_under_both_codecs() {
         other => panic!("expected answers, got {other:?}"),
     }
 
-    // Negotiate up to binary v2 (also dribbled), then dribble a binary
-    // query frame: header and payload reassemble across dozens of
-    // partial reads.
-    let mut hello = WireRequest::new(2, RequestBody::Hello(wire::HelloOffer { max_version: 2 }))
-        .encode()
-        .into_bytes();
-    hello.push(b'\n');
-    slowloris_write(&mut stream, &hello);
-    let ack = read_json_frame(&mut reader);
-    match ack.body {
-        wire::ResponseBody::Hello(ack) => assert_eq!(ack.version, 2),
-        other => panic!("expected hello ack, got {other:?}"),
-    }
-
+    // Then, on the same connection, dribble a binary query frame: its
+    // lone first magic byte waits for the second, and header and
+    // payload reassemble across dozens of partial reads.
     let request = WireRequest::new(
         3,
         RequestBody::Query(wire::WireQuery {
@@ -148,12 +165,7 @@ fn slowloris_frames_are_reassembled_under_both_codecs() {
     let mut frame = Vec::new();
     binary::encode_request(&request, &mut frame).unwrap();
     slowloris_write(&mut stream, &frame);
-    let mut header_buf = [0u8; binary::HEADER_BYTES];
-    reader.read_exact(&mut header_buf).unwrap();
-    let header = binary::decode_header(&header_buf).unwrap();
-    let mut payload = vec![0u8; header.payload_len];
-    reader.read_exact(&mut payload).unwrap();
-    let response = binary::decode_response(&header, &payload).unwrap();
+    let response = read_binary_frame(&mut reader);
     assert_eq!(response.id, 3);
     match response.body {
         wire::ResponseBody::Answers(a) => {
@@ -198,10 +210,11 @@ fn pipelined_frames_interleave_across_concurrent_connections() {
     };
     std::thread::scope(|scope| {
         // 8 concurrent connections; even threads speak binary v2 and
-        // pipeline every key as its own frame, odd threads write raw
-        // JSON lines — one Query line per key in a single burst, or
-        // one Batch line, on alternate iterations. Frames from all of
-        // them interleave on the server's small worker pool.
+        // pipeline every key as its own frame, odd threads write one
+        // raw Query frame per key in a single burst — JSON lines and
+        // binary frames on alternate iterations of one connection.
+        // Frames from all of them interleave on the server's small
+        // worker pool.
         for t in 0..8usize {
             let keys = &keys;
             let rects = &rects;
@@ -234,31 +247,22 @@ fn pipelined_frames_interleave_across_concurrent_connections() {
                         .iter()
                         .map(|&j| wire_query(&keys[j].0, rects))
                         .collect();
-                    let answers: Vec<wire::WireAnswers> = if i % 2 == 0 {
-                        let lines: Vec<WireRequest> = (0..)
-                            .zip(queries)
-                            .map(|(id, q)| WireRequest::new(id, RequestBody::Query(q)))
-                            .collect();
-                        json_burst(&mut json, &lines)
-                            .into_iter()
-                            .map(|body| match body {
-                                ResponseBody::Answers(a) => a,
-                                other => panic!("expected answers, got {other:?}"),
-                            })
-                            .collect()
+                    let requests: Vec<WireRequest> = (0..)
+                        .zip(queries)
+                        .map(|(id, q)| WireRequest::new(id, RequestBody::Query(q)))
+                        .collect();
+                    let bodies = if i % 2 == 0 {
+                        json_burst(&mut json, &requests)
                     } else {
-                        let batch = WireRequest::new(0, RequestBody::Batch(queries));
-                        match json_burst(&mut json, &[batch]).remove(0) {
-                            ResponseBody::Batch(outcomes) => outcomes
-                                .into_iter()
-                                .map(|outcome| match outcome {
-                                    wire::WireOutcome::Answered(a) => a,
-                                    other => panic!("expected answers, got {other:?}"),
-                                })
-                                .collect(),
-                            other => panic!("expected a batch, got {other:?}"),
-                        }
+                        binary_burst(&mut json, &requests)
                     };
+                    let answers: Vec<wire::WireAnswers> = bodies
+                        .into_iter()
+                        .map(|body| match body {
+                            ResponseBody::Answers(a) => a,
+                            other => panic!("expected answers, got {other:?}"),
+                        })
+                        .collect();
                     for (&j, a) in order.iter().zip(&answers) {
                         assert_eq!(a.release_key, keys[j].0, "responses out of order");
                         check(j, &a.answers);
@@ -271,10 +275,8 @@ fn pipelined_frames_interleave_across_concurrent_connections() {
         checked.load(Ordering::Relaxed),
         (8 * 15 * keys.len() * rects.len()) as u64
     );
-    // The 4 binary clients answer one frame per key per iteration; the
-    // 4 JSON peers one line per key on 8 iterations and one Batch line
-    // on the other 7.
-    assert!(server.frames_served() >= (4 * 15 * keys.len() + 4 * (8 * keys.len() + 7)) as u64);
+    // Every connection is answered one frame per key per iteration.
+    assert!(server.frames_served() >= (8 * 15 * keys.len()) as u64);
     server.shutdown();
 }
 
@@ -377,7 +379,7 @@ fn both_codecs_match_the_engine_and_count_frames() {
 
     let transport = v2.stats().unwrap().transport.unwrap();
     assert!(transport.frames_decoded >= 1);
-    assert_eq!(server.frames_served(), 4); // JSON query + hello + query + stats
+    assert_eq!(server.frames_served(), 3); // JSON query + query + stats
     server.shutdown();
 }
 
@@ -412,29 +414,32 @@ fn remote_window_is_native_and_maps_uncovered_ranges_typed() {
     for (a, e) in native.answers.iter().zip(&expected.answers) {
         assert!((a - e).abs() <= 1e-9 * (1.0 + e.abs()));
     }
-    // One round trip: connect-verify ping + hello + the window frame
-    // itself — no per-epoch queries, no keys enumeration.
+    // One round trip: connect-verify ping + the window frame itself —
+    // no per-epoch queries, no keys enumeration.
     assert!(
-        server.frames_served() - baseline <= 3,
+        server.frames_served() - baseline <= 2,
         "window fanned out: {} frames",
         server.frames_served() - baseline
     );
 
     // An uncovered range comes back as the typed error a local shard
-    // raises, named by the window's own epoch key.
-    let range = EpochRange::new(90, 95).unwrap();
-    let missing = WindowQuery {
-        keyspace: "taxi".into(),
-        range,
-        rects: q,
-    };
-    assert!(matches!(
-        answer_window(&*engine, &missing),
-        Err(ServeError::UnknownRelease(_))
-    ));
-    match shard.window(&missing) {
-        Err(ServeError::UnknownRelease(key)) => assert_eq!(key, epoch_key("taxi", range)),
-        other => panic!("expected UnknownRelease, got {other:?}"),
+    // raises, named by the window's own epoch key — one epoch wide or
+    // several.
+    for range in [EpochRange::new(90, 95).unwrap(), EpochRange::single(90)] {
+        let missing = WindowQuery {
+            keyspace: "taxi".into(),
+            range,
+            rects: q.clone(),
+        };
+        let key = epoch_key("taxi", range);
+        assert!(matches!(
+            answer_window(&*engine, &missing),
+            Err(ServeError::UnknownRelease(k)) if k == key
+        ));
+        match shard.window(&missing) {
+            Err(ServeError::UnknownRelease(k)) => assert_eq!(k, key),
+            other => panic!("expected UnknownRelease({key}), got {other:?}"),
+        }
     }
 
     // With the server gone, the transport failure is Unavailable.

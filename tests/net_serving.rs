@@ -6,21 +6,20 @@
 //! `CompiledSurface::answer` reference to ≤ 1e-9 while the engine's
 //! memory-budgeted catalog churns below its byte budget. A second
 //! server demonstrates that an over-budget burst is shed with typed
-//! `Overloaded` frames instead of hanging, raw sockets check the
-//! protocol-version guard, and a JSON-only peer is refused typed by
-//! every client-side entry point.
+//! `Overloaded` frames instead of hanging, and raw sockets check the
+//! protocol-version guard and that every frame is answered in the
+//! codec it arrived in, with no handshake.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
-use dpgrid::net::{NetError, RemoteShard, TcpClient, TcpClientPool, TcpServer, DEFAULT_IO_TIMEOUT};
+use dpgrid::net::{NetError, TcpClient, TcpServer};
 use dpgrid::prelude::*;
 use dpgrid::serve::wire::{
-    self, binary, ErrorCode, HelloAck, HelloOffer, RequestBody, ResponseBody, WireError,
-    WireOutcome, WireRect, WireRequest, WireResponse,
+    self, binary, ErrorCode, RequestBody, ResponseBody, WireError, WireRect, WireRequest,
+    WireResponse,
 };
 
 const CLIENT_THREADS: usize = 4;
@@ -282,9 +281,9 @@ fn raw_socket_version_mismatch_and_garbage_get_typed_errors() {
     // framing means a bad frame never desynchronises the stream.
     let reply = roundtrip(&mut reader, &mut writer, &[0xFF, 0xFE, 0x80]);
     assert!(reply.contains("\"MalformedRequest\""), "{reply}");
-    // ~100 KB of nesting, far under the frame cap and with no `Hello`:
-    // the parser's depth cap answers it typed instead of overflowing a
-    // worker's stack and aborting the server.
+    // ~100 KB of nesting, far under the frame cap: the parser's depth
+    // cap answers it typed instead of overflowing a worker's stack and
+    // aborting the server.
     let mut deep = br#"{"protocol_version":1,"id":1,"body":"#.to_vec();
     deep.extend(std::iter::repeat_n(b'[', 100_000));
     let reply = roundtrip(&mut reader, &mut writer, &deep);
@@ -326,25 +325,15 @@ fn raw_socket_version_mismatch_and_garbage_get_typed_errors() {
     server.shutdown();
 }
 
-/// Performs the JSON `Hello` handshake on a raw socket and asserts the
-/// server upgrades the connection to binary v2.
-fn hello_upgrade(addr: SocketAddr) -> (BufReader<TcpStream>, TcpStream) {
+/// Opens a raw connection: a buffered reader and a writer on one
+/// socket. A reply that never comes fails the read instead of hanging
+/// the test.
+fn raw_connect(addr: SocketAddr) -> (BufReader<TcpStream>, TcpStream) {
     let stream = TcpStream::connect(addr).unwrap();
-    let mut reader = BufReader::new(stream.try_clone().unwrap());
-    let mut writer = stream;
-    let offer = WireRequest::new(0, RequestBody::Hello(HelloOffer { max_version: 2 }));
-    writer.write_all(offer.encode().as_bytes()).unwrap();
-    writer.write_all(b"\n").unwrap();
-    writer.flush().unwrap();
-    let mut line = String::new();
-    reader.read_line(&mut line).unwrap();
-    let ack = WireResponse::decode(line.trim_end()).unwrap();
-    assert_eq!(
-        ack.body,
-        ResponseBody::Hello(HelloAck { version: 2 }),
-        "{line}"
-    );
-    (reader, writer)
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .unwrap();
+    (BufReader::new(stream.try_clone().unwrap()), stream)
 }
 
 /// Reads one binary frame off the socket and decodes it as a response.
@@ -365,12 +354,25 @@ fn expect_error(response: WireResponse) -> WireError {
     }
 }
 
-/// Asserts the server closed the connection cleanly after a reject.
+/// Reads one reply in whichever codec its first byte names, returning
+/// whether it was binary.
+fn read_any_response(reader: &mut BufReader<TcpStream>) -> (bool, WireResponse) {
+    if reader.fill_buf().unwrap()[0] == binary::MAGIC[0] {
+        return (true, read_binary_response(reader));
+    }
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    (false, WireResponse::decode(line.trim_end()).unwrap())
+}
+
+/// Asserts the server closed the connection cleanly after a reject
+/// (EOF, or a reset); a read that times out means it stayed open.
 fn expect_eof(reader: &mut impl Read) {
     let mut byte = [0u8; 1];
     match reader.read(&mut byte) {
-        Ok(0) | Err(_) => {}
-        Ok(_) => panic!("server kept the connection open after losing byte framing"),
+        Ok(0) => {}
+        Err(e) if !matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+        other => panic!("server kept the connection open after losing byte framing: {other:?}"),
     }
 }
 
@@ -388,25 +390,30 @@ fn raw_socket_binary_garbage_probes_get_typed_rejects_and_clean_close() {
     let server = TcpServer::bind(engine, "127.0.0.1:0").unwrap();
     let addr = server.local_addr();
 
-    // Bad magic after a real upgrade: byte framing is unrecoverable, so
-    // the server rejects typed (id 0 — the header is untrusted) and
-    // closes.
+    // The magic's first byte followed by anything but its second is
+    // not a binary frame: it opens a JSON line, which is not UTF-8, so
+    // it gets a typed JSON reject and the connection stays usable.
     {
-        let (mut reader, mut writer) = hello_upgrade(addr);
-        writer.write_all(&[0xFFu8; binary::HEADER_BYTES]).unwrap();
-        writer.flush().unwrap();
-        let reply = read_binary_response(&mut reader);
-        assert_eq!(reply.id, 0);
+        let (mut reader, mut writer) = raw_connect(addr);
+        let mut head = binary::encode_header(binary::frame_type::PING, 5, 0);
+        head[1] = 0xFF;
+        writer.write_all(&head).unwrap();
+        writer.write_all(b"\n").unwrap();
+        let (is_binary, reply) = read_any_response(&mut reader);
+        assert!(!is_binary);
         let e = expect_error(reply);
         assert_eq!(e.code, ErrorCode::MalformedRequest);
-        assert!(e.message.contains("magic"), "{}", e.message);
-        expect_eof(&mut reader);
+        assert!(e.message.contains("UTF-8"), "{}", e.message);
+        let mut ping = Vec::new();
+        binary::encode_request(&WireRequest::new(6, RequestBody::Ping), &mut ping).unwrap();
+        writer.write_all(&ping).unwrap();
+        assert_eq!(read_binary_response(&mut reader).body, ResponseBody::Pong);
     }
 
     // A foreign version byte in an otherwise well-formed header: typed
     // UnsupportedVersion, then close.
     {
-        let (mut reader, mut writer) = hello_upgrade(addr);
+        let (mut reader, mut writer) = raw_connect(addr);
         let mut head = binary::encode_header(binary::frame_type::PING, 5, 0);
         head[2] = 9;
         writer.write_all(&head).unwrap();
@@ -419,7 +426,7 @@ fn raw_socket_binary_garbage_probes_get_typed_rejects_and_clean_close() {
     // A length prefix past the frame cap: rejected from the header
     // alone — the server never tries to buffer the claimed payload.
     {
-        let (mut reader, mut writer) = hello_upgrade(addr);
+        let (mut reader, mut writer) = raw_connect(addr);
         let mut head = binary::encode_header(binary::frame_type::QUERY, 5, 0);
         head[12..16].copy_from_slice(&u32::MAX.to_le_bytes());
         writer.write_all(&head).unwrap();
@@ -433,7 +440,7 @@ fn raw_socket_binary_garbage_probes_get_typed_rejects_and_clean_close() {
     // A truncated payload (header promises 64 bytes, the peer hangs up
     // after 8): typed reject under the header's id, then close.
     {
-        let (mut reader, mut writer) = hello_upgrade(addr);
+        let (mut reader, mut writer) = raw_connect(addr);
         let head = binary::encode_header(binary::frame_type::QUERY, 9, 64);
         writer.write_all(&head).unwrap();
         writer.write_all(&[0u8; 8]).unwrap();
@@ -451,7 +458,7 @@ fn raw_socket_binary_garbage_probes_get_typed_rejects_and_clean_close() {
     // connection stays usable — exactly like a garbage JSON line under
     // v1, a bad frame never desynchronises the stream.
     {
-        let (mut reader, mut writer) = hello_upgrade(addr);
+        let (mut reader, mut writer) = raw_connect(addr);
         let mut frame = Vec::from(binary::encode_header(binary::frame_type::QUERY, 3, 4));
         frame.extend_from_slice(&[0xAA; 4]);
         writer.write_all(&frame).unwrap();
@@ -470,41 +477,6 @@ fn raw_socket_binary_garbage_probes_get_typed_rejects_and_clean_close() {
     server.shutdown();
 }
 
-/// A minimal JSON-v1-only server on one accepted connection. Its
-/// decoder has no `Hello` variant, so the binary offer comes back as a
-/// `MalformedRequest` error — which the binary-only client must refuse
-/// typed, never downgrade past.
-fn spawn_v1_only_server(
-    listener: TcpListener,
-    engine: Arc<QueryEngine>,
-) -> std::thread::JoinHandle<()> {
-    std::thread::spawn(move || {
-        let (stream, _) = listener.accept().unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let mut writer = stream;
-        let mut line = String::new();
-        loop {
-            line.clear();
-            match reader.read_line(&mut line) {
-                Ok(0) | Err(_) => break,
-                Ok(_) => {}
-            }
-            let trimmed = line.trim_end();
-            let response = if trimmed.contains("Hello") {
-                WireResponse::error(
-                    0,
-                    WireError::new(ErrorCode::MalformedRequest, "unknown variant `Hello`"),
-                )
-            } else {
-                wire::handle_frame(engine.as_ref(), trimmed)
-            };
-            writer.write_all(response.encode().as_bytes()).unwrap();
-            writer.write_all(b"\n").unwrap();
-            writer.flush().unwrap();
-        }
-    })
-}
-
 /// Publishes one 8×8 UG release of 1,500 `Storage` points under key
 /// `storage`, and returns its engine with a query workload.
 fn storage_engine(data_seed: u64, publish_seed: u64) -> (Arc<QueryEngine>, Vec<Rect>) {
@@ -520,98 +492,72 @@ fn storage_engine(data_seed: u64, publish_seed: u64) -> (Arc<QueryEngine>, Vec<R
     (Arc::new(QueryEngine::new(catalog)), rects)
 }
 
-/// Asserts a dial against `spawn_v1_only_server` failed as a typed
-/// protocol error carrying that peer's message.
-fn expect_refusal(e: NetError) {
-    match e {
-        NetError::Protocol(why) => assert!(why.contains("unknown variant `Hello`"), "{why}"),
-        other => panic!("expected a typed refusal, got {other:?}"),
-    }
+#[test]
+fn raw_binary_ping_needs_no_json_line_first() {
+    let (engine, _) = storage_engine(46, 2);
+    let server = TcpServer::bind(engine, "127.0.0.1:0").unwrap();
+    let (mut reader, mut writer) = raw_connect(server.local_addr());
+    let mut ping = Vec::new();
+    binary::encode_request(&WireRequest::new(3, RequestBody::Ping), &mut ping).unwrap();
+    writer.write_all(&ping).unwrap();
+    let reply = read_binary_response(&mut reader);
+    assert_eq!((reply.id, reply.body), (3, ResponseBody::Pong));
+    server.shutdown();
 }
 
 #[test]
-fn version_negotiation_works_both_directions() {
-    let (engine, rects) = storage_engine(46, 2);
-
-    // A real server negotiates binary v2 with the client, and still
-    // answers a raw JSON v1 line (no `Hello` sent at all, as a script
-    // or `nc` speaks it) identically.
+fn one_connection_answers_each_frame_in_its_own_codec() {
+    let (engine, rects) = storage_engine(47, 3);
     let server = TcpServer::bind(Arc::clone(&engine), "127.0.0.1:0").unwrap();
-    let mut client = TcpClient::connect(server.local_addr()).unwrap();
-    assert_eq!(client.protocol_version(), Some(2));
-    let reference = client.query("storage", &rects).unwrap();
-    {
-        let stream = TcpStream::connect(server.local_addr()).unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let mut writer = stream;
-        let request = WireRequest::new(
-            5,
-            RequestBody::Query(wire::WireQuery {
-                release_key: "storage".into(),
-                rects: rects.iter().map(Into::into).collect(),
-            }),
-        );
-        writer.write_all(request.encode().as_bytes()).unwrap();
-        writer.write_all(b"\n").unwrap();
-        writer.flush().unwrap();
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
-        let reply = WireResponse::decode(line.trim_end()).unwrap();
-        assert_eq!(reply.id, 5);
-        match reply.body {
+    let reference = engine
+        .answer(&QueryRequest::new("storage", rects.clone()))
+        .unwrap();
+
+    // A JSON query line, a binary query frame, a JSON ping and a binary
+    // stats frame, in one write on one connection.
+    let query = RequestBody::Query(wire::WireQuery {
+        release_key: "storage".into(),
+        rects: rects.iter().map(Into::into).collect(),
+    });
+    let mut burst = WireRequest::new(1, query.clone()).encode().into_bytes();
+    burst.push(b'\n');
+    binary::append_request(&WireRequest::new(2, query), &mut burst).unwrap();
+    burst.extend_from_slice(WireRequest::new(3, RequestBody::Ping).encode().as_bytes());
+    burst.push(b'\n');
+    binary::append_request(&WireRequest::new(4, RequestBody::Stats), &mut burst).unwrap();
+    let (mut reader, mut writer) = raw_connect(server.local_addr());
+    writer.write_all(&burst).unwrap();
+
+    // Four replies in order, each in its request's codec.
+    let replies: Vec<(bool, WireResponse)> =
+        (0..4).map(|_| read_any_response(&mut reader)).collect();
+    let shape: Vec<(bool, u64)> = replies.iter().map(|(b, r)| (*b, r.id)).collect();
+    assert_eq!(shape, [(false, 1), (true, 2), (false, 3), (true, 4)]);
+    for (_, reply) in &replies[..2] {
+        match &reply.body {
             ResponseBody::Answers(a) => assert_eq!(a.answers, reference.answers),
             other => panic!("expected answers, got {other:?}"),
         }
     }
-    drop(client);
+    assert_eq!(replies[2].1.body, ResponseBody::Pong);
+    assert!(matches!(&replies[3].1.body, ResponseBody::Stats(s) if s.requests == 3));
     server.shutdown();
-
-    // The other direction: every client-side entry point dials a
-    // JSON-only peer, offers binary v2, and gets the peer's
-    // `MalformedRequest` back — a typed protocol error carrying the
-    // server's message, well within the I/O timeout, never a silent
-    // downgrade.
-    let started = Instant::now();
-    for entry in ["TcpClient", "TcpClientPool", "RemoteShard"] {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let peer = spawn_v1_only_server(listener, Arc::clone(&engine));
-        let dialed = match entry {
-            "TcpClient" => TcpClient::connect(addr).map(drop),
-            "TcpClientPool" => TcpClientPool::connect(addr).map(drop),
-            _ => RemoteShard::connect(addr).map(drop),
-        };
-        expect_refusal(dialed.expect_err(entry));
-        peer.join().unwrap();
-    }
-    assert!(started.elapsed() < DEFAULT_IO_TIMEOUT);
 }
 
 #[test]
-fn reconnect_renegotiates_instead_of_reusing_stale_protocol_state() {
-    let (engine, rects) = storage_engine(47, 3);
-
-    // Negotiate binary v2 against a real server...
-    let server = TcpServer::bind(Arc::clone(&engine), "127.0.0.1:0").unwrap();
-    let addr = server.local_addr();
-    let mut client = TcpClient::connect(addr).unwrap();
+fn connect_and_one_ping_send_exactly_one_ping_frame() {
+    // Binary frames name their own codec, so the client dials and
+    // writes its first frame with no handshake before it.
+    let (engine, _) = storage_engine(49, 5);
+    let server = TcpServer::bind(engine, "127.0.0.1:0").unwrap();
+    let mut client = TcpClient::connect(server.local_addr()).unwrap();
     assert_eq!(client.protocol_version(), Some(2));
-    client.query("storage", &rects).unwrap();
+    client.ping().unwrap();
+    let transport = server.transport_stats();
+    assert_eq!(transport.bytes_in, binary::HEADER_BYTES as u64);
+    assert_eq!(transport.frames_decoded, 1);
+    assert_eq!(server.frames_served(), 1);
     server.shutdown();
-
-    // ...then restart the same port as a JSON-only peer. The stranded
-    // client's one-shot redial must repeat the handshake from scratch —
-    // a client that replayed its remembered v2 state would write binary
-    // frames at a peer that only reads lines and hang or poison the
-    // connection. Instead the redial's `Hello` is refused and the call
-    // fails typed, leaving no negotiated version behind.
-    let peer = spawn_v1_only_server(TcpListener::bind(addr).unwrap(), Arc::clone(&engine));
-    let started = Instant::now();
-    expect_refusal(client.query("storage", &rects).unwrap_err());
-    assert!(started.elapsed() < DEFAULT_IO_TIMEOUT);
-    assert_eq!(client.protocol_version(), None);
-    drop(client);
-    peer.join().unwrap();
 }
 
 #[test]
@@ -668,24 +614,28 @@ fn over_cap_frame_fails_its_whole_train_before_a_byte_is_sent() {
         other => panic!("expected a typed over-cap refusal, got {other:?}"),
     }
     assert_eq!(server.frames_served(), served);
-    // The client keeps working, and the engine never saw the train's
-    // first request, which would have failed as an unknown key.
+    // The client keeps working on the same connection, and the engine
+    // never saw the train's first request, which would have failed as
+    // an unknown key.
     let stats = client.stats().unwrap();
     assert_eq!(stats.unknown_keys, 0);
+    assert_eq!(server.transport_stats().accepted, 1);
     server.shutdown();
 }
 
 #[test]
-fn raw_binary_batch_frames_isolate_failures_per_query() {
-    // No client sends the `Batch` kind any more; it stays in the
-    // protocol for hand-built peers, so its binary path is driven here
-    // with a hand-encoded frame after a `Hello`.
+fn raw_binary_query_frames_isolate_failures_per_frame() {
+    // Three binary query frames in one write on a raw connection, with
+    // no JSON line first: a bad key or a bad rect fails only its own
+    // frame.
     let (engine, rects) = storage_engine(48, 4);
     let server = TcpServer::bind(Arc::clone(&engine), "127.0.0.1:0").unwrap();
-    let (mut reader, mut writer) = hello_upgrade(server.local_addr());
-    let query = |key: &str, rects: Vec<WireRect>| wire::WireQuery {
-        release_key: key.into(),
-        rects,
+    let (mut reader, mut writer) = raw_connect(server.local_addr());
+    let query = |key: &str, rects: Vec<WireRect>| {
+        RequestBody::Query(wire::WireQuery {
+            release_key: key.into(),
+            rects,
+        })
     };
     let wire_rects: Vec<WireRect> = rects.iter().map(Into::into).collect();
     let inverted = WireRect {
@@ -694,39 +644,29 @@ fn raw_binary_batch_frames_isolate_failures_per_query() {
         x1: 0.0,
         y1: 1.0,
     };
-    let batch = WireRequest::new(
-        11,
-        RequestBody::Batch(vec![
-            query("storage", wire_rects.clone()),
-            query("nope", wire_rects),
-            query("storage", vec![inverted]),
-        ]),
-    );
-    let mut frame = Vec::new();
-    binary::encode_request(&batch, &mut frame).unwrap();
-    writer.write_all(&frame).unwrap();
+    let mut train = Vec::new();
+    for (id, body) in [
+        (11, query("storage", wire_rects.clone())),
+        (12, query("nope", wire_rects)),
+        (13, query("storage", vec![inverted])),
+    ] {
+        binary::append_request(&WireRequest::new(id, body), &mut train).unwrap();
+    }
+    writer.write_all(&train).unwrap();
 
-    let reply = read_binary_response(&mut reader);
-    assert_eq!(reply.id, 11);
-    let ResponseBody::Batch(outcomes) = reply.body else {
-        panic!("expected a batch reply, got {:?}", reply.body);
-    };
-    assert_eq!(outcomes.len(), 3);
     let local = engine
         .answer(&QueryRequest::new("storage", rects.clone()))
         .unwrap();
-    match &outcomes[0] {
-        WireOutcome::Answered(a) => assert_eq!(a.answers, local.answers),
+    let reply = read_binary_response(&mut reader);
+    assert_eq!(reply.id, 11);
+    match reply.body {
+        ResponseBody::Answers(a) => assert_eq!(a.answers, local.answers),
         other => panic!("expected answers, got {other:?}"),
     }
-    for (outcome, code) in outcomes[1..]
-        .iter()
-        .zip([ErrorCode::UnknownKey, ErrorCode::InvalidQuery])
-    {
-        match outcome {
-            WireOutcome::Failed(e) => assert_eq!(e.code, code),
-            other => panic!("expected {code:?}, got {other:?}"),
-        }
+    for (id, code) in [(12, ErrorCode::UnknownKey), (13, ErrorCode::InvalidQuery)] {
+        let reply = read_binary_response(&mut reader);
+        assert_eq!(reply.id, id);
+        assert_eq!(expect_error(reply).code, code);
     }
     server.shutdown();
 }

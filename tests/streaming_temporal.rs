@@ -84,7 +84,7 @@ fn stream_to_tcp_window_queries_match_per_epoch_sums() {
     assert_eq!(
         client.protocol_version(),
         Some(2),
-        "the front door negotiates binary v2"
+        "the front door speaks binary v2"
     );
     let expected_keys: Vec<String> = (0..5)
         .map(|e| epoch_key("taxi", EpochRange::single(e)))

@@ -14,8 +14,8 @@ use std::time::Duration;
 use dpgrid::net::TcpServer;
 use dpgrid::prelude::*;
 use dpgrid::serve::wire::{
-    self, binary, ErrorCode, HelloOffer, RequestBody, ResponseBody, WireAnswers, WireError,
-    WireOutcome, WireQuery, WireRect, WireRequest, WireResponse, WireWindow, PROTOCOL_VERSION,
+    self, binary, ErrorCode, RequestBody, ResponseBody, WireAnswers, WireError, WireQuery,
+    WireRect, WireRequest, WireResponse, WireWindow, PROTOCOL_VERSION,
 };
 use dpgrid::serve::CacheState;
 use dpgrid::serve::{CatalogStats, EngineStats, ServeError};
@@ -78,15 +78,11 @@ fn arb_id(rng: &mut StdRng) -> u64 {
 }
 
 fn arb_request(rng: &mut StdRng) -> WireRequest {
-    let body = match rng.random_range(0..6u32) {
+    let body = match rng.random_range(0..5u32) {
         0 => RequestBody::Query(arb_query(rng)),
-        1 => {
-            let n = rng.random_range(0..4usize);
-            RequestBody::Batch((0..n).map(|_| arb_query(rng)).collect())
-        }
-        2 => RequestBody::Stats,
-        3 => RequestBody::Keys,
-        4 => RequestBody::Report(arb_report(rng)),
+        1 => RequestBody::Stats,
+        2 => RequestBody::Keys,
+        3 => RequestBody::Report(arb_report(rng)),
         _ => RequestBody::Ping,
     };
     WireRequest::new(arb_id(rng), body)
@@ -223,29 +219,15 @@ fn arb_report_ack(rng: &mut StdRng) -> wire::WireReportAck {
 }
 
 fn arb_response(rng: &mut StdRng) -> WireResponse {
-    let body = match rng.random_range(0..7u32) {
-        6 => ResponseBody::Report(arb_report_ack(rng)),
+    let body = match rng.random_range(0..6u32) {
+        5 => ResponseBody::Report(arb_report_ack(rng)),
         0 => ResponseBody::Answers(arb_answers(rng)),
-        1 => {
-            let n = rng.random_range(0..4usize);
-            ResponseBody::Batch(
-                (0..n)
-                    .map(|_| {
-                        if rng.random::<bool>() {
-                            WireOutcome::Answered(arb_answers(rng))
-                        } else {
-                            WireOutcome::Failed(arb_error(rng))
-                        }
-                    })
-                    .collect(),
-            )
-        }
-        2 => ResponseBody::Stats(arb_stats(rng)),
-        3 => {
+        1 => ResponseBody::Stats(arb_stats(rng)),
+        2 => {
             let n = rng.random_range(0..5usize);
             ResponseBody::Keys((0..n).map(|_| arb_key(rng)).collect())
         }
-        4 => ResponseBody::Pong,
+        3 => ResponseBody::Pong,
         _ => ResponseBody::Error(arb_error(rng)),
     };
     WireResponse::new(arb_id(rng), body)
@@ -308,10 +290,9 @@ fn mutate_and_decode<T>(
 }
 
 /// One valid JSON request line: any `arb_request` body, or a `Window`
-/// or `Hello` body, which `arb_request` does not draw (binary frames
-/// carry no `Hello`).
+/// body, which `arb_request` does not draw.
 fn arb_json_line(rng: &mut StdRng) -> String {
-    let request = match rng.random_range(0..4u32) {
+    let request = match rng.random_range(0..3u32) {
         0 => {
             let n = rng.random_range(0..4usize);
             let window = WireWindow {
@@ -321,12 +302,6 @@ fn arb_json_line(rng: &mut StdRng) -> String {
                 rects: (0..n).map(|_| arb_rect(rng)).collect(),
             };
             WireRequest::new(arb_id(rng), RequestBody::Window(window))
-        }
-        1 => {
-            let offer = HelloOffer {
-                max_version: rng.random_range(0..4u32),
-            };
-            WireRequest::new(arb_id(rng), RequestBody::Hello(offer))
         }
         _ => arb_request(rng),
     };
@@ -603,20 +578,9 @@ fn mutated_json_lines_get_one_reply_each_on_a_live_connection() {
     for seed in 0..200u64 {
         let mut rng = StdRng::seed_from_u64(seed);
         let valid = arb_json_line(&mut rng);
-        // A mutant that is still a `Hello` may switch the connection to
-        // binary, so it stays out of this line-only run.
         let mutants: Vec<String> = json_mutants(&mut rng, &valid)
             .into_iter()
             .filter(|m| !m.contains('\n'))
-            .filter(|m| {
-                !matches!(
-                    WireRequest::decode(m),
-                    Ok(WireRequest {
-                        body: RequestBody::Hello(_),
-                        ..
-                    })
-                )
-            })
             .collect();
         let mut burst = Vec::new();
         for mutant in &mutants {
@@ -822,18 +786,12 @@ fn both_codecs_dispatch_to_identical_query_responses() {
             release_key: "storage".into(),
             rects: rects.clone(),
         }),
-        // A batch mixing a served release with an unknown key: the
-        // per-query failure must come back identically typed too.
-        RequestBody::Batch(vec![
-            WireQuery {
-                release_key: "storage".into(),
-                rects: rects.clone(),
-            },
-            WireQuery {
-                release_key: "missing".into(),
-                rects: rects.clone(),
-            },
-        ]),
+        // An unknown key: the failure must come back identically typed
+        // too.
+        RequestBody::Query(WireQuery {
+            release_key: "missing".into(),
+            rects: rects.clone(),
+        }),
         RequestBody::Keys,
         RequestBody::Ping,
     ];
